@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from typing import Optional
+from contextlib import nullcontext
+from typing import Iterable, Optional
 
 from . import auxcalc, exponents, functional, simulator
 from .coeffs import DampingModel, Perturbation, ProblemSpec
@@ -33,16 +33,14 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Optional[str], header: list[str], rows: list[list], quiet: bool) -> None:
-    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        if not quiet:
-            print(f"wrote {path}")
-    else:
-        sys.stdout.write(text)
+def _write_csv(path: Optional[str], header: list[str], rows: Iterable, quiet: bool) -> None:
+    """Write ``header`` and ``rows`` as CSV, one line at a time."""
+    sink = open(path, "w", encoding="utf-8", newline="\n") if path else nullcontext(sys.stdout)
+    with sink as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    if path and not quiet:
+        print(f"wrote {path}")
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -73,12 +71,17 @@ def _problem_from_args(args, cfg: dict) -> ProblemSpec:
     )
 
 
-def _threads() -> int:
-    raw = os.environ.get("BLOWUPLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _sim_spec_from_args(args, cfg: dict) -> simulator.SimSpec:
+    if "r_max" in cfg:
+        return simulator.SimSpec.from_dict(cfg)
+    return simulator.SimSpec(
+        problem=_problem_from_args(args, cfg),
+        r_max=args.r_max, J=args.J, T_max=args.T_max, cfl=args.cfl,
+        blowup_threshold=args.threshold,
+        u0=simulator.GaussianData(args.u0_amplitude, args.u0_width),
+        u1=simulator.GaussianData(args.u1_amplitude, args.u1_width),
+        allow_boundary_reflections=args.allow_boundary,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -168,20 +171,8 @@ def _cmd_scan(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    if "r_max" in cfg:
-        spec = simulator.SimSpec.from_dict(cfg)
-    else:
-        spec = simulator.SimSpec(
-            problem=_problem_from_args(args, cfg),
-            r_max=args.r_max, J=args.J, T_max=args.T_max, cfl=args.cfl,
-            blowup_threshold=args.threshold,
-            u0=simulator.GaussianData(args.u0_amplitude, args.u0_width),
-            u1=simulator.GaussianData(args.u1_amplitude, args.u1_width),
-            allow_boundary_reflections=args.allow_boundary,
-        )
-    outcome = simulator.run(spec)
-    rows = [[t, s, e] for t, s, e in
-            zip(outcome.times, outcome.sup_norms, outcome.energies)]
+    outcome = simulator.run(_sim_spec_from_args(args, cfg))
+    rows = zip(outcome.times, outcome.sup_norms, outcome.energies)
     _write_csv(args.out, ["t", "sup_norm", "energy"], rows, args.quiet)
     tstar = f" t* = {_fmt(outcome.t_star)}" if outcome.t_star is not None else ""
     print(f"verdict: {outcome.verdict}{tstar} ({outcome.note})")
@@ -190,20 +181,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    if "r_max" in cfg:
-        spec = simulator.SimSpec.from_dict(cfg)
-    else:
-        spec = simulator.SimSpec(
-            problem=_problem_from_args(args, cfg),
-            r_max=args.r_max, J=args.J, T_max=args.T_max, cfl=args.cfl,
-            blowup_threshold=args.threshold,
-            u0=simulator.GaussianData(args.u0_amplitude, args.u0_width),
-            u1=simulator.GaussianData(args.u1_amplitude, args.u1_width),
-            allow_boundary_reflections=args.allow_boundary,
-        )
+    spec = _sim_spec_from_args(args, cfg)
     p_list = cfg.get("p_list") or [float(x) for x in args.p_list.split(",")]
-    rows_raw = simulator.sweep_p(spec, p_list, workers=_threads())
-    rows = [[r["p"], r["verdict"], r["t_star"]] for r in rows_raw]
+    rows = [[r["p"], r["verdict"], r["t_star"]] for r in simulator.sweep_p(spec, p_list)]
     _write_csv(args.out, ["p", "verdict", "t_star"], rows, args.quiet)
     return EXIT_OK
 

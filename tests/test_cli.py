@@ -166,14 +166,11 @@ def test_unknown_command(capsys):
     assert code == EXIT_VALIDATION
 
 
-def test_thread_cap_parsing(monkeypatch):
-    from blowuplab.cli import _threads
-
-    monkeypatch.setenv("BLOWUPLAB_THREADS", "4")
-    assert _threads() == 4
-    monkeypatch.setenv("BLOWUPLAB_THREADS", "0")
-    assert _threads() == 1
-    monkeypatch.setenv("BLOWUPLAB_THREADS", "many")
-    assert _threads() == 1
-    monkeypatch.delenv("BLOWUPLAB_THREADS")
-    assert _threads() == 1
+@pytest.mark.parametrize("flag", ["--u1-amplitude", "--threshold"])
+def test_simulate_rejects_nan_input(flag, capsys):
+    code = dispatch(["simulate", "--p", "1.5", "--T-max", "2", "--r-max", "10",
+                     "--J", "64", flag, "nan", "--quiet"])
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert "must be finite" in captured.err
+    assert "verdict" not in captured.out

@@ -2,11 +2,13 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from blowuplab.coeffs import DampingModel, ProblemSpec
+from blowuplab.functional import sphere_area
 from blowuplab.simulator import (
     CflViolation,
     GaussianData,
@@ -139,6 +141,21 @@ def test_delta_must_be_nonnegative():
         SimSpec(problem=prob, r_max=10.0, J=100, T_max=1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("r_max", math.inf), ("T_max", math.nan), ("dt", 0.0), ("dt", math.nan),
+    ("blowup_threshold", math.inf), ("nonlinearity", math.nan),
+])
+def test_sim_spec_rejects_nonfinite_and_nonpositive_dt(field, value):
+    with pytest.raises(ValueError, match=field):
+        replace(blowup_spec(1.5), **{field: value})
+
+
+@pytest.mark.parametrize("amplitude, width", [(math.nan, 1.0), (1.0, math.inf)])
+def test_gaussian_data_rejects_nonfinite(amplitude, width):
+    with pytest.raises(ValueError, match="must be finite"):
+        GaussianData(amplitude, width)
+
+
 def test_sim_spec_round_trip():
     spec = blowup_spec(1.5)
     assert SimSpec.from_dict(spec.to_dict()) == spec
@@ -169,11 +186,88 @@ def test_sweep_doubling_amplitude_shortens_lifespan():
     assert fast["t_star"] < slow["t_star"]
 
 
-def test_sweep_parallel_matches_serial():
-    spec = blowup_spec(1.5, J=400)
-    serial = sweep_p(spec, [1.3, 1.8])
-    parallel = sweep_p(spec, [1.3, 1.8], workers=2)
-    assert serial == parallel
+def test_sweep_rows_equal_single_runs():
+    """The batched sweep reproduces each single run exactly, across p_C = 2 at n = 2."""
+    spec = SimSpec(problem=unit_problem(2.0, n=2), r_max=60.0, J=300, T_max=50.0,
+                   u1=GaussianData(1.0, 1.0))
+    p_list = [1.3, 1.6, 2.6, 3.5]
+    rows = sweep_p(spec, p_list)
+    singles = [run(replace(spec, problem=replace(spec.problem, p=p))) for p in p_list]
+    assert rows == [{"p": p, "verdict": oc.verdict, "t_star": oc.t_star}
+                    for p, oc in zip(p_list, singles)]
+    assert [row["verdict"] for row in rows] == ["blowup", "blowup", "survived", "survived"]
+
+
+# -- one-row array reference (alpha = gamma = 0) ------------------------------------------
+
+def _reference_laplacian(u, dr, n):
+    lap = np.empty_like(u)
+    r = np.arange(1, len(u) - 1) * dr
+    u_rr = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dr**2
+    u_r = (u[2:] - u[:-2]) / (2.0 * dr)
+    lap[1:-1] = u_rr + (n - 1) / r * u_r
+    lap[0] = 2.0 * n * (u[1] - u[0]) / dr**2
+    lap[-1] = 0.0
+    return lap
+
+
+def _reference_traces(spec, dt, steps):
+    """Sup norms, energies and final field from the per-step array formulas.
+
+    Energy is np.gradient + np.trapezoid on every step; a and the forcing
+    time factor are the constants c_a and c_f.
+    """
+    prob = spec.problem
+    n, dr = prob.n, spec.dr
+    ts = np.arange(steps + 1) * dt
+    b = np.asarray(prob.damping.b(ts), float)
+    r = np.arange(spec.J + 1) * dr
+    rpow = r ** (n - 1)
+    fspace = r**prob.delta
+
+    def source(u):
+        return spec.nonlinearity * prob.c_f * fspace * np.abs(u) ** prob.p
+
+    def energy(v, u):
+        u_r = np.gradient(u, dr)
+        dens = 0.5 * v**2 + 0.5 * prob.c_a * u_r**2
+        return sphere_area(n) * float(np.trapezoid(dens * rpow, dx=dr))
+
+    u_prev = spec.u0(r)
+    u_prev[-1] = 0.0
+    v0 = spec.u1(r)
+    v0[-1] = 0.0
+    accel0 = prob.c_a * _reference_laplacian(u_prev, dr, n) - b[0] * v0 + source(u_prev)
+    u = u_prev + dt * v0 + 0.5 * dt**2 * accel0
+    u[-1] = 0.0
+    sups, energies = [float(np.max(np.abs(u_prev)))], [energy(v0, u_prev)]
+    for m in range(1, steps + 1):
+        sups.append(float(np.max(np.abs(u))))
+        energies.append(energy((u - u_prev) / dt, u))
+        if m == steps:
+            break
+        bh = 0.5 * dt * b[m]
+        u_next = (2.0 * u - (1.0 - bh) * u_prev
+                  + dt**2 * (prob.c_a * _reference_laplacian(u, dr, n) + source(u))) / (1.0 + bh)
+        u_next[-1] = 0.0
+        u_prev, u = u, u_next
+    return np.array(sups), np.array(energies), u
+
+
+@pytest.mark.parametrize("spec", [
+    SimSpec(problem=unit_problem(3.0, n=2), r_max=30.0, J=200, T_max=10.0,
+            u1=GaussianData(1.0, 1.0)),
+    SimSpec(problem=ProblemSpec(n=3, alpha=0.0, gamma=0.0, delta=0.5, p=1.5,
+                                damping=DampingModel.power_law(1.0, 0.5)),
+            r_max=10.0, J=160, T_max=6.0, u0=GaussianData(0.5, 1.0),
+            u1=GaussianData(1.0, 0.7), nonlinearity=-0.5, allow_boundary_reflections=True),
+], ids=["n2", "n3-delta-powerlaw"])
+def test_run_matches_array_reference_bitwise(spec):
+    out = run(spec)
+    sups, energies, final = _reference_traces(spec, out.dt, len(out.times) - 1)
+    assert np.array_equal(out.sup_norms, sups)
+    assert np.array_equal(out.energies, energies)
+    assert np.array_equal(out.final_u, final)
 
 
 # -- manufactured verification -----------------------------------------------------------
