@@ -3,7 +3,7 @@ speed and damping: auxiliary damping functions, critical exponent catalog,
 boundedness scans of the nonexistence functionals, and radial blow-up runs.
 """
 
-from .coeffs import DampingModel, Perturbation, ProblemSpec, eval_a, eval_b, eval_db, eval_f
+from .coeffs import DampingModel, Perturbation, ProblemSpec, eval_a, eval_f
 from .auxcalc import (
     AuxTable,
     build_aux_table,
@@ -12,8 +12,6 @@ from .auxcalc import (
     compute_Gamma,
     compute_beta,
     compute_bhat1,
-    compute_g,
-    invert_B,
     verify_equivalences,
 )
 from .exponents import classic_exponents, grushin_tricomi_ranges, hardy_ranges, p_crit_damped, quasi_homog_range

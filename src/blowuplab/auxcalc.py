@@ -35,6 +35,7 @@ from .quadrature import (
     _GAUSS_WEIGHTS,
     _KRONROD_NODES,
     _KRONROD_WEIGHTS,
+    gauss_kronrod_panel,
     integrate_adaptive,
 )
 
@@ -46,12 +47,9 @@ __all__ = [
     "TableRangeError",
     "build_aux_table",
     "compute_B",
-    "invert_B",
     "compute_beta",
     "compute_Gamma",
     "compute_bhat1",
-    "compute_g",
-    "compute_dg",
     "check_hypothesis",
     "verify_equivalences",
 ]
@@ -73,16 +71,6 @@ class TableRangeError(ValueError):
 
 # ---------------------------------------------------------------------------
 # panel primitives
-
-
-def _plain_panel(fun, a: float, b: float) -> tuple[float, float]:
-    """K15 panel of ``fun`` on [a, b] -> (integral, error estimate)."""
-    half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * _KRONROD_NODES
-    y = np.asarray(fun(x), dtype=float)
-    k15 = half * float(np.dot(_KRONROD_WEIGHTS, y))
-    g7 = half * float(np.dot(_GAUSS_WEIGHTS, y))
-    return k15, abs(k15 - g7)
 
 
 def _exp_weighted_panel(bfun, t0: float, t1: float):
@@ -118,9 +106,12 @@ def _phi_cell(bfun, t0: float, t1: float, tol: float, depth: int = 48):
     A cell holding more than a few e-folds of damping hides the decay layer
     from the Kronrod nodes, so such cells are split regardless of the error
     estimate; the exponentially dead right remainder is pruned through the
-    bound q_right <= width.
+    bound q_right <= width.  A non-finite panel (b overflowing, say)
+    raises ``FloatingPointError``.
     """
     q, err, ib = _exp_weighted_panel(bfun, t0, t1)
+    if not (math.isfinite(q) and math.isfinite(ib)):
+        raise FloatingPointError(f"non-finite damping integral on [{t0:g}, {t1:g}]")
     E = math.exp(-ib)  # the damping mass itself is layer-free and accurate
     if (ib <= 3.0 and err <= tol * max(abs(q), 1e-300)) or depth <= 0:
         return q, E
@@ -213,18 +204,13 @@ def compute_bhat1(model: DampingModel, tol: float = DEFAULT_QUAD_TOL) -> float:
     return 1.0 / _g_tail(model, 0.0, tol)
 
 
-def compute_g(aux: "AuxTable", t: float) -> float:
-    """g(t) = Gamma(t)/beta(t), read through the table's exact local bridge."""
-    return aux.g_at(t)
-
-
-def compute_dg(aux: "AuxTable", t: float) -> float:
-    """g'(t) from the defining identity g' = g*b - 1 (no differencing)."""
-    return aux.dg_at(t)
-
-
 # ---------------------------------------------------------------------------
 # the table
+
+
+def _like_query(values):
+    """A float for a scalar query, the array of the query's shape otherwise."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 @dataclass(frozen=True)
@@ -233,7 +219,10 @@ class AuxTable:
 
     Queries between grid points are closed with one local quadrature panel
     against the nearest grid value, so lookups inherit the build accuracy
-    (about ``quad_tol`` relative) instead of an interpolation error.
+    (about ``quad_tol`` relative) instead of an interpolation error.  Every
+    read takes a scalar (and returns a float) or an array of times (and
+    returns an array of its shape); the B and log beta bridges of an array
+    are one batched panel call.
     """
 
     model: DampingModel
@@ -257,52 +246,52 @@ class AuxTable:
     def Gamma_vals(self) -> np.ndarray:
         return np.exp(self.log_beta_vals) * self.g_vals
 
-    def _locate(self, t: float) -> int:
-        if t < 0:
+    def _locate(self, t):
+        """Checked query times as an array, with each one's bridging node.
+
+        The bridging node is the first grid node at or above the time.
+        """
+        t = np.asarray(t, dtype=float)
+        if not np.all(np.isfinite(t)):
+            raise ValueError("t must be finite")
+        if np.any(t < 0):
             raise ValueError("t must be nonnegative")
-        if t > self.horizon:
+        if np.any(t > self.horizon):
             raise TableRangeError(
-                f"t = {t:g} beyond tabulated horizon {self.horizon:g}"
+                f"t = {np.max(t):g} beyond tabulated horizon {self.horizon:g}"
             )
-        return int(np.searchsorted(self.grid, t, side="left"))
+        return t, np.searchsorted(self.grid, t, side="left")
 
     def B_at(self, t):
-        if np.ndim(t) != 0:
-            return np.array([self.B_at(float(ti)) for ti in np.asarray(t).ravel()])
-        t = float(t)
-        i = self._locate(t)
-        if self.grid[i] == t:
-            return float(self.B_vals[i])
-        back, _ = _plain_panel(lambda x: 1.0 / self.model.b(x), t, float(self.grid[i]))
-        return float(self.B_vals[i]) - back
+        t, i = self._locate(t)
+        back, _ = gauss_kronrod_panel(lambda x: 1.0 / self.model.b(x), t, self.grid[i])
+        return _like_query(self.B_vals[i] - back)
 
-    def log_beta_at(self, t) -> float:
-        t = float(t)
-        i = self._locate(t)
-        if self.grid[i] == t:
-            return float(self.log_beta_vals[i])
-        back, _ = _plain_panel(self.model.b, t, float(self.grid[i]))
-        return float(self.log_beta_vals[i]) + back
+    def log_beta_at(self, t):
+        t, i = self._locate(t)
+        back, _ = gauss_kronrod_panel(self.model.b, t, self.grid[i])
+        return _like_query(self.log_beta_vals[i] + back)
 
-    def beta_at(self, t) -> float:
-        return math.exp(self.log_beta_at(t))
+    def beta_at(self, t):
+        return _like_query(np.exp(self.log_beta_at(t)))
 
-    def g_at(self, t) -> float:
-        t = float(t)
-        i = self._locate(t)
-        if self.grid[i] == t:
-            return float(self.g_vals[i])
-        q, E = _phi_cell(self.model.b, t, float(self.grid[i]), self.quad_tol)
-        return q + E * float(self.g_vals[i])
+    def g_at(self, t):
+        t, i = self._locate(t)
+        cells = [_phi_cell(self.model.b, float(t0), float(t1), self.quad_tol)
+                 for t0, t1 in zip(t.flat, self.grid[i].flat)]
+        cells = np.reshape(cells, t.shape + (2,))
+        return _like_query(cells[..., 0] + cells[..., 1] * self.g_vals[i])
 
-    def dg_at(self, t) -> float:
-        return self.g_at(t) * float(self.model.b(t)) - 1.0
+    def dg_at(self, t):
+        return _like_query(self.g_at(t) * self.model.b(t) - 1.0)
 
-    def Gamma_at(self, t) -> float:
+    def Gamma_at(self, t):
         return self.beta_at(t) * self.g_at(t)
 
     def invert_B(self, s: float) -> float:
         """A(s): the time t with B(t) = s, to |B(A(s)) - s| <= quad_tol."""
+        if not math.isfinite(s):
+            raise ValueError("s must be finite")
         if s < 0:
             raise ValueError("s must be nonnegative")
         if s == 0:
@@ -321,10 +310,6 @@ class AuxTable:
         return float(root)
 
 
-def invert_B(aux: AuxTable, s: float) -> float:
-    return aux.invert_B(s)
-
-
 def build_aux_table(
     model: DampingModel,
     horizon: float,
@@ -338,6 +323,8 @@ def build_aux_table(
     g(t_i) = q_i + E_i * g(t_{i+1}), seeded by the stabilized tail value at
     the horizon, so per-cell quadrature errors are the only error source.
     """
+    if not math.isfinite(horizon):
+        raise ValueError("horizon must be finite")
     if horizon <= 10 * t_min:
         raise ValueError("horizon too small for the tabulation grid")
     decades = math.log10(horizon / t_min)
@@ -355,7 +342,7 @@ def build_aux_table(
         t0, t1 = float(grid[i]), float(grid[i + 1])
         dB[i] = integrate_adaptive(lambda x: 1.0 / bfun(x), t0, t1,
                                    abs_tol=quad_tol * 1e-3, rel_tol=quad_tol * 0.1)
-        val, err = _plain_panel(bfun, t0, t1)
+        val, err = gauss_kronrod_panel(bfun, t0, t1)
         if err > quad_tol * max(1.0, abs(val)):
             val = integrate_adaptive(bfun, t0, t1, abs_tol=quad_tol * 1e-3,
                                      rel_tol=quad_tol * 0.1)
@@ -431,6 +418,8 @@ def check_hypothesis(
     [horizon/10, horizon]; drift relative to the preceding decade marks the
     report inconclusive.
     """
+    if not math.isfinite(horizon):
+        raise ValueError("horizon must be finite")
     if horizon < 100:
         raise ValueError("horizon must be at least 100")
     count = max(16, int(math.log10(horizon) * points_per_decade))
@@ -514,7 +503,7 @@ def verify_equivalences(aux: AuxTable, horizon: float, margin: float = 0.05) -> 
     for lam in (2.0, 4.0, 8.0):
         t_samples = np.geomspace(horizon / 10.0, horizon / lam, 16)
         b_ratio = np.asarray(aux.model.b(lam * t_samples) / aux.model.b(t_samples), float)
-        B_ratio = np.array([aux.B_at(lam * t) / aux.B_at(t) for t in t_samples])
+        B_ratio = aux.B_at(lam * t_samples) / aux.B_at(t_samples)
         lo, hi = lam ** (-fitted_M - margin), lam ** (fitted_m + margin)
         ok_b = bool(np.all((b_ratio >= lo) & (b_ratio <= hi)))
         expo = np.log(B_ratio) / np.log(lam)

@@ -19,8 +19,6 @@ __all__ = [
     "Perturbation",
     "ProblemSpec",
     "SingularEvaluation",
-    "eval_b",
-    "eval_db",
     "eval_a",
     "eval_f",
 ]
@@ -52,6 +50,8 @@ class Perturbation:
     def __post_init__(self):
         if self.kind not in _PERTURBATION_KINDS:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
+        if not math.isfinite(self.exponent):
+            raise ValueError("perturbation exponent must be finite")
         if self.kind == "sin" and self.exponent <= 0:
             raise ValueError("sin perturbation requires a positive exponent")
 
@@ -92,8 +92,8 @@ class DampingModel:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown damping kind {self.kind!r}")
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
+        if not (math.isfinite(self.mu) and self.mu > 0):
+            raise ValueError("mu must be positive and finite")
         if self.kind == "constant":
             object.__setattr__(self, "kappa", 0.0)
         elif not (-1.0 < self.kappa <= 1.0):
@@ -170,18 +170,6 @@ class DampingModel:
         return DampingModel(kind, float(data["mu"]), float(data.get("kappa", 0.0)), pert)
 
 
-def eval_b(model: DampingModel, t) -> float:
-    """Damping coefficient b(t), t >= 0."""
-    out = model.b(t)
-    return float(out) if np.ndim(t) == 0 else out
-
-
-def eval_db(model: DampingModel, t) -> float:
-    """Exact derivative b'(t); no finite differencing involved."""
-    out = model.db(t)
-    return float(out) if np.ndim(t) == 0 else out
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     """Full parameter set of the nonexistence analysis.
@@ -237,28 +225,21 @@ class ProblemSpec:
         )
 
 
-def _resolve_shift(aux, shift: Optional[float]) -> float:
-    if shift is not None:
-        return float(shift)
-    return aux.B_unit_shift
+def eval_a(spec: ProblemSpec, t, aux) -> float:
+    """Representative speed a(t) = c_a * (B(t) + B0)**(-alpha), B0 = B(1).
 
-
-def eval_a(spec: ProblemSpec, t, aux, shift: Optional[float] = None) -> float:
-    """Representative speed a(t) = c_a * (B(t) + B0)**(-alpha).
-
-    B0 defaults to B(1) so the formula stays finite at t = 0 when alpha > 0;
-    only the large-time growth rate matters downstream, and the shift leaves
-    it untouched.  alpha = 0 short-circuits to the constant c_a.
+    The shift B0 keeps the formula finite at t = 0 when alpha > 0; only the
+    large-time growth rate matters downstream, and the shift leaves it
+    untouched.  alpha = 0 short-circuits to the constant c_a.
     """
     if spec.alpha == 0.0:
         return spec.c_a if np.ndim(t) == 0 else spec.c_a * np.ones_like(np.asarray(t, float))
-    B0 = _resolve_shift(aux, shift)
-    out = spec.c_a * (aux.B_at(t) + B0) ** (-spec.alpha)
+    out = spec.c_a * (aux.B_at(t) + aux.B_unit_shift) ** (-spec.alpha)
     return float(out) if np.ndim(t) == 0 else out
 
 
-def eval_f(spec: ProblemSpec, t, r, aux, shift: Optional[float] = None) -> float:
-    """Representative forcing weight f = c_f * (B(t) + B0)**gamma * r**delta."""
+def eval_f(spec: ProblemSpec, t, r, aux) -> float:
+    """Representative forcing weight f = c_f * (B(t) + B0)**gamma * r**delta, B0 = B(1)."""
     scalar = np.ndim(t) == 0 and np.ndim(r) == 0
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0):
@@ -268,8 +249,7 @@ def eval_f(spec: ProblemSpec, t, r, aux, shift: Optional[float] = None) -> float
     if spec.gamma == 0.0:
         tpart = 1.0
     else:
-        B0 = _resolve_shift(aux, shift)
-        tpart = (aux.B_at(t) + B0) ** spec.gamma
+        tpart = (aux.B_at(t) + aux.B_unit_shift) ** spec.gamma
     rpart = np.ones_like(r_arr) if spec.delta == 0.0 else r_arr**spec.delta
     out = spec.c_f * tpart * rpart
     return float(out) if scalar else out

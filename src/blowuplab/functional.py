@@ -21,7 +21,7 @@ import numpy as np
 
 from . import exponents as expo
 from .auxcalc import AuxTable, build_aux_table, compute_B, compute_bhat1
-from .coeffs import ProblemSpec, DampingModel
+from .coeffs import DampingModel, ProblemSpec, eval_a
 from .quadrature import gauss_legendre_nodes, integrate_adaptive
 from .testfn import BumpProfile, ScalingFamily, bump_eval, eta_eval
 
@@ -119,8 +119,6 @@ class DstarCoefficients:
 
 def dstar_coefficients(spec: ProblemSpec, aux: AuxTable, t: float, x=None) -> DstarCoefficients:
     """Evaluate {g, -g a, g' - 1} at time t (space-independent here)."""
-    from .coeffs import eval_a
-
     g = aux.g_at(t)
     b = float(spec.damping.b(t))
     return DstarCoefficients(
@@ -150,32 +148,32 @@ def _check_integrability(spec: ProblemSpec) -> None:
         )
 
 
-def _time_weight(spec: ProblemSpec, aux: AuxTable, alpha: MultiIndex,
-                 shift: Optional[float]) -> Callable:
-    """Integrand of the time part of the shell integral for one index."""
+def _time_weight(spec: ProblemSpec, aux: AuxTable, alpha: MultiIndex) -> Callable:
+    """Integrand of the time part of the shell integral for one index.
+
+    The integrand takes an array of times and returns the array of values.
+    """
     pc = spec.p_conjugate
-    B0 = aux.B_unit_shift if shift is None else float(shift)
     gpow = -spec.gamma * (pc - 1.0)
     cf = spec.c_f ** (-(pc - 1.0))
 
-    def base(t: float):
+    def base(t: np.ndarray):
         g = aux.g_at(t)
-        Bs = aux.B_at(t) + B0
+        Bs = aux.B_at(t) + aux.B_unit_shift
         return g ** (-(pc - 1.0)) * cf * Bs**gpow, g, Bs
 
     if alpha.alpha0 == 2:
-        def w(t: float):
+        def w(t: np.ndarray):
             common, g, _ = base(t)
             return g**pc * common
     elif alpha.alpha0 == 1:
-        def w(t: float):
+        def w(t: np.ndarray):
             common, g, _ = base(t)
-            b = float(spec.damping.b(t))
-            return abs(g * b - 2.0) ** pc * common
+            return np.abs(g * spec.damping.b(t) - 2.0) ** pc * common
     else:
         apow = -spec.alpha * pc
 
-        def w(t: float):
+        def w(t: np.ndarray):
             common, g, Bs = base(t)
             return (g * spec.c_a) ** pc * Bs**apow * common
     return w
@@ -199,7 +197,6 @@ def G_alpha(
     R: float,
     alpha: MultiIndex,
     method: str = "radial",
-    shift: Optional[float] = None,
     box_points: int = 24,
 ) -> float:
     """Weighted p'-integral of the operator coefficient over its shell.
@@ -213,10 +210,8 @@ def G_alpha(
         return 0.0
     F0 = family.F0(R)
     t_lo = F0 / 2.0 if alpha.alpha0 > 0 else 0.0
-    w = _time_weight(spec, family.aux, alpha, shift)
-    t_int = integrate_adaptive(
-        lambda ts: np.array([w(float(t)) for t in np.atleast_1d(ts)]),
-        t_lo, F0, abs_tol=1e-14, rel_tol=1e-9)
+    t_int = integrate_adaptive(_time_weight(spec, family.aux, alpha),
+                               t_lo, F0, abs_tol=1e-14, rel_tol=1e-9)
 
     if method == "radial":
         x_int = _radial_factor(spec, R, full_ball=alpha.space_order == 0)
@@ -327,6 +322,8 @@ def scan_condition(
 ) -> ScanResult:
     """Evaluate H * G**(1/p') on growing boxes and classify the growth."""
     Rs = np.asarray(sorted(float(R) for R in R_list))
+    if not np.all(np.isfinite(Rs)):
+        raise ValueError("R values must be finite")
     if len(Rs) < 4:
         raise ValueError("need at least four scales R")
     if len(np.unique(Rs)) != len(Rs):
@@ -438,8 +435,7 @@ def weak_residual(
 
     b = np.asarray(spec.damping.b(tn), dtype=float)[:, None]
     db = np.asarray(spec.damping.db(tn), dtype=float)[:, None]
-    from .coeffs import eval_a
-    a = np.array([eval_a(spec, float(t), aux) for t in tn])[:, None]
+    a = eval_a(spec, tn, aux)[:, None]
 
     ts = tn / eta_scale
     eta0 = eta_eval(profile, 0, ts)[:, None]

@@ -53,21 +53,31 @@ _GAUSS_WEIGHTS = np.array([
 ])
 
 
-def gauss_kronrod_panel(f: Callable, a: float, b: float) -> tuple[float, float]:
-    """Single K15 panel on [a, b]. Returns (integral, error estimate).
+def gauss_kronrod_panel(f: Callable, a, b):
+    """K15 panels on [a, b]. Returns (integral, |K15 - G7|).
 
-    ``f`` must accept a numpy array of abscissae and return the values.
+    ``a`` and ``b`` are scalars or arrays of one shape, one panel per pair,
+    and both results take that shape.  ``f`` must accept an array of
+    abscissae of shape ``a.shape + (15,)`` and return the values.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    x = mid + half * _KRONROD_NODES
+    if getattr(half, "ndim", 0):  # array endpoints: abscissae along a new last axis
+        x = mid[..., None] + half[..., None] * _KRONROD_NODES
+    else:
+        x = mid + half * _KRONROD_NODES
     y = np.asarray(f(x), dtype=float)
-    k15 = half * float(np.dot(_KRONROD_WEIGHTS, y))
-    g7 = half * float(np.dot(_GAUSS_WEIGHTS, y))
-    diff = abs(k15 - g7)
+    k15 = half * np.dot(y, _KRONROD_WEIGHTS)
+    g7 = half * np.dot(y, _GAUSS_WEIGHTS)
+    return k15, abs(k15 - g7)
+
+
+def _sharpened_panel(f: Callable, a: float, b: float) -> tuple[float, float]:
+    """One K15 panel with its error estimate sharpened."""
+    val, diff = gauss_kronrod_panel(f, a, b)
+    diff = float(diff)
     # the Gauss/Kronrod gap over-estimates the K15 error; sharpen when small
-    err = min(diff, (200.0 * diff) ** 1.5) if diff > 0.0 else 0.0
-    return k15, err
+    return float(val), min(diff, (200.0 * diff) ** 1.5) if diff > 0.0 else 0.0
 
 
 def integrate_adaptive(
@@ -91,7 +101,7 @@ def integrate_adaptive(
     if b < a:
         a, b = b, a
         sign = -1.0
-    val, err = gauss_kronrod_panel(f, a, b)
+    val, err = _sharpened_panel(f, a, b)
     # heap of (-error, left, right, value) so the worst panel pops first
     heap = [(-err, a, b, val)]
     total = val
@@ -104,8 +114,8 @@ def integrate_adaptive(
             )
         neg_err, left, right, old_val = heapq.heappop(heap)
         mid = 0.5 * (left + right)
-        v1, e1 = gauss_kronrod_panel(f, left, mid)
-        v2, e2 = gauss_kronrod_panel(f, mid, right)
+        v1, e1 = _sharpened_panel(f, left, mid)
+        v2, e2 = _sharpened_panel(f, mid, right)
         total += v1 + v2 - old_val
         total_err += e1 + e2 - (-neg_err)
         heapq.heappush(heap, (-e1, left, mid, v1))

@@ -23,9 +23,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .auxcalc import AuxTable, build_aux_table
-from .coeffs import ProblemSpec
+from .coeffs import ProblemSpec, eval_a
 from .functional import data_functional, sphere_area
-from .quadrature import _KRONROD_NODES, _KRONROD_WEIGHTS, integrate_adaptive
+from .quadrature import gauss_kronrod_panel, integrate_adaptive
 
 __all__ = [
     "GaussianData",
@@ -196,17 +196,12 @@ def _coefficient_arrays(prob: ProblemSpec, aux: AuxTable, steps: int, dt: float)
         ftime = np.full_like(ts, prob.c_f)
         return ts, a, b, ftime
     # accumulate B across the uniform step grid with one K15 panel per step,
-    # a chunk of steps at a time so that the node array stays bounded.  Each
-    # panel sum stays a 15-term np.dot: a matrix product sums in another
-    # order, and over ~2e4 steps that moves late decayed traces by ~1e-11.
+    # a chunk of steps at a time so that the node array stays bounded
     dB = np.empty(steps)
     for lo in range(0, steps, _PANEL_CHUNK):
         hi = min(lo + _PANEL_CHUNK, steps)
-        left, right = ts[lo:hi], ts[lo + 1:hi + 1]
-        half = 0.5 * (right - left)
-        nodes = (0.5 * (left + right))[:, None] + half[:, None] * _KRONROD_NODES
-        values = 1.0 / prob.damping.b(nodes)
-        dB[lo:hi] = half * np.array([np.dot(_KRONROD_WEIGHTS, y) for y in values])
+        dB[lo:hi], _ = gauss_kronrod_panel(lambda x: 1.0 / prob.damping.b(x),
+                                           ts[lo:hi], ts[lo + 1:hi + 1])
     B = np.concatenate(([0.0], np.cumsum(dB))) + aux.B_unit_shift
     a = prob.c_a * B ** (-prob.alpha) if prob.alpha != 0.0 else np.full_like(ts, prob.c_a)
     ftime = prob.c_f * B**prob.gamma if prob.gamma != 0.0 else np.full_like(ts, prob.c_f)
@@ -336,12 +331,7 @@ def _time_step(spec: SimSpec, aux: AuxTable) -> float:
     prob = spec.problem
     dr = spec.dr
     # stability limit against the largest wave speed on [0, T_max]
-    if prob.alpha == 0.0:
-        sup_a = prob.c_a
-    else:
-        mask = aux.grid <= spec.T_max
-        B_shifted = aux.B_vals[mask] + aux.B_unit_shift
-        sup_a = float(np.max(prob.c_a * B_shifted ** (-prob.alpha)))
+    sup_a = float(np.max(eval_a(prob, aux.grid[aux.grid <= spec.T_max], aux)))
     dt_limit = spec.cfl * dr / math.sqrt(sup_a)
     dt = spec.dt if spec.dt is not None else dt_limit
     if dt > dt_limit * (1.0 + 1e-12):
@@ -354,12 +344,8 @@ def _time_step(spec: SimSpec, aux: AuxTable) -> float:
         if prob.alpha == 0.0:
             front = math.sqrt(prob.c_a) * spec.T_max
         else:
-            front = integrate_adaptive(
-                lambda tt: np.sqrt(
-                    prob.c_a * (aux.B_at(tt) + aux.B_unit_shift) ** (-prob.alpha)
-                ),
-                0.0, spec.T_max, abs_tol=1e-6, rel_tol=1e-6,
-            )
+            front = integrate_adaptive(lambda tt: np.sqrt(eval_a(prob, tt, aux)),
+                                       0.0, spec.T_max, abs_tol=1e-6, rel_tol=1e-6)
         reach = max(spec.u0.effective_radius(), spec.u1.effective_radius()) + front + 5 * dr
         if reach > spec.r_max:
             raise ValueError(
@@ -555,8 +541,7 @@ def _run_manufactured(
     """
     n = prob.n
     dr = r_max / J
-    ends = np.array([aux.B_unit_shift, aux.B_at(T_final) + aux.B_unit_shift])
-    sup_a = prob.c_a if prob.alpha == 0.0 else float(np.max(prob.c_a * ends ** (-prob.alpha)))
+    sup_a = float(np.max(eval_a(prob, np.array([0.0, T_final]), aux)))
     dt_limit = cfl * dr / math.sqrt(sup_a)
     dt = dt_limit if dt is None else dt
     if dt > dt_limit * (1.0 + 1e-12):

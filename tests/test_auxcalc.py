@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import gammaincc, gamma as gamma_fn
 
 from blowuplab.auxcalc import (
@@ -22,9 +24,6 @@ from blowuplab.auxcalc import (
     compute_Gamma,
     compute_beta,
     compute_bhat1,
-    compute_g,
-    compute_dg,
-    invert_B,
     verify_equivalences,
 )
 from blowuplab.coeffs import DampingModel
@@ -66,7 +65,7 @@ def test_invert_B_simple():
 
 def test_invert_B_power_law(aux_powerlaw_half):
     # closed-form inverse (1 + 1.5 s)^(2/3) - 1 gives 3 at s = 14/3
-    got = invert_B(aux_powerlaw_half, 14.0 / 3.0)
+    got = aux_powerlaw_half.invert_B(14.0 / 3.0)
     assert abs(got - 3.0) < 1e-8
 
 
@@ -124,13 +123,13 @@ def test_tail_nonconvergence_for_inadmissible():
 
 def test_g_constant_family(aux_const1):
     for t in (0.0, 1.0, 30.0):
-        assert abs(compute_g(aux_const1, t) - 1.0) < 1e-10
+        assert abs(aux_const1.g_at(t) - 1.0) < 1e-10
     aux2 = build_aux_table(DampingModel.constant(2.0), 20.0)
-    assert abs(compute_g(aux2, 5.0) - 0.5) < 1e-10
+    assert abs(aux2.g_at(5.0) - 0.5) < 1e-10
 
 
 def test_g_at_zero_is_reciprocal_mass(aux_powerlaw_half):
-    assert abs(compute_g(aux_powerlaw_half, 0.0) * aux_powerlaw_half.bhat1 - 1.0) < 1e-12
+    assert abs(aux_powerlaw_half.g_at(0.0) * aux_powerlaw_half.bhat1 - 1.0) < 1e-12
 
 
 def test_g_ode_residual(aux_powerlaw_half):
@@ -148,9 +147,9 @@ def test_g_ode_residual(aux_powerlaw_half):
 
 def test_dg_identity(aux_powerlaw_half):
     t = 3.0
-    g = compute_g(aux_powerlaw_half, t)
+    g = aux_powerlaw_half.g_at(t)
     b = float(aux_powerlaw_half.model.b(t))
-    assert compute_dg(aux_powerlaw_half, t) == g * b - 1.0
+    assert aux_powerlaw_half.dg_at(t) == g * b - 1.0
 
 
 # -- table invariants ----------------------------------------------------------
@@ -197,6 +196,63 @@ def test_table_range_errors(aux_const1):
         aux_const1.g_at(aux_const1.horizon * 2.0)
     with pytest.raises(ValueError):
         aux_const1.B_at(-1.0)
+
+
+@pytest.mark.parametrize("read", ["B_at", "log_beta_at", "beta_at", "g_at", "dg_at", "Gamma_at"])
+def test_nan_queries_raise_value_error(aux_const1, read):
+    with pytest.raises(ValueError, match="finite"):
+        getattr(aux_const1, read)(math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        getattr(aux_const1, read)(np.array([1.0, math.nan]))
+
+
+def test_invert_B_rejects_nan(aux_const1):
+    with pytest.raises(ValueError, match="finite"):
+        aux_const1.invert_B(math.nan)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_array_reads_match_scalar_reads(aux_powerlaw_half, data):
+    """Array reads keep the query's shape and agree with reads point by point.
+
+    A batched bridge may round its panel sum differently, so B and log beta
+    agree to 1e-15 of the bridging node's table value; g agrees exactly.
+    """
+    aux = aux_powerlaw_half
+    shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=4), label="shape")
+    times = st.one_of(st.floats(0.0, aux.horizon),
+                      st.sampled_from([float(t) for t in aux.grid]))
+    t = data.draw(hnp.arrays(float, shape, elements=times), label="t")
+    node = np.searchsorted(aux.grid, t)
+    for read, table in ((aux.B_at, aux.B_vals), (aux.log_beta_at, aux.log_beta_vals)):
+        batch = read(t)
+        single = np.reshape([read(float(x)) for x in t.flat], t.shape)
+        assert batch.shape == t.shape
+        assert np.all(np.abs(batch - single) <= 1e-15 * np.abs(table[node]))
+    g = aux.g_at(t)
+    assert g.shape == t.shape
+    assert np.array_equal(g, np.reshape([aux.g_at(float(x)) for x in t.flat], t.shape))
+
+
+def test_scalar_reads_return_floats(aux_powerlaw_half):
+    for read in ("B_at", "log_beta_at", "beta_at", "g_at", "dg_at", "Gamma_at"):
+        assert type(getattr(aux_powerlaw_half, read)(3.0)) is float, read
+
+
+def test_nonfinite_horizon_rejected():
+    model = DampingModel.constant(1.0)
+    for horizon in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            build_aux_table(model, horizon)
+        with pytest.raises(ValueError, match="finite"):
+            check_hypothesis(model, horizon)
+
+
+def test_overflowing_damping_is_a_numerical_failure():
+    """b = 1e308 sqrt(1+t) overflows at once; the build stops instead of recursing."""
+    with pytest.raises(FloatingPointError):
+        build_aux_table(DampingModel.power_law(1e308, -0.5), 100.0)
 
 
 # -- hypothesis checker ---------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import time
 
 import pytest
 
@@ -174,3 +175,24 @@ def test_simulate_rejects_nan_input(flag, capsys):
     assert code == EXIT_VALIDATION
     assert "must be finite" in captured.err
     assert "verdict" not in captured.out
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["aux", "--mu", "nan"], EXIT_VALIDATION),
+    (["aux", "--mu", "inf"], EXIT_VALIDATION),
+    (["aux", "--horizon", "inf"], EXIT_VALIDATION),
+    (["check", "--horizon", "inf"], EXIT_VALIDATION),
+    (["scan", "--R", "8,16,32,inf"], EXIT_VALIDATION),
+    (["scan", "--R", "8,16,32,nan"], EXIT_VALIDATION),
+    (["aux", "--damping", "powerlaw", "--kappa", "-0.5", "--mu", "1e308",
+      "--horizon", "100"], EXIT_NUMERICAL),
+])
+def test_nonfinite_inputs_exit_cleanly(argv, expected, capsys):
+    start = time.perf_counter()
+    code = dispatch(argv + ["--quiet"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == expected
+    assert elapsed < 5.0
+    assert "finite" in captured.err
+    assert "nan" not in captured.out

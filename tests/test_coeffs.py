@@ -12,8 +12,6 @@ from blowuplab.coeffs import (
     ProblemSpec,
     SingularEvaluation,
     eval_a,
-    eval_b,
-    eval_db,
     eval_f,
 )
 
@@ -31,21 +29,21 @@ ALL_FAMILIES = [
 # -- closed-form values -------------------------------------------------------
 
 def test_eval_b_closed_forms():
-    assert eval_b(DampingModel.constant(2.0), 7.0) == 2.0
-    assert eval_b(DampingModel.power_law(1.0, 1.0), 1.0) == 0.5
-    assert abs(eval_b(DampingModel.power_law(3.0, -0.5), 3.0) - 6.0) < 1e-14
+    assert DampingModel.constant(2.0).b(7.0) == 2.0
+    assert DampingModel.power_law(1.0, 1.0).b(1.0) == 0.5
+    assert abs(DampingModel.power_law(3.0, -0.5).b(3.0) - 6.0) < 1e-14
 
 
 def test_eval_db_closed_forms():
-    assert eval_db(DampingModel.constant(2.0), 5.0) == 0.0
-    assert eval_db(DampingModel.power_law(1.0, 1.0), 0.0) == -1.0
+    assert DampingModel.constant(2.0).db(5.0) == 0.0
+    assert DampingModel.power_law(1.0, 1.0).db(0.0) == -1.0
 
 
 def test_borderline_ratio_is_constant():
     """For kappa = 1 the ratio b'/b^2 equals -1/mu at every time."""
     m = DampingModel.power_law(1.0, 1.0)
     for t in (0.0, 1.0, 10.0, 1e4):
-        assert abs(eval_db(m, t) / eval_b(m, t) ** 2 + 1.0) < 1e-14
+        assert abs(m.db(t) / m.b(t) ** 2 + 1.0) < 1e-14
 
 
 def test_derivative_matches_centered_difference():
@@ -57,9 +55,9 @@ def test_derivative_matches_centered_difference():
             continue
         for t in ts:
             h = 1e-5 * (1.0 + t)
-            fd = (eval_b(model, t + h) - eval_b(model, max(t - h, 0.0))) / (
+            fd = (model.b(t + h) - model.b(max(t - h, 0.0))) / (
                 (t + h) - max(t - h, 0.0))
-            an = eval_db(model, t)
+            an = model.db(t)
             assert abs(fd - an) <= 1e-6 * max(abs(an), 1e-12), (model, t)
 
 
@@ -69,8 +67,8 @@ def test_power_law_limits_approached_monotonically():
         m = DampingModel.power_law(1.0, kappa)
         d_ratio, d_scale = [], []
         for t in (1e3, 1e4, 1e5):
-            d_ratio.append(abs(eval_db(m, t) / eval_b(m, t) ** 2 - 0.0))
-            d_scale.append(abs(t * eval_db(m, t) / eval_b(m, t) - (-kappa)))
+            d_ratio.append(abs(m.db(t) / m.b(t) ** 2 - 0.0))
+            d_scale.append(abs(t * m.db(t) / m.b(t) - (-kappa)))
         assert d_ratio[0] > d_ratio[1] > d_ratio[2]
         assert d_scale[0] > d_scale[1] > d_scale[2]
 
@@ -114,9 +112,10 @@ def test_eval_f_flat(aux_unit):
 
 
 def test_eval_f_time_growth(aux_unit):
+    # (B(3) + B(1))**gamma = (3 + 1)**1 for unit damping
     spec = ProblemSpec(n=1, alpha=0.0, gamma=1.0, delta=0.0, p=2.0)
-    got = eval_f(spec, 3.0, 1.0, aux_unit, shift=0.0)
-    assert abs(got - 3.0) < 1e-10
+    got = eval_f(spec, 3.0, 1.0, aux_unit)
+    assert abs(got - 4.0) < 1e-10
 
 
 def test_eval_f_singular_at_origin(aux_unit):
@@ -142,6 +141,16 @@ def test_damping_validation():
         Perturbation("sin", -1.0)
     with pytest.raises(ValueError):
         Perturbation("cubic", 1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_damping_rejects_nonfinite(value):
+    with pytest.raises(ValueError, match="finite"):
+        DampingModel.constant(value)
+    with pytest.raises(ValueError, match="finite"):
+        DampingModel.power_law(value, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        Perturbation("log", value)
 
 
 def test_borderline_admissibility_flags():

@@ -22,6 +22,22 @@ def test_panel_exact_for_low_degree():
     assert err < 1e-10
 
 
+def test_panel_array_endpoints_match_single_panels():
+    """Array endpoints give one panel per pair, equal to the scalar calls."""
+    f = lambda x: np.exp(-0.3 * x) / (1.0 + x)
+    a = np.array([[0.0, 0.5, 2.0], [7.0, 7.0, 1e3]])
+    b = np.array([[0.5, 2.0, 7.0], [7.0, 40.0, 1e3 + 1e-3]])
+    vals, errs = gauss_kronrod_panel(f, a, b)
+    assert vals.shape == errs.shape == a.shape
+    # a batched sum may round each 15-term panel sum (K15 and G7) differently
+    tol = 32 * np.finfo(float).eps
+    for index in np.ndindex(a.shape):
+        val, err = gauss_kronrod_panel(f, float(a[index]), float(b[index]))
+        assert abs(vals[index] - val) <= tol * abs(val)
+        assert abs(errs[index] - err) <= tol * abs(val)
+    assert vals[1, 0] == 0.0 and errs[1, 0] == 0.0   # zero-width panel
+
+
 @pytest.mark.parametrize("f, a, b, exact", [
     (lambda x: np.exp(-x), 0.0, 50.0, 1.0 - math.exp(-50.0)),
     (lambda x: 1.0 / (1.0 + x) ** 2, 0.0, 1e6, 1.0 - 1.0 / (1.0 + 1e6)),
