@@ -291,7 +291,7 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except (QuadratureNonconvergence, auxcalc.TailNonconvergence,
-            simulator.CflViolation, FloatingPointError) as exc:
+            simulator.CflViolation, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:

@@ -27,6 +27,12 @@ _KINDS = ("constant", "powerlaw", "perturbed")
 _PERTURBATION_KINDS = ("log", "sin")
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+
+
 class SingularEvaluation(ValueError):
     """Forcing weight evaluated at a non-integrable point (delta < 0, r = 0)."""
 
@@ -189,6 +195,8 @@ class ProblemSpec:
     c_f: float = 1.0
 
     def __post_init__(self):
+        _require_finite(alpha=self.alpha, gamma=self.gamma, delta=self.delta,
+                        p=self.p, c_a=self.c_a, c_f=self.c_f)
         if self.n < 1 or int(self.n) != self.n:
             raise ValueError("n must be a positive integer")
         if not self.alpha < 1.0:

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from .coeffs import _require_finite
+
 __all__ = [
     "ExponentReport",
     "ClassicExponents",
@@ -61,6 +63,7 @@ def p_crit_damped(n, alpha: float = None, gamma: float = None, delta: float = No
     n = int(n)
     if n < 1:
         raise ValueError("n must be a positive integer")
+    _require_finite(alpha=alpha, gamma=gamma, delta=delta)
     if not alpha < 1.0:
         raise ValueError("alpha must be less than 1")
     if not gamma > -1.0:

@@ -8,9 +8,10 @@ at a sup-norm threshold (lifespan estimate by interpolation of the
 crossing) or at the horizon.  A detected blow-up is numerical evidence of
 nonexistence, not a proof, and says nothing about the mechanism.
 
-One kernel, ``_march``, advances a batch of rows that share the grid, the
-time step and the coefficients: a single run is one row, a p-sweep is one
-row per power.
+One kernel, ``_march``, advances a (rows, J+1) batch of fields that share
+the grid, the time step and the coefficients: a single run is one row, a
+p-sweep is one row per power, and each row equals its single run bit for
+bit.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .auxcalc import AuxTable, build_aux_table
-from .coeffs import ProblemSpec, eval_a
+from .coeffs import ProblemSpec, _require_finite, eval_a
 from .functional import data_functional, sphere_area
 from .quadrature import gauss_kronrod_panel, integrate_adaptive
 
@@ -42,12 +43,6 @@ __all__ = [
 
 class CflViolation(ValueError):
     """Requested time step exceeds the stability limit of the explicit scheme."""
-
-
-def _require_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -209,54 +204,40 @@ def _coefficient_arrays(prob: ProblemSpec, aux: AuxTable, steps: int, dt: float)
 
 
 class _Stencil:
-    """Grid constants and work buffers of the leapfrog update on a (rows, J+1) batch.
+    """Grid constants of the leapfrog update on a (rows, J+1) batch.
 
     Each formula runs the same floating-point operations, in the same order,
     as its one-row array expression, so every row of a batch reproduces a
-    single run bit for bit.  A call on ``k`` rows works in the first ``k``
-    rows of the buffers, and a returned buffer holds until the next call
-    that writes it.
+    single run bit for bit.
     """
 
-    def __init__(self, J: int, dr: float, n: int, rows: int):
+    def __init__(self, J: int, dr: float, n: int):
         self.dr = dr
-        self.dr2 = dr**2
-        self.two_dr = 2.0 * dr
-        self.origin = 2.0 * n
-        self.radial = (n - 1) / (np.arange(1, J) * dr)
+        self.n = n
         self.area = sphere_area(n)
-        self._abs, self._grad, self._lap, self._src, self._acc = np.empty((5, rows, J + 1))
-        self._dens, self._sq = np.empty((2, J + 1))
-
-    def magnitude(self, u: np.ndarray) -> np.ndarray:
-        return np.abs(u, out=self._abs[: len(u)])
+        self.radial = (n - 1) / (np.arange(1, J) * dr)
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
-        """Rows holding (u[j+1] - u[j-1]) / (2 dr) on the interior; edges unset."""
-        grad = self._grad[: len(u)]
-        inner = grad[:, 1:-1]
-        np.subtract(u[:, 2:], u[:, :-2], out=inner)
-        np.divide(inner, self.two_dr, out=inner)
-        return grad
+        """Rows of (u[j+1] - u[j-1]) / (2 dr) on the interior, shape (rows, J-1)."""
+        return (u[:, 2:] - u[:, :-2]) / (2.0 * self.dr)
 
     def laplacian(self, u: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """u_rr + (n-1)/r u_r with the symmetric ghost cell at the origin.
 
         At r = 0 the radial term tends to (n-1) u_rr, so the whole operator
         becomes 2n (u_1 - u_0)/dr^2 there.  The outer column is 0; the
-        caller imposes the Dirichlet value on the update.
+        caller imposes the Dirichlet value on the update.  ``grad`` (from
+        ``gradient``) is consumed.
         """
-        k = len(u)
-        lap = self._lap[:k]
+        lap = np.empty_like(u)
         inner = lap[:, 1:-1]
         np.multiply(u[:, 1:-1], 2.0, out=inner)
         np.subtract(u[:, 2:], inner, out=inner)
-        np.add(inner, u[:, :-2], out=inner)
-        np.divide(inner, self.dr2, out=inner)
-        radial = self._acc[:k, 1:-1]
-        np.multiply(self.radial, grad[:, 1:-1], out=radial)
-        np.add(inner, radial, out=inner)
-        lap[:, 0] = self.origin * (u[:, 1] - u[:, 0]) / self.dr2
+        inner += u[:, :-2]
+        inner /= self.dr**2
+        grad *= self.radial
+        inner += grad
+        lap[:, 0] = 2.0 * self.n * (u[:, 1] - u[:, 0]) / self.dr**2
         lap[:, -1] = 0.0
         return lap
 
@@ -265,64 +246,64 @@ class _Stencil:
         """scale * fspace * |u|^p, one power per row (``fspace`` None means ones).
 
         None when ``scale`` is 0: the source is then exactly zero for a
-        finite field.
+        finite field.  Each power stays a scalar, as in a single run: numpy
+        takes a scalar 2 or 0.5 as a square or a square root, not as pow.
         """
         if scale == 0.0:
             return None
-        src = self._src[: len(absu)]
+        src = np.empty_like(absu)
         for row, mag, p in zip(src, absu, powers):
             np.power(mag, p, out=row)
-        np.multiply(src, scale if fspace is None else scale * fspace, out=src)
+        src *= scale if fspace is None else scale * fspace
         return src
 
     def start(self, u0, v0, a0, b0, forcing, dt: float) -> np.ndarray:
-        """Taylor start u0 + dt v0 + dt^2/2 (a0 Lap u0 - b0 v0 + forcing)."""
-        row = u0[None]
-        lap0 = self.laplacian(row, self.gradient(row))[0]
+        """Taylor start u0 + dt v0 + dt^2/2 (a0 Lap u0 - b0 v0 + forcing) of each row."""
+        lap0 = self.laplacian(u0, self.gradient(u0))
         accel = a0 * lap0 - b0 * v0
         if forcing is not None:
-            accel = accel + forcing
+            accel += forcing
         return u0 + dt * v0 + 0.5 * dt**2 * accel
 
-    def update(self, u_prev, u, lap, forcing, a, bh, dt2: float) -> np.ndarray:
-        """(2u - (1-bh) u_prev + dt^2 (a Lap u + forcing)) / (1+bh), written over ``u_prev``.
+    def update(self, u_prev, u, lap, forcing, a, b, dt: float) -> np.ndarray:
+        """(2u - (1-bh) u_prev + dt^2 (a Lap u + forcing)) / (1+bh), bh = b dt/2.
 
-        ``lap`` is consumed; ``forcing`` None means no source term.
+        ``u_prev`` and ``lap`` are consumed; ``forcing`` None means no
+        source term.
         """
-        acc = self._acc[: len(u)]
-        np.multiply(u, 2.0, out=acc)
-        np.multiply(u_prev, 1.0 - bh, out=u_prev)
-        np.subtract(acc, u_prev, out=acc)
-        np.multiply(lap, a, out=lap)
+        bh = 0.5 * dt * b
+        u_next = u * 2.0
+        u_prev *= 1.0 - bh
+        u_next -= u_prev
+        lap *= a
         if forcing is not None:
-            np.add(lap, forcing, out=lap)
-        np.multiply(lap, dt2, out=lap)
-        np.add(acc, lap, out=acc)
-        return np.divide(acc, 1.0 + bh, out=u_prev)
+            lap += forcing
+        lap *= dt**2
+        u_next += lap
+        u_next /= 1.0 + bh
+        return u_next
 
     def energy(self, u, grad, v, a, rpow: Optional[np.ndarray]) -> float:
         """Discrete kinetic + elastic energy of one row with the radial surface weight.
 
         The arithmetic of ``np.gradient(u, dr)`` and ``np.trapezoid(dens *
         rpow, dx=dr)`` for dens = v^2/2 + a u_r^2/2.  ``grad`` is the row of
-        ``gradient`` for ``u``; its edges are filled here.  ``rpow`` None
-        means ones.
+        ``gradient`` for ``u``.  ``rpow`` None means ones.
         """
-        dr = self.dr
-        grad[0] = (u[1] - u[0]) / dr
-        grad[-1] = (u[-1] - u[-2]) / dr
-        dens, sq = self._dens, self._sq
-        np.multiply(v, v, out=dens)
-        np.multiply(dens, 0.5, out=dens)
-        np.multiply(grad, grad, out=sq)
-        np.multiply(sq, 0.5 * a, out=sq)
-        np.add(dens, sq, out=dens)
+        u_r = np.empty_like(u)
+        u_r[0] = (u[1] - u[0]) / self.dr
+        u_r[1:-1] = grad
+        u_r[-1] = (u[-1] - u[-2]) / self.dr
+        dens = v * v
+        dens *= 0.5
+        u_r *= u_r
+        u_r *= 0.5 * a
+        dens += u_r
         if rpow is not None:
-            np.multiply(dens, rpow, out=dens)
-        pairs = sq[:-1]
-        np.add(dens[1:], dens[:-1], out=pairs)
-        np.multiply(pairs, dr, out=pairs)
-        np.divide(pairs, 2.0, out=pairs)
+            dens *= rpow
+        pairs = dens[1:] + dens[:-1]
+        pairs *= self.dr
+        pairs /= 2.0
         return self.area * float(pairs.sum())
 
 
@@ -370,7 +351,7 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
     ts, a_arr, b_arr, ftime = _coefficient_arrays(prob, aux, steps, dt)
 
     dr, J, rows = spec.dr, spec.J, len(powers)
-    st = _Stencil(J, dr, prob.n, rows)
+    st = _Stencil(J, dr, prob.n)
     r = np.arange(J + 1) * dr
     rpow = r ** (prob.n - 1) if prob.n > 1 else None
     fspace = r**prob.delta if prob.delta != 0.0 else None
@@ -382,16 +363,14 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
     v0 = spec.u1(r)
     v0[-1] = 0.0
     u_prev = np.tile(u0, (rows, 1))
-    u = np.empty_like(u_prev)
     forcing = st.source(np.abs(u_prev), powers, spec.nonlinearity * ftime[0], fspace)
-    u[:] = st.start(u0, v0, a_arr[0], b_arr[0], forcing, dt)
+    u = st.start(u_prev, v0, a_arr[0], b_arr[0], forcing, dt)
     u[:, -1] = 0.0
 
     sup_hist = np.empty((rows, steps + 1))
     sup_hist[:, 0] = np.max(np.abs(u0))
     peak = sup_hist[:, 0].copy()
     energy_hist = np.empty(steps + 1 if with_energy else 0)
-    vel = np.empty(J + 1)
     if with_energy:
         energy_hist[0] = st.energy(u0, st.gradient(u0[None])[0], v0, a_arr[0], rpow)
 
@@ -401,11 +380,10 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
     contaminated = np.zeros(rows, bool)
     t_star: list[Optional[float]] = [None] * rows    # set exactly for blow-up rows
     final = np.empty((rows, J + 1))
-    dt2 = dt**2
 
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, steps + 1):
-            absu = st.magnitude(u)
+            absu = np.abs(u)
             sup = absu.max(axis=1)
             sup_hist[active, m] = sup
             if guard:
@@ -414,8 +392,7 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
                 contaminated[active] |= edge > 1e-10 * np.maximum(peak, 1e-300)
             grad = st.gradient(u)
             if with_energy:
-                np.subtract(u[0], u_prev[0], out=vel)
-                np.divide(vel, dt, out=vel)
+                vel = (u[0] - u_prev[0]) / dt
                 energy_hist[m] = st.energy(u[0], grad[0], vel, a_arr[m], rpow)
 
             below = sup < threshold       # False when crossed, or not a number
@@ -432,15 +409,14 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
                 active, u, u_prev, peak = active[below], u[below], u_prev[below], peak[below]
                 if not len(active):
                     break
+                absu, grad = absu[below], grad[below]
                 powers = [p for p, kept in zip(powers, below) if kept]
-                absu = st.magnitude(u)
-                grad = st.gradient(u)
             if m == steps:
                 break
 
             forcing = st.source(absu, powers, spec.nonlinearity * ftime[m], fspace)
             lap = st.laplacian(u, grad)
-            u_next = st.update(u_prev, u, lap, forcing, a_arr[m], 0.5 * dt * b_arr[m], dt2)
+            u_next = st.update(u_prev, u, lap, forcing, a_arr[m], b_arr[m], dt)
             u_next[:, -1] = 0.0
             u_prev, u = u, u_next
     final[active] = u
@@ -552,7 +528,7 @@ def _run_manufactured(
     u_exact, u_t_exact, lap_exact = _manufactured_fields(n)
     ts, a_arr, b_arr, _ = _coefficient_arrays(prob, aux, steps, dt)
 
-    st = _Stencil(J, dr, n, 1)
+    st = _Stencil(J, dr, n)
     r = np.arange(J + 1) * dr
     rpow = r ** (n - 1) if n > 1 else np.ones_like(r)
 
@@ -562,20 +538,18 @@ def _run_manufactured(
                 + b_arr[m] * u_t_exact(t, r))
 
     u_prev = u_exact(0.0, r)[None]
-    u = st.start(u_prev[0], u_t_exact(0.0, r), a_arr[0], b_arr[0], source(0), dt)[None]
+    u = st.start(u_prev, u_t_exact(0.0, r), a_arr[0], b_arr[0], source(0), dt)
     u[:, -1] = u_exact(dt, r[-1])
 
-    dt2 = dt**2
     for m in range(1, steps):
         lap = st.laplacian(u, st.gradient(u))
-        u_next = st.update(u_prev, u, lap, source(m), a_arr[m], 0.5 * dt * b_arr[m], dt2)
+        u_next = st.update(u_prev, u, lap, source(m), a_arr[m], b_arr[m], dt)
         u_next[:, -1] = u_exact(ts[m + 1], r[-1])
         u_prev, u = u, u_next
-    u = u[0]
 
     if return_field:
-        return u
-    return _weighted_l2(u - u_exact(T_final, r), rpow, dr, n)
+        return u[0]
+    return _weighted_l2(u[0] - u_exact(T_final, r), rpow, dr, n)
 
 
 def convergence_test(

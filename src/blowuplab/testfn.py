@@ -78,31 +78,15 @@ def _bridge_powers(u, sigma: int):
 
 
 def bump_eval(profile: BumpProfile, order: int, y) -> float:
-    """order-th derivative of the powered profile at y.
+    """order-th derivative of the powered profile at y, the even extension of ``eta_eval``.
 
     Exactly 1 (order 0) / 0 (order >= 1) on the plateau |y| <= 1/2 and
     exactly 0 for |y| >= 1.
     """
-    if order < 0 or order > profile.max_order:
-        raise ValueError(f"order {order} exceeds max_order {profile.max_order}")
-    scalar = np.ndim(y) == 0
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    out = np.zeros_like(y)
-    ay = np.abs(y)
-    plateau = ay <= 0.5
-    if order == 0:
-        out[plateau] = 1.0
-    bridge = (ay > 0.5) & (ay < 1.0)
-    if np.any(bridge):
-        u = 2.0 * ay[bridge] - 1.0
-        p0, p1, p2 = _bridge_powers(u, profile.sigma)
-        if order == 0:
-            out[bridge] = p0
-        elif order == 1:
-            out[bridge] = 2.0 * np.sign(y[bridge]) * p1
-        else:
-            out[bridge] = 4.0 * p2
-    return float(out[0]) if scalar else out
+    value = eta_eval(profile, order, np.abs(y))
+    if order == 1:
+        value = np.where(np.asarray(y) < 0, -value, value)
+    return value if np.ndim(y) else float(value)
 
 
 def eta_eval(profile: BumpProfile, order: int, t) -> float:

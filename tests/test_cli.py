@@ -186,13 +186,38 @@ def test_simulate_rejects_nan_input(flag, capsys):
     (["scan", "--R", "8,16,32,nan"], EXIT_VALIDATION),
     (["aux", "--damping", "powerlaw", "--kappa", "-0.5", "--mu", "1e308",
       "--horizon", "100"], EXIT_NUMERICAL),
+    (["exponents", "--delta", "nan"], EXIT_VALIDATION),
+    (["exponents", "--gamma", "inf"], EXIT_VALIDATION),
+    (["scan", "--delta", "nan"], EXIT_VALIDATION),
+    (["scan", "--c-a", "nan"], EXIT_VALIDATION),
+    (["scan", "--c-f", "nan"], EXIT_VALIDATION),
+    (["simulate", "--c-a", "nan"], EXIT_VALIDATION),
 ])
 def test_nonfinite_inputs_exit_cleanly(argv, expected, capsys):
+    captured = _assert_clean_exit(argv, expected, capsys)
+    assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["aux", "--mu", "1e300"],
+    ["aux", "--damping", "powerlaw", "--kappa", "-0.5", "--mu", "1e200"],
+    ["aux", "--mu", "1e-300"],
+    ["aux", "--damping", "powerlaw", "--kappa", "0.99", "--mu", "1e-300"],
+    ["aux", "--mu", "1e-308"],
+])
+def test_extreme_damping_scale_is_a_numerical_failure(argv, capsys):
+    captured = _assert_clean_exit(argv, EXIT_NUMERICAL, capsys)
+    assert "numerical failure" in captured.err
+
+
+def _assert_clean_exit(argv, expected, capsys):
+    """Exit code within 5 s, no traceback, and no nan or inf written."""
     start = time.perf_counter()
     code = dispatch(argv + ["--quiet"])
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert code == expected
     assert elapsed < 5.0
-    assert "finite" in captured.err
-    assert "nan" not in captured.out
+    assert "Traceback" not in captured.err
+    assert "nan" not in captured.out and "inf" not in captured.out
+    return captured

@@ -168,6 +168,10 @@ def test_problem_spec_validation():
             ProblemSpec(**{**good, key: bad})
     with pytest.raises(ValueError):
         ProblemSpec(**good, c_a=0.0)
+    for key in ("alpha", "gamma", "delta", "p", "c_a", "c_f"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{key} must be finite"):
+                ProblemSpec(**{**good, key: bad})
 
 
 def test_json_round_trip():

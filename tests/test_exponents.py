@@ -51,6 +51,10 @@ def test_p_crit_damped_validation():
         p_crit_damped(1, 0.0, -1.0, 0.0)
     with pytest.raises(ValueError):
         p_crit_damped(0, 0.0, 0.0, 0.0)
+    for args in ((math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, math.nan),
+                 (-math.inf, 0.0, 0.0), (0.0, 0.0, -math.inf)):
+        with pytest.raises(ValueError, match="must be finite"):
+            p_crit_damped(1, *args)
 
 
 def test_specialization_to_fujita():

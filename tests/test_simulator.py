@@ -7,12 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from blowuplab.auxcalc import build_aux_table
 from blowuplab.coeffs import DampingModel, ProblemSpec
 from blowuplab.functional import sphere_area
 from blowuplab.simulator import (
     CflViolation,
     GaussianData,
     SimSpec,
+    _march,
     convergence_test,
     detect_blowup,
     run,
@@ -187,15 +189,32 @@ def test_sweep_doubling_amplitude_shortens_lifespan():
 
 
 def test_sweep_rows_equal_single_runs():
-    """The batched sweep reproduces each single run exactly, across p_C = 2 at n = 2."""
-    spec = SimSpec(problem=unit_problem(2.0, n=2), r_max=60.0, J=300, T_max=50.0,
-                   u1=GaussianData(1.0, 1.0))
-    p_list = [1.3, 1.6, 2.6, 3.5]
-    rows = sweep_p(spec, p_list)
-    singles = [run(replace(spec, problem=replace(spec.problem, p=p))) for p in p_list]
-    assert rows == [{"p": p, "verdict": oc.verdict, "t_star": oc.t_star}
-                    for p, oc in zip(p_list, singles)]
-    assert [row["verdict"] for row in rows] == ["blowup", "blowup", "survived", "survived"]
+    """Each row of a batch reproduces its single run bit for bit."""
+    cases = [
+        # across p_C = 2 at n = 2; p = 2.0 is the row a column of exponents would move
+        (SimSpec(problem=unit_problem(2.0, n=2), r_max=60.0, J=300, T_max=50.0,
+                 u1=GaussianData(1.0, 1.0)),
+         [1.3, 1.6, 2.0, 2.6, 3.5], ["blowup", "blowup", "survived", "survived", "survived"],
+         [False] * 5),
+        # every row overflows before it reaches the threshold
+        (SimSpec(problem=unit_problem(3.0), r_max=60.0, J=300, T_max=30.0,
+                 u1=GaussianData(5.0, 1.0), blowup_threshold=1e300),
+         [1.3, 2.0, 3.0, 5.0], ["blowup"] * 4, [True] * 4),
+    ]
+    for spec, p_list, verdicts, overflows in cases:
+        aux = build_aux_table(spec.problem.damping, max(2.0, spec.T_max) * 1.01)
+        singles = [run(replace(spec, problem=replace(spec.problem, p=p)), aux) for p in p_list]
+        rows = sweep_p(spec, p_list, aux)
+        assert rows == [{"p": p, "verdict": oc.verdict, "t_star": oc.t_star}
+                        for p, oc in zip(p_list, singles)]
+        assert [row["verdict"] for row in rows] == verdicts
+        assert [oc.hard_overflow for oc in singles] == overflows
+        for batch, single in zip(_march(spec, aux, p_list, with_energy=False), singles):
+            assert batch.t_star == single.t_star
+            assert batch.hard_overflow == single.hard_overflow
+            assert np.array_equal(batch.times, single.times)
+            assert np.array_equal(batch.sup_norms, single.sup_norms, equal_nan=True)
+            assert np.array_equal(batch.final_u, single.final_u, equal_nan=True)
 
 
 # -- one-row array reference (alpha = gamma = 0) ------------------------------------------
