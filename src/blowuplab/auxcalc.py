@@ -18,7 +18,10 @@ which is O(1/b) in size, so everything is computed to *relative* accuracy
 even where beta underflows.  The improper tail is closed with the
 first-order estimate (1/b)/(1 + b'/b^2) at a far point T, which is exact
 for pure power-law damping and whose contribution is damped by
-exp(-int_t^T b); T is pushed out until the estimate stabilizes.
+exp(-int_t^T b); T is pushed out until the estimate stabilizes.  The
+finite stretches are adaptive exponential cells (:func:`_phi_cells`),
+resolved many at once: a table's cells in one call, an array read's bridges
+in one call.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from .quadrature import (
     _GAUSS_WEIGHTS,
     _KRONROD_NODES,
     _KRONROD_WEIGHTS,
+    _sharpened,
+    QuadratureNonconvergence,
     gauss_kronrod_panel,
     integrate_adaptive,
 )
@@ -43,6 +48,7 @@ __all__ = [
     "AuxTable",
     "HypothesisReport",
     "EquivalenceReport",
+    "TabulationError",
     "TailNonconvergence",
     "TableRangeError",
     "build_aux_table",
@@ -65,62 +71,211 @@ class TailNonconvergence(RuntimeError):
     admissible (beta fails to be integrable)."""
 
 
+class TabulationError(ArithmeticError):
+    """A built table fails its checks: B and log beta finite, B increasing,
+    log beta decreasing, g positive."""
+
+
 class TableRangeError(ValueError):
     """Query outside the tabulated horizon; rebuild with a larger one."""
 
 
 # ---------------------------------------------------------------------------
-# panel primitives
+# exponential cells
+
+_DEPTH = 48          # split limit of a cell's tree
+_CHUNK = 32          # panels per batched evaluation of b
+_NODE_BUDGET = 4096  # estimated tree nodes walked at once
+# nodes (24 MB) a block's trees may grow to before its cells count as
+# unresolvable: above the largest block of a resolvable build (410k nodes
+# for b growing like t**0.9 to horizon 1e5), far below the 2**48 leaves a
+# cell splits into where the rounding of its node positions keeps the error
+# estimate above tol
+_NODE_LIMIT = 1 << 19
 
 
-def _exp_weighted_panel(bfun, t0: float, t1: float):
-    """One K15 panel of tau -> exp(-int_{t0}^{tau} b) on [t0, t1].
+def _exp_panels(bfun, t0, t1):
+    """K15 panels of tau -> exp(-int_{t0}^{tau} b) on the cells [t0, t1].
 
-    Returns (integral, error estimate, int_{t0}^{t1} b).  The inner
-    accumulations run over the sub-panels between consecutive Kronrod
-    nodes, so a single vectorized call to ``bfun`` feeds everything.
+    ``t0`` and ``t1`` are 1-d arrays.  Returns the arrays (q, err, ib, E):
+    the integral, its error estimate, ib = int_{t0}^{t1} b and
+    E = exp(-ib).  The inner accumulations run over the 16 sub-panels
+    between consecutive Kronrod nodes, so one call to ``bfun`` feeds a chunk
+    of ``_CHUNK`` cells.  A non-finite panel (b overflowing, say) raises
+    ``FloatingPointError``.
     """
-    half = 0.5 * (t1 - t0)
-    nodes = 0.5 * (t0 + t1) + half * _KRONROD_NODES
-    breaks = np.concatenate(([t0], nodes, [t1]))
-    lefts, rights = breaks[:-1], breaks[1:]
-    sub_half = 0.5 * (rights - lefts)
-    sub_mid = 0.5 * (lefts + rights)
-    grid = sub_mid[:, None] + sub_half[:, None] * _KRONROD_NODES[None, :]
-    vals = np.asarray(bfun(grid.ravel()), dtype=float).reshape(grid.shape)
-    sub_ints = sub_half * (vals @ _KRONROD_WEIGHTS)
-    cum = np.cumsum(sub_ints)
-    weights_at_nodes = np.exp(-cum[:-1])
-    k15 = half * float(np.dot(_KRONROD_WEIGHTS, weights_at_nodes))
-    g7 = half * float(np.dot(_GAUSS_WEIGHTS, weights_at_nodes))
-    return k15, abs(k15 - g7), float(cum[-1])
+    out = np.empty((3, t0.size))
+    with np.errstate(all="ignore"):
+        for s in range(0, t0.size, _CHUNK):
+            a, b = t0[s:s + _CHUNK, None], t1[s:s + _CHUNK, None]
+            half = 0.5 * (b - a)
+            breaks = np.concatenate((a, 0.5 * (a + b) + half * _KRONROD_NODES, b), axis=1)
+            lefts, rights = breaks[:, :-1, None], breaks[:, 1:, None]
+            sub_half = 0.5 * (rights - lefts)
+            grid = sub_half * _KRONROD_NODES
+            grid += 0.5 * (lefts + rights)
+            vals = np.asarray(bfun(grid), dtype=float)
+            # one BLAS call of one shape per panel (a stacked matmul, a
+            # vecdot per row), so a panel's sums do not depend on its batch
+            cum = np.add.accumulate(sub_half[..., 0] * np.matmul(vals, _KRONROD_WEIGHTS), axis=1)
+            weights_at_nodes = np.exp(-cum[:, :-1])
+            k15 = half[:, 0] * np.vecdot(weights_at_nodes, _KRONROD_WEIGHTS)
+            g7 = half[:, 0] * np.vecdot(weights_at_nodes, _GAUSS_WEIGHTS)
+            out[:, s:s + _CHUNK] = k15, np.abs(k15 - g7), cum[:, -1]
+    q, err, ib = out
+    if not (np.isfinite(q).all() and np.isfinite(ib).all()):
+        i = int(np.argmin(np.isfinite(q) & np.isfinite(ib)))
+        raise FloatingPointError(f"non-finite damping integral on [{t0[i]:g}, {t1[i]:g}]")
+    # libm's exp: numpy's vectorized exp can round E differently in the
+    # last bit, which would move every tabulated g
+    E = np.fromiter(map(math.exp, -ib), float, ib.size)
+    return q, err, ib, E
 
 
-def _phi_cell(bfun, t0: float, t1: float, tol: float, depth: int = 48):
-    """Adaptive version of :func:`_exp_weighted_panel`.
-
-    Returns (q, E) with q = int_{t0}^{t1} exp(-int_{t0}^{tau} b) dtau and
-    E = exp(-int_{t0}^{t1} b); splitting uses the exact composition rule
-    q = q_left + E_left * q_right, E = E_left * E_right.
+def _settled(q, err, ib, tol: float):
+    """Cells whose panel stands: few e-folds and a small error estimate.
 
     A cell holding more than a few e-folds of damping hides the decay layer
-    from the Kronrod nodes, so such cells are split regardless of the error
-    estimate; the exponentially dead right remainder is pruned through the
-    bound q_right <= width.  A non-finite panel (b overflowing, say)
-    raises ``FloatingPointError``.
+    from the Kronrod nodes, so it is split whatever its error estimate.
     """
-    q, err, ib = _exp_weighted_panel(bfun, t0, t1)
-    if not (math.isfinite(q) and math.isfinite(ib)):
-        raise FloatingPointError(f"non-finite damping integral on [{t0:g}, {t1:g}]")
-    E = math.exp(-ib)  # the damping mass itself is layer-free and accurate
-    if (ib <= 3.0 and err <= tol * max(abs(q), 1e-300)) or depth <= 0:
-        return q, E
-    mid = 0.5 * (t0 + t1)
-    q_l, e_l = _phi_cell(bfun, t0, mid, tol, depth - 1)
-    if e_l * (t1 - mid) <= tol * max(q_l, 1e-300):
-        return q_l, E
-    q_r, _ = _phi_cell(bfun, mid, t1, tol, depth - 1)
-    return q_l + e_l * q_r, E
+    return (ib <= 3.0) & (err <= tol * np.maximum(np.abs(q), 1e-300))
+
+
+def _phi_cells(bfun, t0, t1, tol: float):
+    """Adaptive exponential cells [t0, t1], elementwise over arrays.
+
+    Returns the arrays (q, E), of the shape of ``t0``, with
+    q = int_{t0}^{t1} exp(-int_{t0}^{tau} b) dtau and E = exp(-int_{t0}^{t1} b).
+    A cell whose K15 panel does not stand (see :func:`_settled`) is halved,
+    down to depth 48, and q composes exactly: q = q_left + E_left * q_right.
+    The exponentially dead right half is pruned when
+    E_left * width_right <= tol * q_left, through the bound
+    q_right <= width_right.  E is the cell's own panel value: the damping
+    mass is layer-free and accurate.
+
+    The panels, splits and prunes are those of a depth-first recursion over
+    each cell, but the cells are walked together, one batched panel
+    evaluation per round (see :func:`_walk`), in blocks of about
+    ``_NODE_BUDGET`` tree nodes as estimated from the root panels.  A
+    non-finite panel raises ``FloatingPointError``.
+    """
+    shape = np.shape(t0)
+    t0 = np.ravel(np.asarray(t0, dtype=float))
+    t1 = np.ravel(np.asarray(t1, dtype=float))
+    q, err, ib, E = _exp_panels(bfun, t0, t1)
+    open_ = np.flatnonzero(~_settled(q, err, ib, tol))
+    if open_.size:
+        # a few e-folds take a few splits; thousands take a long spine down
+        # to the decay layer and many panels across it
+        mass = ib[open_]
+        nodes = np.where(mass <= 3.0, 1, np.where(mass <= 3e4, 72, 1100))
+        block = (np.cumsum(nodes) - 1) // _NODE_BUDGET
+        for cells in np.split(open_, np.flatnonzero(np.diff(block)) + 1):
+            q[cells] = _walk(bfun, _Tree(t0[cells], t1[cells], q[cells], E[cells]), tol)
+    return q.reshape(shape), E.reshape(shape)
+
+
+class _Tree:
+    """Split trees of a block of cells, one array entry per node.
+
+    A node holds its cell [a, b], its own E = exp(-int_a^b b), its q (the
+    panel's, then its subtree's once composed), the links to its parent and
+    halves (-1 for none), its remaining depth and whether its q is final.
+    The roots are the first nodes.
+    """
+
+    def __init__(self, a, b, E, Q):
+        n = a.size
+        self.size = 0
+        self.a, self.b, self.E, self.Q = (np.empty(max(64, 4 * n)) for _ in range(4))
+        self.up, self.left, self.right = (np.empty(self.a.size, np.int32) for _ in range(3))
+        self.depth = np.empty(self.a.size, np.int8)
+        self.finished = np.empty(self.a.size, bool)
+        self.add(a, b, E, Q, up=-1, depth=_DEPTH, finished=False)
+
+    def add(self, a, b, E, Q, up, depth, finished):
+        """Append nodes; returns their indices."""
+        start, self.size = self.size, self.size + a.size
+        if self.size > self.a.size:
+            grow = min(max(a.size, self.a.size), _NODE_LIMIT - self.a.size)
+            for name in ("a", "b", "E", "Q", "up", "left", "right", "depth", "finished"):
+                old = getattr(self, name)
+                setattr(self, name, np.concatenate((old, np.empty_like(old, shape=grow))))
+        new = slice(start, self.size)
+        self.a[new], self.b[new], self.E[new], self.Q[new] = a, b, E, Q
+        self.up[new], self.left[new], self.right[new] = up, -1, -1
+        self.depth[new], self.finished[new] = depth, finished
+        return np.arange(start, self.size)
+
+
+def _walk(bfun, tree: _Tree, tol: float):
+    """The composed q of the root cells, whose own panels do not stand.
+
+    Each round evaluates, in one batched call, the left halves of the nodes
+    that split in the previous round and the right halves that fell due.  A
+    right half falls due as soon as its left sibling's panel shows that the
+    prune test must fail (E_left * width_right > 2 tol width_left, while
+    q_left <= width_left), and otherwise once the left subtree's q is
+    composed and the test fails.  A right half that the exact test prunes
+    after all is dropped, so the result never depends on the schedule.
+    Trees outgrowing ``_NODE_LIMIT`` nodes raise ``QuadratureNonconvergence``.
+    """
+    roots = tree.size
+    split = np.arange(roots)
+    due = split[:0]
+    while split.size or due.size:
+        parents = np.concatenate((split, due))
+        if tree.size + parents.size > _NODE_LIMIT:
+            raise QuadratureNonconvergence(
+                f"exponential cells on [{tree.a[:roots].min():g}, {tree.b[:roots].max():g}] "
+                f"did not resolve within {_NODE_LIMIT} panels: b varies too fast for "
+                "the tolerance at this time scale")
+        a = np.concatenate((tree.a[split], tree.b[tree.left[due]]))
+        b = np.concatenate((0.5 * (tree.a[split] + tree.b[split]), tree.b[due]))
+        q, err, ib, E = _exp_panels(bfun, a, b)
+        depth = tree.depth[parents] - 1
+        settled = _settled(q, err, ib, tol) | (depth <= 0)
+        kids = tree.add(a, b, E, q, parents, depth, settled)
+        nl = split.size
+        tree.left[split], tree.right[due] = kids[:nl], kids[nl:]
+        # left halves, still splitting, whose sibling cannot be pruned
+        width_l, width_r = b[:nl] - a[:nl], tree.b[split] - b[:nl]
+        early = ~settled[:nl] & (E[:nl] * width_r > tol * np.maximum(2.0 * width_l, 1e-300))
+        due = np.concatenate((split[early], _compose(tree, kids[settled], tol)))
+        split = kids[~settled]
+    return tree.Q[:roots]
+
+
+def _compose(tree: _Tree, nodes, tol: float):
+    """Carry the q of finished nodes up their trees.
+
+    Returns the nodes whose left half is now composed and whose right half
+    falls due because the prune test fails.
+    """
+    up, left, right, finished = tree.up, tree.left, tree.right, tree.finished
+    b, E, Q = tree.b, tree.E, tree.Q
+    due = []
+    for node in nodes.tolist():
+        while (parent := up[node]) >= 0:
+            l, r = left[parent], right[parent]
+            if node == l:
+                if E[l] * (b[parent] - b[l]) <= tol * max(Q[l], 1e-300):
+                    Q[parent] = Q[l]
+                    right[parent] = -1  # drops a right half started early
+                elif r < 0:
+                    due.append(parent)
+                    break
+                elif finished[r]:
+                    Q[parent] = Q[l] + E[l] * Q[r]
+                else:
+                    break
+            elif node == r and finished[l]:
+                Q[parent] = Q[l] + E[l] * Q[r]
+            else:  # the left half is still open, or a dropped right half
+                break
+            finished[parent] = True
+            node = parent
+    return np.array(due, dtype=np.intp)
 
 
 def _g_tail(model: DampingModel, start: float, tol: float, max_cells: int = 800) -> float:
@@ -139,12 +294,18 @@ def _g_tail(model: DampingModel, start: float, tol: float, max_cells: int = 800)
     stable = 0
     for _ in range(max_cells):
         T_next = T + max(step, 0.35 * T)
-        q, E = _phi_cell(bfun, T, T_next, tol * 0.1)
-        accumulated += damping_factor * q
-        damping_factor *= E
+        q, E = _phi_cells(bfun, T, T_next, tol * 0.1)
+        accumulated += damping_factor * float(q)
+        damping_factor *= float(E)
         T = T_next
         bT = float(model.b(T))
-        correction = 1.0 + float(model.db(T)) / bT**2
+        try:
+            correction = 1.0 + float(model.db(T)) / bT**2
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise FloatingPointError(
+                f"tail of g at T = {T:g}: b(T)**2 is out of floating-point range "
+                f"for b(T) = {bT:g}"
+            ) from exc
         if damping_factor == 0.0:
             return accumulated
         if correction > 0.0:
@@ -222,7 +383,9 @@ class AuxTable:
     (about ``quad_tol`` relative) instead of an interpolation error.  Every
     read takes a scalar (and returns a float) or an array of times (and
     returns an array of its shape); the B and log beta bridges of an array
-    are one batched panel call.
+    are one batched panel call, its g bridges one batched set of adaptive
+    exponential cells (:func:`_phi_cells`), and each element equals its
+    scalar read bit for bit.
     """
 
     model: DampingModel
@@ -277,10 +440,8 @@ class AuxTable:
 
     def g_at(self, t):
         t, i = self._locate(t)
-        cells = [_phi_cell(self.model.b, float(t0), float(t1), self.quad_tol)
-                 for t0, t1 in zip(t.flat, self.grid[i].flat)]
-        cells = np.reshape(cells, t.shape + (2,))
-        return _like_query(cells[..., 0] + cells[..., 1] * self.g_vals[i])
+        q, E = _phi_cells(self.model.b, t, self.grid[i], self.quad_tol)
+        return _like_query(q + E * self.g_vals[i])
 
     def dg_at(self, t):
         return _like_query(self.g_at(t) * self.model.b(t) - 1.0)
@@ -322,6 +483,10 @@ def build_aux_table(
     g is filled right to left by the exact cell recurrence
     g(t_i) = q_i + E_i * g(t_{i+1}), seeded by the stabilized tail value at
     the horizon, so per-cell quadrature errors are the only error source.
+    The increments of B and log beta take one batched K15 panel per cell,
+    refined by :func:`integrate_adaptive` only where that panel misses its
+    tolerance; the cells' (q_i, E_i) are one :func:`_phi_cells` call.  A
+    table failing its checks raises :class:`TabulationError`.
     """
     if not math.isfinite(horizon):
         raise ValueError("horizon must be finite")
@@ -333,34 +498,37 @@ def build_aux_table(
     grid[-1] = horizon
 
     bfun = model.b
-    n_cells = len(grid) - 1
-    dB = np.empty(n_cells)
-    dI = np.empty(n_cells)
-    q_cells = np.empty(n_cells)
-    E_cells = np.empty(n_cells)
-    for i in range(n_cells):
-        t0, t1 = float(grid[i]), float(grid[i + 1])
-        dB[i] = integrate_adaptive(lambda x: 1.0 / bfun(x), t0, t1,
-                                   abs_tol=quad_tol * 1e-3, rel_tol=quad_tol * 0.1)
-        val, err = gauss_kronrod_panel(bfun, t0, t1)
-        if err > quad_tol * max(1.0, abs(val)):
-            val = integrate_adaptive(bfun, t0, t1, abs_tol=quad_tol * 1e-3,
-                                     rel_tol=quad_tol * 0.1)
-        dI[i] = val
-        q_cells[i], E_cells[i] = _phi_cell(bfun, t0, t1, quad_tol * 0.1)
+    recip = lambda x: 1.0 / bfun(x)
+    lo, hi = grid[:-1], grid[1:]
+    # every cell's first panel in one call; integrate_adaptive refines only
+    # the cells whose first panel misses its tolerance
+    adaptive = dict(abs_tol=quad_tol * 1e-3, rel_tol=quad_tol * 0.1)
+    dB, gap = gauss_kronrod_panel(recip, lo, hi)
+    open_B = _sharpened(gap) > np.maximum(adaptive["abs_tol"], adaptive["rel_tol"] * np.abs(dB))
+    dI, gap = gauss_kronrod_panel(bfun, lo, hi)
+    open_I = gap > quad_tol * np.maximum(1.0, np.abs(dI))
+    for f, integrals, open_ in ((recip, dB, open_B), (bfun, dI, open_I)):
+        for i in np.flatnonzero(open_):
+            integrals[i] = integrate_adaptive(f, float(lo[i]), float(hi[i]), **adaptive)
+    q_cells, E_cells = _phi_cells(bfun, lo, hi, quad_tol * 0.1)
 
-    B_vals = np.concatenate(([0.0], np.cumsum(dB)))
-    log_beta = np.concatenate(([0.0], -np.cumsum(dI)))
+    with np.errstate(over="ignore"):
+        B_vals = np.concatenate(([0.0], np.cumsum(dB)))
+        log_beta = np.concatenate(([0.0], -np.cumsum(dI)))
+    for name, vals in (("B", B_vals), ("log beta", log_beta)):
+        if not np.all(np.isfinite(vals)):
+            t = grid[np.argmin(np.isfinite(vals))]
+            raise TabulationError(f"{name} leaves the floating-point range at t = {t:g}")
 
     g_vals = np.empty(len(grid))
     g_vals[-1] = _g_tail(model, horizon, quad_tol)
-    for i in range(n_cells - 1, -1, -1):
+    for i in range(len(grid) - 2, -1, -1):
         g_vals[i] = q_cells[i] + E_cells[i] * g_vals[i + 1]
 
     if not (np.all(np.diff(B_vals) > 0) and np.all(np.diff(log_beta) < 0)):
-        raise RuntimeError("tabulation lost monotonicity; damping law invalid")
+        raise TabulationError("tabulation lost monotonicity; damping law invalid")
     if not np.all(g_vals > 0):
-        raise RuntimeError("nonpositive multiplier values in table")
+        raise TabulationError("nonpositive multiplier values in table")
 
     table = AuxTable(
         model=model,

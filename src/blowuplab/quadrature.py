@@ -66,18 +66,38 @@ def gauss_kronrod_panel(f: Callable, a, b):
         x = mid[..., None] + half[..., None] * _KRONROD_NODES
     else:
         x = mid + half * _KRONROD_NODES
-    y = np.asarray(f(x), dtype=float)
-    k15 = half * np.dot(y, _KRONROD_WEIGHTS)
-    g7 = half * np.dot(y, _GAUSS_WEIGHTS)
-    return k15, abs(k15 - g7)
+    # an overflowing integrand yields inf or nan here, for the caller's
+    # finiteness checks to report
+    with np.errstate(all="ignore"):
+        y = np.asarray(f(x), dtype=float)
+        k15 = half * np.vecdot(y, _KRONROD_WEIGHTS)
+        g7 = half * np.vecdot(y, _GAUSS_WEIGHTS)
+        return k15, abs(k15 - g7)
+
+
+def _sharpened(diff):
+    """The K15 error estimate from the gap |K15 - G7|, elementwise.
+
+    The gap over-estimates the K15 error, so it is sharpened to
+    min(diff, (200 diff)**1.5).  The power only wins below
+    diff = 1/200**3 = 1.25e-7, so it is taken below 2e-7 alone (the margin
+    keeps rounding near 1.25e-7 from changing the pick), where it cannot
+    overflow.  A zero or NaN gap gives 0.
+    """
+    if np.ndim(diff):
+        small = (diff > 0.0) & (diff < 2e-7)
+        out = np.where(diff > 0.0, diff, 0.0)
+        out[small] = np.minimum(diff[small], (200.0 * diff[small]) ** 1.5)
+        return out
+    if not diff > 0.0:
+        return 0.0
+    return min(diff, (200.0 * diff) ** 1.5) if diff < 2e-7 else diff
 
 
 def _sharpened_panel(f: Callable, a: float, b: float) -> tuple[float, float]:
     """One K15 panel with its error estimate sharpened."""
     val, diff = gauss_kronrod_panel(f, a, b)
-    diff = float(diff)
-    # the Gauss/Kronrod gap over-estimates the K15 error; sharpen when small
-    return float(val), min(diff, (200.0 * diff) ** 1.5) if diff > 0.0 else 0.0
+    return float(val), _sharpened(float(diff))
 
 
 def integrate_adaptive(

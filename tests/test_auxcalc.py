@@ -15,8 +15,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import gammaincc, gamma as gamma_fn
 
+from blowuplab import auxcalc
 from blowuplab.auxcalc import (
     TableRangeError,
+    TabulationError,
     TailNonconvergence,
     build_aux_table,
     check_hypothesis,
@@ -26,7 +28,13 @@ from blowuplab.auxcalc import (
     compute_bhat1,
     verify_equivalences,
 )
-from blowuplab.coeffs import DampingModel
+from blowuplab.coeffs import DampingModel, Perturbation
+from blowuplab.quadrature import (
+    _GAUSS_WEIGHTS,
+    _KRONROD_NODES,
+    _KRONROD_WEIGHTS,
+    QuadratureNonconvergence,
+)
 
 
 def gamma_powerlaw_half(t: float) -> float:
@@ -253,6 +261,123 @@ def test_overflowing_damping_is_a_numerical_failure():
     """b = 1e308 sqrt(1+t) overflows at once; the build stops instead of recursing."""
     with pytest.raises(FloatingPointError):
         build_aux_table(DampingModel.power_law(1e308, -0.5), 100.0)
+
+
+def test_failed_table_checks_are_numerical_failures(monkeypatch):
+    """Both table checks raise TabulationError, an ArithmeticError (exit 3)."""
+    assert issubclass(TabulationError, ArithmeticError)
+
+    class NegativeNearZero:
+        """b = -1 on the first grid cell: B decreases there."""
+
+        def b(self, t):
+            return np.where(np.asarray(t) < 1e-3, -1.0, 1.0)
+
+        def db(self, t):
+            return np.zeros_like(np.asarray(t, dtype=float))
+
+    with pytest.raises(TabulationError, match="monotonicity"):
+        build_aux_table(NegativeNearZero(), 10.0)
+    monkeypatch.setattr(auxcalc, "_g_tail", lambda model, start, tol: -1.0)
+    with pytest.raises(TabulationError, match="nonpositive"):
+        build_aux_table(DampingModel.constant(1.0), 10.0)
+
+
+# -- the batched exponential cell ----------------------------------------------
+
+def _reference_panel(bfun, t0, t1):
+    """One K15 panel of tau -> exp(-int_{t0}^{tau} b), scalar: (q, err, ib)."""
+    half = 0.5 * (t1 - t0)
+    nodes = 0.5 * (t0 + t1) + half * _KRONROD_NODES
+    breaks = np.concatenate(([t0], nodes, [t1]))
+    lefts, rights = breaks[:-1], breaks[1:]
+    sub_half = 0.5 * (rights - lefts)
+    sub_mid = 0.5 * (lefts + rights)
+    grid = sub_mid[:, None] + sub_half[:, None] * _KRONROD_NODES[None, :]
+    vals = np.asarray(bfun(grid.ravel()), dtype=float).reshape(grid.shape)
+    cum = np.cumsum(sub_half * (vals @ _KRONROD_WEIGHTS))
+    weights_at_nodes = np.exp(-cum[:-1])
+    k15 = half * float(np.dot(_KRONROD_WEIGHTS, weights_at_nodes))
+    g7 = half * float(np.dot(_GAUSS_WEIGHTS, weights_at_nodes))
+    return k15, abs(k15 - g7), float(cum[-1])
+
+
+def _reference_cell(bfun, t0, t1, tol, panels, depth=48):
+    """The depth-first cell recursion: (q, E), counting panels in ``panels``."""
+    panels[0] += 1
+    q, err, ib = _reference_panel(bfun, t0, t1)
+    E = math.exp(-ib)
+    if (ib <= 3.0 and err <= tol * max(abs(q), 1e-300)) or depth <= 0:
+        return q, E
+    mid = 0.5 * (t0 + t1)
+    q_l, e_l = _reference_cell(bfun, t0, mid, tol, panels, depth - 1)
+    if e_l * (t1 - mid) <= tol * max(q_l, 1e-300):
+        return q_l, E
+    q_r, _ = _reference_cell(bfun, mid, t1, tol, panels, depth - 1)
+    return q_l + e_l * q_r, E
+
+
+class _CountingDamping:
+    """A damping law that counts the points it is evaluated at."""
+
+    def __init__(self, model):
+        self.model, self.points = model, 0
+
+    def b(self, t):
+        self.points += np.size(t)
+        return self.model.b(t)
+
+
+@pytest.mark.parametrize("model, horizon", [
+    (DampingModel.constant(1.0), 1e4),
+    (DampingModel.power_law(1.0, 0.5), 1e4),
+    (DampingModel.power_law(1.0, -0.5), 3e3),
+    (DampingModel.power_law(2.0, 1.0), 1e4),
+    (DampingModel.perturbed_power(1.0, -0.3, Perturbation("sin", 0.5)), 1e3),
+], ids=["constant", "kappa=0.5", "kappa=-0.5", "kappa=1", "perturbed"])
+def test_phi_cells_make_the_recursions_panels(model, horizon):
+    """Batched cells evaluate the recursion's panels and agree in q and E.
+
+    Each panel evaluates b at 16 sub-panels of 15 nodes; the cells are a
+    table's cells and the bridging cells of 64 reads.
+    """
+    aux = build_aux_table(model, horizon)
+    t = np.geomspace(1e-4, horizon, 64)
+    cells = [(aux.grid[:-1], aux.grid[1:], aux.quad_tol * 0.1),
+             (t, aux.grid[np.searchsorted(aux.grid, t)], aux.quad_tol)]
+    for t0, t1, tol in cells:
+        counting = _CountingDamping(model)
+        q, E = auxcalc._phi_cells(counting.b, t0, t1, tol)
+        panels = [0]
+        ref = np.array([_reference_cell(model.b, float(a), float(b), tol, panels)
+                        for a, b in zip(t0, t1)])
+        assert counting.points == 16 * 15 * panels[0]
+        for got, want in ((q, ref[:, 0]), (E, ref[:, 1])):
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+
+
+def test_walk_blocks_and_chunks_leave_results_unchanged(monkeypatch):
+    """Tiny node budgets and panel chunks change the schedule, not the bits."""
+    model = DampingModel.power_law(1.0, -0.5)
+    t = np.geomspace(1e-3, 1e3, 97).reshape(1, 97)
+    want = build_aux_table(model, 1e3)
+    g = want.g_at(t)
+    monkeypatch.setattr(auxcalc, "_NODE_BUDGET", 1)
+    monkeypatch.setattr(auxcalc, "_CHUNK", 3)
+    got = build_aux_table(model, 1e3)
+    for field in ("B_vals", "log_beta_vals", "g_vals"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert np.array_equal(want.g_at(t), g)
+
+
+def test_unresolvable_cells_stop_at_the_node_limit(monkeypatch):
+    """b = 4e14 near t = 1e-3: the decay layer is a few hundred ulps of t wide,
+    so rounding keeps every panel's error estimate above tol and the cell
+    would split toward 2**48 leaves; the walk stops at the node limit."""
+    monkeypatch.setattr(auxcalc, "_NODE_LIMIT", 4096)
+    with pytest.raises(QuadratureNonconvergence, match="did not resolve"):
+        auxcalc._phi_cells(DampingModel.constant(4e14).b, np.array([1e-3]),
+                           np.array([1.0367e-3]), 1e-11)
 
 
 # -- hypothesis checker ---------------------------------------------------------

@@ -1,10 +1,14 @@
 """Command-line behavior: outputs, exit codes, determinism, round trips."""
 
+import contextlib
 import csv
+import io
 import json
 import time
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blowuplab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, dispatch
 
@@ -206,8 +210,12 @@ def test_nonfinite_inputs_exit_cleanly(argv, expected, capsys):
     ["aux", "--mu", "1e-308"],
 ])
 def test_extreme_damping_scale_is_a_numerical_failure(argv, capsys):
-    captured = _assert_clean_exit(argv, EXIT_NUMERICAL, capsys)
+    """Exit 3 naming what left the floating-point range, with no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        captured = _assert_clean_exit(argv, EXIT_NUMERICAL, capsys)
     assert "numerical failure" in captured.err
+    assert "(34," not in captured.err and "Numerical result out of range" not in captured.err
 
 
 def _assert_clean_exit(argv, expected, capsys):
@@ -221,3 +229,27 @@ def _assert_clean_exit(argv, expected, capsys):
     assert "Traceback" not in captured.err
     assert "nan" not in captured.out and "inf" not in captured.out
     return captured
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    damping=st.sampled_from(["constant", "powerlaw", "perturbed"]),
+    perturbation=st.sampled_from([[], ["--perturbation", "log"], ["--perturbation", "sin"]]),
+    mu=st.floats(-308.0, 308.0).map(lambda e: 10.0**e),
+    kappa=st.floats(-1.2, 1.2),
+    horizon=st.floats(0.0, 1e3),
+)
+def test_aux_arguments_end_cleanly(damping, perturbation, mu, kappa, horizon):
+    """Any damping law, scale, exponent and horizon: exit 0, 2 or 3 within 5 s,
+    no traceback, and no nan or inf in the table."""
+    argv = ["aux", "--damping", damping, "--mu", repr(mu), "--kappa", repr(kappa),
+            "--horizon", repr(horizon)] + perturbation
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    elapsed = time.perf_counter() - start
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL), argv
+    assert elapsed < 5.0, argv
+    assert "Traceback" not in err.getvalue(), argv
+    assert "nan" not in out.getvalue() and "inf" not in out.getvalue(), argv
