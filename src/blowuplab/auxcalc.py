@@ -38,7 +38,6 @@ from .quadrature import (
     _GAUSS_WEIGHTS,
     _KRONROD_NODES,
     _KRONROD_WEIGHTS,
-    _sharpened,
     QuadratureNonconvergence,
     gauss_kronrod_panel,
     integrate_adaptive,
@@ -86,12 +85,12 @@ class TableRangeError(ValueError):
 _DEPTH = 48          # split limit of a cell's tree
 _CHUNK = 32          # panels per batched evaluation of b
 _NODE_BUDGET = 4096  # estimated tree nodes walked at once
-# nodes (24 MB) a block's trees may grow to before its cells count as
-# unresolvable: above the largest block of a resolvable build (410k nodes
-# for b growing like t**0.9 to horizon 1e5), far below the 2**48 leaves a
-# cell splits into where the rounding of its node positions keeps the error
-# estimate above tol
-_NODE_LIMIT = 1 << 19
+_ROUND = 4096        # panels evaluated per round of a walk, at most
+# panels one cell may take: above the heaviest cell of the builds known to
+# resolve (2.27M panels for b growing like t**0.5 to horizon 1e7), far below
+# the 2**48 leaves a cell splits into where the rounding of its node
+# positions keeps the error estimate above tol
+_CELL_PANELS = 1 << 22
 
 
 def _exp_panels(bfun, t0, t1):
@@ -156,7 +155,9 @@ def _phi_cells(bfun, t0, t1, tol: float):
     The panels, splits and prunes are those of a depth-first recursion over
     each cell, but the cells are walked together, one batched panel
     evaluation per round (see :func:`_walk`), in blocks of about
-    ``_NODE_BUDGET`` tree nodes as estimated from the root panels.  A
+    ``_NODE_BUDGET`` tree nodes as estimated from the root panels.  A cell
+    that takes more than ``_CELL_PANELS`` panels raises
+    ``QuadratureNonconvergence``, in any batch exactly as alone.  A
     non-finite panel raises ``FloatingPointError``.
     """
     shape = np.shape(t0)
@@ -171,78 +172,117 @@ def _phi_cells(bfun, t0, t1, tol: float):
         nodes = np.where(mass <= 3.0, 1, np.where(mass <= 3e4, 72, 1100))
         block = (np.cumsum(nodes) - 1) // _NODE_BUDGET
         for cells in np.split(open_, np.flatnonzero(np.diff(block)) + 1):
-            q[cells] = _walk(bfun, _Tree(t0[cells], t1[cells], q[cells], E[cells]), tol)
+            q[cells] = _walk(bfun, _Tree(a=t0[cells], b=t1[cells], E=E[cells], Q=q[cells]), tol)
     return q.reshape(shape), E.reshape(shape)
 
 
 class _Tree:
-    """Split trees of a block of cells, one array entry per node.
+    """Split trees of a block of cells, one array entry per live node.
 
     A node holds its cell [a, b], its own E = exp(-int_a^b b), its q (the
     panel's, then its subtree's once composed), the links to its parent and
-    halves (-1 for none), its remaining depth and whether its q is final.
-    The roots are the first nodes.
+    halves (-1 for none), its root, its remaining depth and whether its q is
+    final.  The roots are the first nodes.  A node is live while it is a
+    root, is not final, or has a parent that is not final; the halves of a
+    finished node are read no more, and :meth:`add` reclaims them when it
+    runs out of room.
     """
 
-    def __init__(self, a, b, E, Q):
-        n = a.size
-        self.size = 0
-        self.a, self.b, self.E, self.Q = (np.empty(max(64, 4 * n)) for _ in range(4))
-        self.up, self.left, self.right = (np.empty(self.a.size, np.int32) for _ in range(3))
-        self.depth = np.empty(self.a.size, np.int8)
-        self.finished = np.empty(self.a.size, bool)
-        self.add(a, b, E, Q, up=-1, depth=_DEPTH, finished=False)
+    _COLUMNS = (("a", float), ("b", float), ("E", float), ("Q", float), ("up", np.int32),
+                ("left", np.int32), ("right", np.int32), ("root", np.int32),
+                ("depth", np.int8), ("finished", bool))
 
-    def add(self, a, b, E, Q, up, depth, finished):
-        """Append nodes; returns their indices."""
+    def __init__(self, a, b, E, Q):
+        self.size = 0
+        for name, dtype in self._COLUMNS:
+            setattr(self, name, np.empty(0, dtype))
+        self._resize(max(_ROUND, 4 * a.size))
+        self.add(a, b, E, Q, up=-1, root=np.arange(a.size), depth=_DEPTH, finished=False)
+
+    def add(self, a, b, E, Q, up, root, depth, finished, held=()):
+        """Append nodes; returns their indices and the index arrays
+        ``held``, of live nodes, renumbered if nodes were reclaimed."""
+        if self.size + a.size > self.a.size:
+            up, *held = self._reclaim(up, *held)
+            if self.size + a.size > self.a.size // 2:
+                self._resize(2 * (self.size + a.size))
         start, self.size = self.size, self.size + a.size
-        if self.size > self.a.size:
-            grow = min(max(a.size, self.a.size), _NODE_LIMIT - self.a.size)
-            for name in ("a", "b", "E", "Q", "up", "left", "right", "depth", "finished"):
-                old = getattr(self, name)
-                setattr(self, name, np.concatenate((old, np.empty_like(old, shape=grow))))
         new = slice(start, self.size)
         self.a[new], self.b[new], self.E[new], self.Q[new] = a, b, E, Q
-        self.up[new], self.left[new], self.right[new] = up, -1, -1
+        self.up[new], self.left[new], self.right[new], self.root[new] = up, -1, -1, root
         self.depth[new], self.finished[new] = depth, finished
-        return np.arange(start, self.size)
+        return np.arange(start, self.size), held
+
+    def _reclaim(self, *held):
+        """Drop the nodes that are not live; returns ``held`` renumbered."""
+        n = self.size
+        up, finished = self.up[:n], self.finished[:n]
+        live = ~finished
+        live[up < 0] = True
+        live[up >= 0] |= ~finished[up[up >= 0]]
+        # each node's new index, -1 for a dropped one; index -1 maps to -1
+        renumber = np.full(n + 1, -1, np.int32)
+        self.size = int(np.count_nonzero(live))
+        renumber[:n][live] = np.arange(self.size, dtype=np.int32)
+        for name, _ in self._COLUMNS:
+            column = getattr(self, name)
+            column[:self.size] = column[:n][live]
+        for column in (self.up, self.left, self.right):
+            column[:self.size] = renumber[column[:self.size]]
+        return [renumber[ids] for ids in held]
+
+    def _resize(self, capacity: int):
+        for name, _ in self._COLUMNS:
+            old = getattr(self, name)
+            setattr(self, name, np.empty(capacity, old.dtype))
+            getattr(self, name)[:self.size] = old[:self.size]
 
 
 def _walk(bfun, tree: _Tree, tol: float):
     """The composed q of the root cells, whose own panels do not stand.
 
-    Each round evaluates, in one batched call, the left halves of the nodes
-    that split in the previous round and the right halves that fell due.  A
-    right half falls due as soon as its left sibling's panel shows that the
-    prune test must fail (E_left * width_right > 2 tol width_left, while
-    q_left <= width_left), and otherwise once the left subtree's q is
-    composed and the test fails.  A right half that the exact test prunes
-    after all is dropped, so the result never depends on the schedule.
-    Trees outgrowing ``_NODE_LIMIT`` nodes raise ``QuadratureNonconvergence``.
+    Each round evaluates, in one batched call, the right halves that fell
+    due and the left halves of the nodes that split most recently, at most
+    ``_ROUND`` panels, so the walk leans depth first and few nodes are live
+    at a time.  A right half falls due as soon as its left sibling's panel
+    shows that the prune test must fail (E_left * width_right >
+    2 tol width_left, while q_left <= width_left), and otherwise once the
+    left subtree's q is composed and the test fails.  A right half that the
+    exact test prunes after all is dropped, so the result never depends on
+    the schedule.
     """
     roots = tree.size
-    split = np.arange(roots)
-    due = split[:0]
-    while split.size or due.size:
-        parents = np.concatenate((split, due))
-        if tree.size + parents.size > _NODE_LIMIT:
-            raise QuadratureNonconvergence(
-                f"exponential cells on [{tree.a[:roots].min():g}, {tree.b[:roots].max():g}] "
-                f"did not resolve within {_NODE_LIMIT} panels: b varies too fast for "
-                "the tolerance at this time scale")
+    panels = np.ones(roots, np.int64)
+    # nodes to split, newest last, and nodes whose right half is due; all
+    # the due ones go in the next round (they are at most as many as the
+    # round's panels), so an early right half is evaluated before its left
+    # sibling's subtree can compose
+    work, due = np.arange(roots), np.arange(0)
+    while work.size or due.size:
+        rest = max(0, work.size + due.size - _ROUND)
+        split, work = work[rest:], work[:rest]
         a = np.concatenate((tree.a[split], tree.b[tree.left[due]]))
         b = np.concatenate((0.5 * (tree.a[split] + tree.b[split]), tree.b[due]))
+        parents = np.concatenate((split, due))
+        root = tree.root[parents]
+        panels += np.bincount(root, minlength=roots)
+        if panels.max() > _CELL_PANELS:
+            i = int(np.argmax(panels))
+            raise QuadratureNonconvergence(
+                f"exponential cell [{tree.a[i]:g}, {tree.b[i]:g}] did not resolve "
+                f"within {_CELL_PANELS} panels")
         q, err, ib, E = _exp_panels(bfun, a, b)
         depth = tree.depth[parents] - 1
         settled = _settled(q, err, ib, tol) | (depth <= 0)
-        kids = tree.add(a, b, E, q, parents, depth, settled)
+        kids, (split, due, work) = tree.add(a, b, E, q, parents, root, depth, settled,
+                                            held=(split, due, work))
         nl = split.size
         tree.left[split], tree.right[due] = kids[:nl], kids[nl:]
         # left halves, still splitting, whose sibling cannot be pruned
         width_l, width_r = b[:nl] - a[:nl], tree.b[split] - b[:nl]
         early = ~settled[:nl] & (E[:nl] * width_r > tol * np.maximum(2.0 * width_l, 1e-300))
         due = np.concatenate((split[early], _compose(tree, kids[settled], tol)))
-        split = kids[~settled]
+        work = np.concatenate((work, kids[~settled]))
     return tree.Q[:roots]
 
 
@@ -498,18 +538,13 @@ def build_aux_table(
     grid[-1] = horizon
 
     bfun = model.b
-    recip = lambda x: 1.0 / bfun(x)
     lo, hi = grid[:-1], grid[1:]
-    # every cell's first panel in one call; integrate_adaptive refines only
-    # the cells whose first panel misses its tolerance
     adaptive = dict(abs_tol=quad_tol * 1e-3, rel_tol=quad_tol * 0.1)
-    dB, gap = gauss_kronrod_panel(recip, lo, hi)
-    open_B = _sharpened(gap) > np.maximum(adaptive["abs_tol"], adaptive["rel_tol"] * np.abs(dB))
+    dB = integrate_adaptive(lambda x: 1.0 / bfun(x), lo, hi, **adaptive)
+    # a first panel of b within quad_tol stands as it is
     dI, gap = gauss_kronrod_panel(bfun, lo, hi)
-    open_I = gap > quad_tol * np.maximum(1.0, np.abs(dI))
-    for f, integrals, open_ in ((recip, dB, open_B), (bfun, dI, open_I)):
-        for i in np.flatnonzero(open_):
-            integrals[i] = integrate_adaptive(f, float(lo[i]), float(hi[i]), **adaptive)
+    refine = gap > quad_tol * np.maximum(1.0, np.abs(dI))
+    dI[refine] = integrate_adaptive(bfun, lo[refine], hi[refine], **adaptive)
     q_cells, E_cells = _phi_cells(bfun, lo, hi, quad_tol * 0.1)
 
     with np.errstate(over="ignore"):

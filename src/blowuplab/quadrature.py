@@ -102,19 +102,33 @@ def _sharpened_panel(f: Callable, a: float, b: float) -> tuple[float, float]:
 
 def integrate_adaptive(
     f: Callable,
-    a: float,
-    b: float,
+    a,
+    b,
     *,
     abs_tol: float = 1e-12,
     rel_tol: float = 1e-10,
     max_panels: int = 2000,
-) -> float:
+):
     """Adaptive bisection with G7/K15 panels.
 
     Stops when the summed panel error drops below
     ``max(abs_tol, rel_tol * |integral|)``; always splits the worst panel.
     Raises :class:`QuadratureNonconvergence` if the panel budget runs out.
+    ``a`` and ``b`` are scalars or arrays of one shape, one integral per
+    pair: the first panels of an array are one batched call, and only the
+    intervals whose first panel misses the tolerance are refined, each as
+    its scalar call.
     """
+    if np.ndim(a) or np.ndim(b):
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        val, diff = gauss_kronrod_panel(f, lo, hi)
+        val[lo == hi] = 0.0
+        missed = _sharpened(diff) > np.maximum(abs_tol, rel_tol * np.abs(val))
+        for i in zip(*np.nonzero(missed)):
+            val[i] = integrate_adaptive(f, float(lo[i]), float(hi[i]), abs_tol=abs_tol,
+                                        rel_tol=rel_tol, max_panels=max_panels)
+        return np.where(b < a, -val, val)
     if a == b:
         return 0.0
     sign = 1.0

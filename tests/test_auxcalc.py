@@ -352,32 +352,64 @@ def test_phi_cells_make_the_recursions_panels(model, horizon):
         ref = np.array([_reference_cell(model.b, float(a), float(b), tol, panels)
                         for a, b in zip(t0, t1)])
         assert counting.points == 16 * 15 * panels[0]
-        for got, want in ((q, ref[:, 0]), (E, ref[:, 1])):
-            assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+        assert np.array_equal(q, ref[:, 0]) and np.array_equal(E, ref[:, 1])
 
 
 def test_walk_blocks_and_chunks_leave_results_unchanged(monkeypatch):
-    """Tiny node budgets and panel chunks change the schedule, not the bits."""
+    """Tiny node budgets, rounds and panel chunks change the schedule, not
+    the panels or the bits."""
     model = DampingModel.power_law(1.0, -0.5)
     t = np.geomspace(1e-3, 1e3, 97).reshape(1, 97)
+    panels, exp_panels = [], auxcalc._exp_panels
+    monkeypatch.setattr(auxcalc, "_exp_panels",
+                        lambda bfun, a, b: panels.append(a.size) or exp_panels(bfun, a, b))
     want = build_aux_table(model, 1e3)
     g = want.g_at(t)
+    counted, panels[:] = sum(panels), []
     monkeypatch.setattr(auxcalc, "_NODE_BUDGET", 1)
+    monkeypatch.setattr(auxcalc, "_ROUND", 5)
     monkeypatch.setattr(auxcalc, "_CHUNK", 3)
     got = build_aux_table(model, 1e3)
     for field in ("B_vals", "log_beta_vals", "g_vals"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
     assert np.array_equal(want.g_at(t), g)
+    assert sum(panels) == counted
 
 
-def test_unresolvable_cells_stop_at_the_node_limit(monkeypatch):
+def test_unresolvable_cells_stop_at_the_panel_limit(monkeypatch):
     """b = 4e14 near t = 1e-3: the decay layer is a few hundred ulps of t wide,
     so rounding keeps every panel's error estimate above tol and the cell
-    would split toward 2**48 leaves; the walk stops at the node limit."""
-    monkeypatch.setattr(auxcalc, "_NODE_LIMIT", 4096)
-    with pytest.raises(QuadratureNonconvergence, match="did not resolve"):
+    would split toward 2**48 leaves; the walk stops at the panel limit."""
+    monkeypatch.setattr(auxcalc, "_CELL_PANELS", 4096)
+    with pytest.raises(QuadratureNonconvergence, match="did not resolve within 4096 panels"):
         auxcalc._phi_cells(DampingModel.constant(4e14).b, np.array([1e-3]),
                            np.array([1.0367e-3]), 1e-11)
+
+
+def test_cells_resolve_together_exactly_when_alone(monkeypatch):
+    """The panel limit holds per cell, not per batch: heavy cells walked
+    together resolve under the largest one's panel count, bit for bit as
+    each alone, and fail one panel below it, as that cell alone does."""
+    model = DampingModel.power_law(1.0, -0.5)
+    aux = build_aux_table(model, 1e5)
+    t0, t1, tol = aux.grid[-9:-1], aux.grid[-8:], aux.quad_tol * 0.1
+    panels = []
+    for a, b in zip(t0, t1):
+        counting = _CountingDamping(model)
+        auxcalc._phi_cells(counting.b, a, b, tol)
+        panels.append(counting.points // (16 * 15))
+    heaviest = int(np.argmax(panels))
+    assert panels[heaviest] > 1000 and sorted(panels)[-2] > 500
+    monkeypatch.setattr(auxcalc, "_CELL_PANELS", panels[heaviest])
+    q, E = auxcalc._phi_cells(model.b, t0, t1, tol)
+    alone = np.array([auxcalc._phi_cells(model.b, a, b, tol) for a, b in zip(t0, t1)])
+    assert np.array_equal(q, alone[:, 0]) and np.array_equal(E, alone[:, 1])
+    t = np.geomspace(1e-3, 1e5, 97)
+    assert np.array_equal(aux.g_at(t), [aux.g_at(x) for x in t])
+    monkeypatch.setattr(auxcalc, "_CELL_PANELS", panels[heaviest] - 1)
+    for a, b in ((t0, t1), (t0[heaviest], t1[heaviest])):
+        with pytest.raises(QuadratureNonconvergence, match="did not resolve"):
+            auxcalc._phi_cells(model.b, a, b, tol)
 
 
 # -- hypothesis checker ---------------------------------------------------------
