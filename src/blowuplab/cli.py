@@ -14,6 +14,8 @@ import sys
 from contextlib import nullcontext
 from typing import Iterable, Optional
 
+import numpy as np
+
 from . import auxcalc, exponents, functional, simulator
 from .coeffs import DampingModel, Perturbation, ProblemSpec
 from .quadrature import QuadratureNonconvergence
@@ -33,12 +35,17 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Optional[str], header: list[str], rows: Iterable, quiet: bool) -> None:
-    """Write ``header`` and ``rows`` as CSV, one line at a time."""
+def _csv_lines(rows: Iterable) -> Iterable[str]:
+    """One CSV line per row, each value through ``_fmt``."""
+    return (",".join(_fmt(v) for v in row) + "\n" for row in rows)
+
+
+def _write_csv(path: Optional[str], header: list[str], lines: Iterable[str], quiet: bool) -> None:
+    """Write ``header`` and the ready-made ``lines`` as CSV, one line at a time."""
     sink = open(path, "w", encoding="utf-8", newline="\n") if path else nullcontext(sys.stdout)
     with sink as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+        fh.writelines(lines)
     if path and not quiet:
         print(f"wrote {path}")
 
@@ -122,7 +129,7 @@ def _cmd_aux(args) -> int:
             table.grid, table.B_vals, table.beta_vals, table.Gamma_vals, table.g_vals
         )
     ]
-    _write_csv(args.out, ["t", "B", "beta", "Gamma", "g"], rows, args.quiet)
+    _write_csv(args.out, ["t", "B", "beta", "Gamma", "g"], _csv_lines(rows), args.quiet)
     return EXIT_OK
 
 
@@ -145,7 +152,7 @@ def _cmd_exponents(args) -> int:
         ])
     header = ["n", "alpha", "gamma", "delta", "p_min", "p_crit", "meaningful",
               "fujita", "kato", "strauss", "sobolev"]
-    _write_csv(args.out, header, rows, args.quiet)
+    _write_csv(args.out, header, _csv_lines(rows), args.quiet)
     if not args.quiet and len(rows) == 1:
         print(f"p_C = {_fmt(rows[0][5])}, p_min = {_fmt(rows[0][4])}")
     return EXIT_OK
@@ -164,7 +171,7 @@ def _cmd_scan(args) -> int:
                          result.verdicts[label]])
     header = ["alpha_tag", "R", "H", "G", "product",
               "log_slope_fitted", "log_slope_predicted", "verdict"]
-    _write_csv(args.out, header, rows, args.quiet)
+    _write_csv(args.out, header, _csv_lines(rows), args.quiet)
     print(f"overall verdict: {result.overall} ({result.note})")
     return EXIT_OK
 
@@ -172,10 +179,18 @@ def _cmd_scan(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     outcome = simulator.run(_sim_spec_from_args(args, cfg))
-    rows = zip(outcome.times, outcome.sup_norms, outcome.energies)
-    _write_csv(args.out, ["t", "sup_norm", "energy"], rows, args.quiet)
+    # the trace ends before the first step whose sup or energy overflowed
+    finite = np.isfinite(outcome.sup_norms) & np.isfinite(outcome.energies)
+    kept = len(finite) if finite.all() else int(np.argmin(finite))
+    # one format per row, the same "{:.12g}" as _fmt for each float
+    lines = map("{:.12g},{:.12g},{:.12g}\n".format, outcome.times[:kept],
+                outcome.sup_norms[:kept], outcome.energies[:kept])
+    _write_csv(args.out, ["t", "sup_norm", "energy"], lines, args.quiet)
     tstar = f" t* = {_fmt(outcome.t_star)}" if outcome.t_star is not None else ""
-    print(f"verdict: {outcome.verdict}{tstar} ({outcome.note})")
+    cut = ""
+    if kept < len(finite):
+        cut = f"overflowed at t = {_fmt(float(outcome.times[kept]))}, trace ends before it; "
+    print(f"verdict: {outcome.verdict}{tstar} ({cut}{outcome.note})")
     return EXIT_OK
 
 
@@ -184,7 +199,7 @@ def _cmd_sweep(args) -> int:
     spec = _sim_spec_from_args(args, cfg)
     p_list = cfg.get("p_list") or [float(x) for x in args.p_list.split(",")]
     rows = [[r["p"], r["verdict"], r["t_star"]] for r in simulator.sweep_p(spec, p_list)]
-    _write_csv(args.out, ["p", "verdict", "t_star"], rows, args.quiet)
+    _write_csv(args.out, ["p", "verdict", "t_star"], _csv_lines(rows), args.quiet)
     return EXIT_OK
 
 

@@ -12,6 +12,18 @@ One kernel, ``_march``, advances a (rows, J+1) batch of fields that share
 the grid, the time step and the coefficients: a single run is one row, a
 p-sweep is one row per power, and each row equals its single run bit for
 bit.
+
+The kernel marches only a support window, the columns [0, W).  Past the
+last nonzero column of u and u_prev, u, its Laplacian, |u|^p and the
+update are all exactly +0.0 (the coefficients are finite, a > 0 and
+1 + b dt/2 > 0), and one step spreads the support by at most one column.
+So W stays at least 3 columns past the support, the support is measured
+again before it could reach column W-2, and W grows by a block when it
+runs short; every column outside the window is exactly what a full-width
+march would hold.  Energies are computed in chunks: the full-width rows of
+u are buffered and turned into energies in one 2-D pass, with every row
+summed over all J pairs, zeros included, because numpy's pairwise sum
+groups its terms by the length of the row.
 """
 
 from __future__ import annotations
@@ -178,6 +190,13 @@ def detect_blowup(times: Sequence[float], sups: Sequence[float], threshold: floa
     return float(t0 + (threshold - s0) / (s1 - s0) * (t1 - t0))
 
 
+# elements in the row buffer of the chunked energy pass (256 kB)
+_ENERGY_BUDGET = 2**15
+# columns by which the support window grows at a time
+_WINDOW_BLOCK = 64
+# most steps a run may take (the benchmark's longest run takes about 2e4)
+_MAX_STEPS = 10**7
+
 # steps whose K15 panels of 1/b are evaluated together (15 nodes per step)
 _PANEL_CHUNK = 4096
 
@@ -206,16 +225,20 @@ def _coefficient_arrays(prob: ProblemSpec, aux: AuxTable, steps: int, dt: float)
 class _Stencil:
     """Grid constants of the leapfrog update on a (rows, J+1) batch.
 
+    ``_march`` builds one for the width of its support window, so J+1 is
+    that width there.
+
     Each formula runs the same floating-point operations, in the same order,
     as its one-row array expression, so every row of a batch reproduces a
     single run bit for bit.
     """
 
-    def __init__(self, J: int, dr: float, n: int):
+    def __init__(self, J: int, dr: float, n: int, delta: float = 0.0):
         self.dr = dr
         self.n = n
         self.area = sphere_area(n)
         self.radial = (n - 1) / (np.arange(1, J) * dr)
+        self.fspace = (np.arange(J + 1) * dr) ** delta if delta != 0.0 else None
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
         """Rows of (u[j+1] - u[j-1]) / (2 dr) on the interior, shape (rows, J-1)."""
@@ -241,9 +264,9 @@ class _Stencil:
         lap[:, -1] = 0.0
         return lap
 
-    def source(self, absu: np.ndarray, powers: Sequence[float], scale: float,
-               fspace: Optional[np.ndarray]) -> Optional[np.ndarray]:
-        """scale * fspace * |u|^p, one power per row (``fspace`` None means ones).
+    def source(self, absu: np.ndarray, powers: Sequence[float],
+               scale: float) -> Optional[np.ndarray]:
+        """scale * r^delta * |u|^p, one power per row.
 
         None when ``scale`` is 0: the source is then exactly zero for a
         finite field.  Each power stays a scalar, as in a single run: numpy
@@ -254,7 +277,7 @@ class _Stencil:
         src = np.empty_like(absu)
         for row, mag, p in zip(src, absu, powers):
             np.power(mag, p, out=row)
-        src *= scale if fspace is None else scale * fspace
+        src *= scale if self.fspace is None else scale * self.fspace
         return src
 
     def start(self, u0, v0, a0, b0, forcing, dt: float) -> np.ndarray:
@@ -283,32 +306,34 @@ class _Stencil:
         u_next /= 1.0 + bh
         return u_next
 
-    def energy(self, u, grad, v, a, rpow: Optional[np.ndarray]) -> float:
-        """Discrete kinetic + elastic energy of one row with the radial surface weight.
+    def energies(self, u, v, a, rpow: Optional[np.ndarray]) -> np.ndarray:
+        """Discrete kinetic + elastic energy of each full-width row of ``u``.
 
+        ``v`` holds the velocity rows and ``a`` the wave speed of each row.
         The arithmetic of ``np.gradient(u, dr)`` and ``np.trapezoid(dens *
-        rpow, dx=dr)`` for dens = v^2/2 + a u_r^2/2.  ``grad`` is the row of
-        ``gradient`` for ``u``.  ``rpow`` None means ones.
+        rpow, dx=dr)`` for dens = v^2/2 + a u_r^2/2, row by row: each row
+        sums its J pairs with numpy's pairwise sum, as a one-row
+        ``.sum()`` does.  ``rpow`` None means ones.
         """
         u_r = np.empty_like(u)
-        u_r[0] = (u[1] - u[0]) / self.dr
-        u_r[1:-1] = grad
-        u_r[-1] = (u[-1] - u[-2]) / self.dr
+        u_r[:, 0] = (u[:, 1] - u[:, 0]) / self.dr
+        u_r[:, 1:-1] = self.gradient(u)
+        u_r[:, -1] = (u[:, -1] - u[:, -2]) / self.dr
         dens = v * v
         dens *= 0.5
         u_r *= u_r
-        u_r *= 0.5 * a
+        u_r *= (0.5 * a)[:, None]
         dens += u_r
         if rpow is not None:
             dens *= rpow
-        pairs = dens[1:] + dens[:-1]
+        pairs = dens[:, 1:] + dens[:, :-1]
         pairs *= self.dr
         pairs /= 2.0
-        return self.area * float(pairs.sum())
+        return self.area * pairs.sum(axis=1)
 
 
-def _time_step(spec: SimSpec, aux: AuxTable) -> float:
-    """The run's dt, after the CFL and boundary-reach checks."""
+def _time_step(spec: SimSpec, aux: AuxTable) -> tuple[float, int]:
+    """The run's dt and step count, after the CFL, step-count and boundary-reach checks."""
     prob = spec.problem
     dr = spec.dr
     # stability limit against the largest wave speed on [0, T_max]
@@ -319,6 +344,12 @@ def _time_step(spec: SimSpec, aux: AuxTable) -> float:
         raise CflViolation(
             f"dt = {dt:g} exceeds the stability limit {dt_limit:g} "
             f"(cfl * dr / sqrt(sup a))"
+        )
+    if not spec.T_max <= _MAX_STEPS * dt:
+        raise ValueError(
+            f"dt = {dt:g} needs {spec.T_max / dt:.4g} steps to reach T_max = "
+            f"{spec.T_max:g}, more than the limit of {_MAX_STEPS:g}; "
+            "coarsen the grid or shorten T_max"
         )
 
     if not spec.allow_boundary_reflections:
@@ -333,9 +364,19 @@ def _time_step(spec: SimSpec, aux: AuxTable) -> float:
                 f"support may reach the boundary (needs r_max >= {reach:g}); "
                 "enlarge the domain or set allow_boundary_reflections"
             )
-    return dt
+    return dt, int(math.ceil(spec.T_max / dt))
 
 
+def _support_end(*fields: np.ndarray) -> int:
+    """One past the last column where a row of any of ``fields`` is nonzero."""
+    nonzero = np.zeros(fields[0].shape[1], bool)
+    for f in fields:
+        nonzero |= (f != 0.0).any(axis=0)
+    cols = np.flatnonzero(nonzero)
+    return int(cols[-1]) + 1 if len(cols) else 0
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
            with_energy: bool) -> list[SimOutcome]:
     """Integrate ``spec`` once per power p, all rows in one leapfrog batch.
@@ -344,17 +385,27 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
     the coefficient arrays.  A row leaves the batch at its threshold
     crossing or overflow.  ``with_energy`` records the energy trace of a
     single-row batch; otherwise the outcomes carry an empty one.
+
+    The batch is marched on the columns [0, W) only.  W stays at least 3
+    columns past the last nonzero column of u and u_prev (or at J+1): the
+    stencil spreads the support by at most one column a step, so the
+    support is measured again, and W grown by a block, before it can
+    reach column W-2.
     """
     prob = spec.problem
-    dt = _time_step(spec, aux)
-    steps = int(math.ceil(spec.T_max / dt))
+    dt, steps = _time_step(spec, aux)
     ts, a_arr, b_arr, ftime = _coefficient_arrays(prob, aux, steps, dt)
+    fscale = spec.nonlinearity * ftime
+    # with a non-finite coefficient, 0 * inf would put nan past the support
+    for name, values in (("a(t)", a_arr), ("b(t)", b_arr), ("the forcing factor", fscale)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            raise FloatingPointError(f"{name} is not finite at t = {ts[bad[0]]:g}")
 
     dr, J, rows = spec.dr, spec.J, len(powers)
-    st = _Stencil(J, dr, prob.n)
+    st = _Stencil(J, dr, prob.n, prob.delta)
     r = np.arange(J + 1) * dr
     rpow = r ** (prob.n - 1) if prob.n > 1 else None
-    fspace = r**prob.delta if prob.delta != 0.0 else None
     threshold = spec.blowup_threshold
     guard = 0 if spec.allow_boundary_reflections else max(1, min(5, J // 4))
 
@@ -363,7 +414,7 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
     v0 = spec.u1(r)
     v0[-1] = 0.0
     u_prev = np.tile(u0, (rows, 1))
-    forcing = st.source(np.abs(u_prev), powers, spec.nonlinearity * ftime[0], fspace)
+    forcing = st.source(np.abs(u_prev), powers, fscale[0])
     u = st.start(u_prev, v0, a_arr[0], b_arr[0], forcing, dt)
     u[:, -1] = 0.0
 
@@ -372,54 +423,87 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
     peak = sup_hist[:, 0].copy()
     energy_hist = np.empty(steps + 1 if with_energy else 0)
     if with_energy:
-        energy_hist[0] = st.energy(u0, st.gradient(u0[None])[0], v0, a_arr[0], rpow)
+        energy_hist[0] = st.energies(u0[None], v0[None], a_arr[:1], rpow)[0]
+        # full-width rows of u, +0.0 past the window: row 0 holds step done-1,
+        # rows 1..filled the steps from done on, whose energies wait for a flush
+        u_rows = np.zeros((max(2, _ENERGY_BUDGET // (J + 1)), J + 1))
+        u_rows[0] = u0
+        done, filled = 1, 0
+
+        def flush():
+            nonlocal done, filled
+            u_now = u_rows[1:filled + 1]
+            vel = u_now - u_rows[:filled]
+            vel /= dt
+            energy_hist[done:done + filled] = st.energies(
+                u_now, vel, a_arr[done:done + filled], rpow)
+            u_rows[0] = u_rows[filled]
+            done, filled = done + filled, 0
 
     active = np.arange(rows)
     last = np.full(rows, steps)
     overflow = np.zeros(rows, bool)
     contaminated = np.zeros(rows, bool)
     t_star: list[Optional[float]] = [None] * rows    # set exactly for blow-up rows
-    final = np.empty((rows, J + 1))
+    final = np.zeros((rows, J + 1))                  # +0.0 past the window
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(1, steps + 1):
-            absu = np.abs(u)
-            sup = absu.max(axis=1)
-            sup_hist[active, m] = sup
-            if guard:
-                np.maximum(peak, sup, out=peak)
+    end = _support_end(u, u_prev)
+    width = min(J + 1, end + 2 + _WINDOW_BLOCK)
+    u, u_prev = u[:, :width].copy(), u_prev[:, :width].copy()
+    st = _Stencil(width - 1, dr, prob.n, prob.delta)
+    rescan = width - end if width < J + 1 else 0     # 0: the window is whole
+
+    for m in range(1, steps + 1):
+        if m == rescan:
+            # from this step on the support could reach column width - 2
+            end = _support_end(u, u_prev)
+            if end + 2 + _WINDOW_BLOCK // 2 > width:
+                grow = min(J + 1, end + 2 + _WINDOW_BLOCK) - width
+                u, u_prev = (np.pad(f, ((0, 0), (0, grow))) for f in (u, u_prev))  # +0.0
+                width += grow
+                st = _Stencil(width - 1, dr, prob.n, prob.delta)
+            rescan = m + width - 1 - end if width < J + 1 else 0
+        absu = np.abs(u)
+        sup = absu.max(axis=1)
+        sup_hist[active, m] = sup
+        if guard:
+            np.maximum(peak, sup, out=peak)
+            if width == J + 1:
                 edge = absu[:, -guard - 1:-1].max(axis=1)
                 contaminated[active] |= edge > 1e-10 * np.maximum(peak, 1e-300)
-            grad = st.gradient(u)
-            if with_energy:
-                vel = (u[0] - u_prev[0]) / dt
-                energy_hist[m] = st.energy(u[0], grad[0], vel, a_arr[m], rpow)
+        if with_energy:
+            if filled + 1 == len(u_rows):
+                flush()
+            filled += 1
+            u_rows[filled, :width] = u[0]
 
-            below = sup < threshold       # False when crossed, or not a number
-            if not below.all():
-                for i in np.flatnonzero(~below):
-                    row = active[i]
-                    last[row] = m
-                    final[row] = u[i]
-                    if np.isfinite(sup[i]):
-                        t_star[row] = detect_blowup(ts[: m + 1], sup_hist[row, : m + 1], threshold)
-                    else:
-                        overflow[row] = True
-                        t_star[row] = float(ts[m - 1])
-                active, u, u_prev, peak = active[below], u[below], u_prev[below], peak[below]
-                if not len(active):
-                    break
-                absu, grad = absu[below], grad[below]
-                powers = [p for p, kept in zip(powers, below) if kept]
-            if m == steps:
+        below = sup < threshold       # False when crossed, or not a number
+        if not below.all():
+            for i in np.flatnonzero(~below):
+                row = active[i]
+                last[row] = m
+                final[row, :width] = u[i]
+                if np.isfinite(sup[i]):
+                    t_star[row] = detect_blowup(ts[: m + 1], sup_hist[row, : m + 1], threshold)
+                else:
+                    overflow[row] = True
+                    t_star[row] = float(ts[m - 1])
+            active, u, u_prev, peak = active[below], u[below], u_prev[below], peak[below]
+            if not len(active):
                 break
+            absu = absu[below]
+            powers = [p for p, kept in zip(powers, below) if kept]
+        if m == steps:
+            break
 
-            forcing = st.source(absu, powers, spec.nonlinearity * ftime[m], fspace)
-            lap = st.laplacian(u, grad)
-            u_next = st.update(u_prev, u, lap, forcing, a_arr[m], b_arr[m], dt)
-            u_next[:, -1] = 0.0
-            u_prev, u = u, u_next
-    final[active] = u
+        forcing = st.source(absu, powers, fscale[m])
+        lap = st.laplacian(u, st.gradient(u))
+        u_next = st.update(u_prev, u, lap, forcing, a_arr[m], b_arr[m], dt)
+        u_next[:, -1] = 0.0
+        u_prev, u = u, u_next
+    if with_energy:
+        flush()
+    final[active, :width] = u
 
     return [
         SimOutcome(

@@ -4,11 +4,12 @@ import contextlib
 import csv
 import io
 import json
+import math
 import time
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blowuplab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, dispatch
 
@@ -102,6 +103,29 @@ def test_simulate_blowup_from_config(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert code == EXIT_OK
     assert "blowup" in printed and "t*" in printed
+
+
+def test_simulate_overflow_ends_the_trace(tmp_path, capsys):
+    """An overflowing run writes only finite rows and its verdict says so."""
+    out = tmp_path / "trace.csv"
+    code = dispatch(["simulate", "--u1-amplitude", "50", "--p", "3", "--threshold", "1e308",
+                     "--J", "200", "--r-max", "30", "--T-max", "20", "--out", str(out),
+                     "--quiet"])
+    printed = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "blowup t* = 0.75" in printed and "overflowed at t = 0.75" in printed
+    rows = read_csv(out)
+    assert rows[-1]["t"] == "0.675"
+    assert all(math.isfinite(float(value)) for row in rows for value in row.values())
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_step_count_is_bounded(command, capsys):
+    """c_a = 1e12 needs about 2e9 steps: rejected before any array is allocated."""
+    code = dispatch([command, "--c-a", "1e12", "--u1-amplitude", "1", "--quiet"])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert "dt = 2.5e-08" in err and "2e+09 steps" in err
 
 
 def test_sweep_csv(tmp_path, capsys):
@@ -247,6 +271,55 @@ def test_aux_arguments_end_cleanly(damping, perturbation, mu, kappa, horizon):
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    elapsed = time.perf_counter() - start
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL), argv
+    assert elapsed < 5.0, argv
+    assert "Traceback" not in err.getvalue(), argv
+    assert "nan" not in out.getvalue() and "inf" not in out.getvalue(), argv
+
+
+_DAMPING_ARGS = [
+    ["--damping", "constant"],
+    ["--damping", "powerlaw", "--kappa", "0.5"],
+    ["--damping", "powerlaw", "--kappa", "-0.5", "--mu", "3"],
+    ["--damping", "perturbed", "--kappa", "0.5", "--perturbation", "log"],
+]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    command=st.sampled_from(["simulate", "sweep"]),
+    n=st.integers(1, 3),
+    powers=st.lists(st.floats(1.05, 6.0), min_size=1, max_size=3),
+    damping=st.sampled_from(_DAMPING_ARGS),
+    u0=st.floats(-1e3, 1e3),
+    u1=st.floats(-1e3, 1e3),
+    threshold=st.floats(0.0, 308.0).map(lambda e: 10.0**e),
+    J=st.integers(16, 400),
+    T_max=st.floats(0.01, 20.0),
+    c_a=st.floats(0.1, 4.0),
+)
+@example(command="simulate", n=1, powers=[2.0], damping=_DAMPING_ARGS[0], u0=0.0, u1=1.0,
+         threshold=1e6, J=400, T_max=20.0, c_a=1e12)
+@example(command="simulate", n=1, powers=[3.0], damping=_DAMPING_ARGS[0], u0=0.0, u1=50.0,
+         threshold=1e308, J=200, T_max=20.0, c_a=1.0)
+def test_solver_arguments_end_cleanly(command, n, powers, damping, u0, u1, threshold, J,
+                                      T_max, c_a):
+    """Any dimension, powers, damping, data, threshold, grid and horizon: exit 0, 2
+    or 3 within 5 s, no traceback, and no nan or inf in the CSV."""
+    if command == "simulate":
+        argv = ["simulate", "--p", repr(powers[0])]
+    else:
+        argv = ["sweep", "--p-list", ",".join(repr(p) for p in powers)]
+    argv += damping + ["--n", str(n), "--u0-amplitude", repr(u0), "--u1-amplitude", repr(u1),
+                       "--threshold", repr(threshold), "--J", str(J), "--T-max", repr(T_max),
+                       "--c-a", repr(c_a)]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         code = dispatch(argv)
     elapsed = time.perf_counter() - start
     assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL), argv

@@ -14,6 +14,8 @@ from blowuplab.simulator import (
     CflViolation,
     GaussianData,
     SimSpec,
+    _ENERGY_BUDGET,
+    _WINDOW_BLOCK,
     _march,
     convergence_test,
     detect_blowup,
@@ -273,20 +275,77 @@ def _reference_traces(spec, dt, steps):
     return np.array(sups), np.array(energies), u
 
 
-@pytest.mark.parametrize("spec", [
-    SimSpec(problem=unit_problem(3.0, n=2), r_max=30.0, J=200, T_max=10.0,
-            u1=GaussianData(1.0, 1.0)),
-    SimSpec(problem=ProblemSpec(n=3, alpha=0.0, gamma=0.0, delta=0.5, p=1.5,
-                                damping=DampingModel.power_law(1.0, 0.5)),
-            r_max=10.0, J=160, T_max=6.0, u0=GaussianData(0.5, 1.0),
-            u1=GaussianData(1.0, 0.7), nonlinearity=-0.5, allow_boundary_reflections=True),
-], ids=["n2", "n3-delta-powerlaw"])
+REFERENCE_SPECS = {
+    "n2": SimSpec(problem=unit_problem(3.0, n=2), r_max=30.0, J=200, T_max=10.0,
+                  u1=GaussianData(1.0, 1.0)),
+    "n3-delta-powerlaw": SimSpec(
+        problem=ProblemSpec(n=3, alpha=0.0, gamma=0.0, delta=0.5, p=1.5,
+                            damping=DampingModel.power_law(1.0, 0.5)),
+        r_max=10.0, J=160, T_max=6.0, u0=GaussianData(0.5, 1.0),
+        u1=GaussianData(1.0, 0.7), nonlinearity=-0.5, allow_boundary_reflections=True),
+    # overflows at step 235, inside the second chunk of energies
+    "overflow-mid-chunk": SimSpec(problem=unit_problem(3.0), r_max=30.0, J=200, T_max=20.0,
+                                  u1=GaussianData(1.0, 1.0), blowup_threshold=1e308),
+    # no exact zeros: the window is the whole grid from the start
+    "no-zeros": SimSpec(problem=unit_problem(2.0, n=2), r_max=10.0, J=120, T_max=5.0,
+                        u0=GaussianData(-0.5, 10.0), u1=GaussianData(1.0, 10.0),
+                        allow_boundary_reflections=True),
+    # blows up while the window is narrower than the grid; u0 < 0 leaves -0.0
+    # past its support
+    "narrow-support": SimSpec(problem=unit_problem(2.0, n=2), r_max=60.0, J=300, T_max=10.0,
+                              u0=GaussianData(-0.5, 0.5), u1=GaussianData(10.0, 0.5)),
+    # a large amplitude cuts the data off at 1e-173, so the support grows by one
+    # column a step, as fast as the stencil allows
+    "sharp-front": SimSpec(problem=unit_problem(2.0), r_max=60.0, J=300, T_max=20.0,
+                           u1=GaussianData(1e150, 0.5), nonlinearity=0.0,
+                           blowup_threshold=1e200),
+    # closed box: the support starts near r = 8.2 and reaches the wall mid-run
+    "support-reaches-wall": SimSpec(
+        problem=ProblemSpec(n=3, alpha=0.0, gamma=0.0, delta=0.0, p=2.5,
+                            damping=DampingModel.power_law(1.0, 0.5)),
+        r_max=20.0, J=160, T_max=15.0, u0=GaussianData(-0.2, 0.3),
+        u1=GaussianData(1.0, 0.3), allow_boundary_reflections=True),
+}
+
+
+@pytest.mark.parametrize("spec", list(REFERENCE_SPECS.values()), ids=list(REFERENCE_SPECS))
 def test_run_matches_array_reference_bitwise(spec):
     out = run(spec)
-    sups, energies, final = _reference_traces(spec, out.dt, len(out.times) - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sups, energies, final = _reference_traces(spec, out.dt, len(out.times) - 1)
     assert np.array_equal(out.sup_norms, sups)
-    assert np.array_equal(out.energies, energies)
-    assert np.array_equal(out.final_u, final)
+    assert np.array_equal(out.energies, energies, equal_nan=True)
+    # bit patterns, so that a -0.0 in place of +0.0 would show
+    assert np.array_equal(out.final_u.view(np.int64), final.view(np.int64))
+
+
+def test_reference_specs_reach_the_window_edges():
+    """The bitwise specs above reach the cases the support window must get right."""
+    spec = REFERENCE_SPECS["overflow-mid-chunk"]
+    out = run(spec)
+    chunk = max(2, _ENERGY_BUDGET // (spec.J + 1)) - 1    # energies per flush
+    steps = len(out.times) - 1
+    assert out.hard_overflow and steps > chunk and steps % chunk != 0
+    assert not np.isfinite(out.energies[-1])
+
+    spec = REFERENCE_SPECS["narrow-support"]
+    out = run(spec)
+    assert out.verdict == "blowup" and np.count_nonzero(out.final_u) < spec.J - _WINDOW_BLOCK
+
+    spec = REFERENCE_SPECS["sharp-front"]
+    r = np.arange(spec.J + 1) * spec.dr
+    out = run(spec)
+    # one more column every leapfrog step after the Taylor start
+    assert np.count_nonzero(out.final_u) == np.count_nonzero(spec.u1(r)) + len(out.times) - 2
+
+    spec = REFERENCE_SPECS["no-zeros"]
+    r = np.arange(spec.J + 1) * spec.dr
+    assert np.all(spec.u0(r) != 0.0) and np.all(spec.u1(r) != 0.0)
+
+    spec = REFERENCE_SPECS["support-reaches-wall"]
+    r = np.arange(spec.J + 1) * spec.dr
+    assert np.count_nonzero(spec.u1(r)) < spec.J // 2
+    assert run(spec).final_u[-2] != 0.0
 
 
 # -- manufactured verification -----------------------------------------------------------
