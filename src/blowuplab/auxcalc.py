@@ -84,7 +84,6 @@ class TableRangeError(ValueError):
 
 _DEPTH = 48          # split limit of a cell's tree
 _CHUNK = 32          # panels per batched evaluation of b
-_NODE_BUDGET = 4096  # estimated tree nodes walked at once
 _ROUND = 4096        # panels evaluated per round of a walk, at most
 # panels one cell may take: above the heaviest cell of the builds known to
 # resolve (2.27M panels for b growing like t**0.5 to horizon 1e7), far below
@@ -153,12 +152,12 @@ def _phi_cells(bfun, t0, t1, tol: float):
     mass is layer-free and accurate.
 
     The panels, splits and prunes are those of a depth-first recursion over
-    each cell, but the cells are walked together, one batched panel
-    evaluation per round (see :func:`_walk`), in blocks of about
-    ``_NODE_BUDGET`` tree nodes as estimated from the root panels.  A cell
-    that takes more than ``_CELL_PANELS`` panels raises
-    ``QuadratureNonconvergence``, in any batch exactly as alone.  A
-    non-finite panel raises ``FloatingPointError``.
+    each cell, but all the cells of a call are walked together, in one walk
+    of one batched panel evaluation per round (see :func:`_walk`).  The walk
+    keeps every panel of the call, about 50 bytes each.  A cell that takes
+    more than ``_CELL_PANELS`` panels raises ``QuadratureNonconvergence``,
+    in any batch exactly as alone.  A non-finite panel raises
+    ``FloatingPointError``.
     """
     shape = np.shape(t0)
     t0 = np.ravel(np.asarray(t0, dtype=float))
@@ -166,26 +165,18 @@ def _phi_cells(bfun, t0, t1, tol: float):
     q, err, ib, E = _exp_panels(bfun, t0, t1)
     open_ = np.flatnonzero(~_settled(q, err, ib, tol))
     if open_.size:
-        # a few e-folds take a few splits; thousands take a long spine down
-        # to the decay layer and many panels across it
-        mass = ib[open_]
-        nodes = np.where(mass <= 3.0, 1, np.where(mass <= 3e4, 72, 1100))
-        block = (np.cumsum(nodes) - 1) // _NODE_BUDGET
-        for cells in np.split(open_, np.flatnonzero(np.diff(block)) + 1):
-            q[cells] = _walk(bfun, _Tree(a=t0[cells], b=t1[cells], E=E[cells], Q=q[cells]), tol)
+        q[open_] = _walk(bfun, _Tree(a=t0[open_], b=t1[open_], E=E[open_], Q=q[open_]), tol)
     return q.reshape(shape), E.reshape(shape)
 
 
 class _Tree:
-    """Split trees of a block of cells, one array entry per live node.
+    """Split trees of the cells of one walk, one array entry per node.
 
     A node holds its cell [a, b], its own E = exp(-int_a^b b), its q (the
     panel's, then its subtree's once composed), the links to its parent and
     halves (-1 for none), its root, its remaining depth and whether its q is
-    final.  The roots are the first nodes.  A node is live while it is a
-    root, is not final, or has a parent that is not final; the halves of a
-    finished node are read no more, and :meth:`add` reclaims them when it
-    runs out of room.
+    final.  The roots are the first nodes.  Nodes are never dropped: the
+    tree holds every panel of its walk.
     """
 
     _COLUMNS = (("a", float), ("b", float), ("E", float), ("Q", float), ("up", np.int32),
@@ -199,37 +190,16 @@ class _Tree:
         self._resize(max(_ROUND, 4 * a.size))
         self.add(a, b, E, Q, up=-1, root=np.arange(a.size), depth=_DEPTH, finished=False)
 
-    def add(self, a, b, E, Q, up, root, depth, finished, held=()):
-        """Append nodes; returns their indices and the index arrays
-        ``held``, of live nodes, renumbered if nodes were reclaimed."""
+    def add(self, a, b, E, Q, up, root, depth, finished):
+        """Append nodes; returns their indices."""
         if self.size + a.size > self.a.size:
-            up, *held = self._reclaim(up, *held)
-            if self.size + a.size > self.a.size // 2:
-                self._resize(2 * (self.size + a.size))
+            self._resize(2 * (self.size + a.size))
         start, self.size = self.size, self.size + a.size
         new = slice(start, self.size)
         self.a[new], self.b[new], self.E[new], self.Q[new] = a, b, E, Q
         self.up[new], self.left[new], self.right[new], self.root[new] = up, -1, -1, root
         self.depth[new], self.finished[new] = depth, finished
-        return np.arange(start, self.size), held
-
-    def _reclaim(self, *held):
-        """Drop the nodes that are not live; returns ``held`` renumbered."""
-        n = self.size
-        up, finished = self.up[:n], self.finished[:n]
-        live = ~finished
-        live[up < 0] = True
-        live[up >= 0] |= ~finished[up[up >= 0]]
-        # each node's new index, -1 for a dropped one; index -1 maps to -1
-        renumber = np.full(n + 1, -1, np.int32)
-        self.size = int(np.count_nonzero(live))
-        renumber[:n][live] = np.arange(self.size, dtype=np.int32)
-        for name, _ in self._COLUMNS:
-            column = getattr(self, name)
-            column[:self.size] = column[:n][live]
-        for column in (self.up, self.left, self.right):
-            column[:self.size] = renumber[column[:self.size]]
-        return [renumber[ids] for ids in held]
+        return np.arange(start, self.size)
 
     def _resize(self, capacity: int):
         for name, _ in self._COLUMNS:
@@ -243,8 +213,7 @@ def _walk(bfun, tree: _Tree, tol: float):
 
     Each round evaluates, in one batched call, the right halves that fell
     due and the left halves of the nodes that split most recently, at most
-    ``_ROUND`` panels, so the walk leans depth first and few nodes are live
-    at a time.  A right half falls due as soon as its left sibling's panel
+    ``_ROUND`` panels, so the walk leans depth first.  A right half falls due as soon as its left sibling's panel
     shows that the prune test must fail (E_left * width_right >
     2 tol width_left, while q_left <= width_left), and otherwise once the
     left subtree's q is composed and the test fails.  A right half that the
@@ -274,8 +243,7 @@ def _walk(bfun, tree: _Tree, tol: float):
         q, err, ib, E = _exp_panels(bfun, a, b)
         depth = tree.depth[parents] - 1
         settled = _settled(q, err, ib, tol) | (depth <= 0)
-        kids, (split, due, work) = tree.add(a, b, E, q, parents, root, depth, settled,
-                                            held=(split, due, work))
+        kids = tree.add(a, b, E, q, parents, root, depth, settled)
         nl = split.size
         tree.left[split], tree.right[due] = kids[:nl], kids[nl:]
         # left halves, still splitting, whose sibling cannot be pruned

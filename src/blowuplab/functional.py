@@ -205,21 +205,28 @@ def G_alpha(
     for n = 1, same growth rate otherwise); ``box`` does the tensor-product
     quadrature over the exact box regions, available for n <= 3.
     """
+    return _G_values(spec, family, [R], alpha, method, box_points)[0]
+
+
+def _G_values(spec: ProblemSpec, family: ScalingFamily, Rs, alpha: MultiIndex,
+              method: str = "radial", box_points: int = 24) -> list:
+    """:func:`G_alpha` at each scale of ``Rs``; the time integrals of all
+    the scales are one lockstep :func:`integrate_adaptive` call."""
     _check_integrability(spec)
     if alpha.label not in ("2e0", "e0", "2e_space"):
-        return 0.0
-    F0 = family.F0(R)
+        return [0.0] * len(Rs)
+    F0 = np.array([family.F0(R) for R in Rs])
     t_lo = F0 / 2.0 if alpha.alpha0 > 0 else 0.0
     t_int = integrate_adaptive(_time_weight(spec, family.aux, alpha),
                                t_lo, F0, abs_tol=1e-14, rel_tol=1e-9)
 
     if method == "radial":
-        x_int = _radial_factor(spec, R, full_ball=alpha.space_order == 0)
+        x_int = [_radial_factor(spec, R, full_ball=alpha.space_order == 0) for R in Rs]
     elif method == "box":
-        x_int = _box_space_integral(spec, R, alpha, box_points)
+        x_int = [_box_space_integral(spec, R, alpha, box_points) for R in Rs]
     else:
         raise ValueError(f"unknown method {method!r}")
-    return t_int * x_int
+    return [t * x for t, x in zip(t_int.tolist(), x_int)]
 
 
 def _box_space_integral(spec: ProblemSpec, R: float, alpha: MultiIndex, pts: int) -> float:
@@ -342,11 +349,9 @@ def scan_condition(
                MultiIndex.space2(spec.n)]
     rows, fitted, predicted, verdicts = {}, {}, {}, {}
     for idx in indices:
-        data = []
-        for R in Rs:
-            H = H_alpha(family, R, idx)
-            G = G_alpha(spec, family, R, idx)
-            data.append((float(R), H, G, H * G ** (1.0 / pc)))
+        Hs = [H_alpha(family, R, idx) for R in Rs]
+        Gs = _G_values(spec, family, Rs, idx)
+        data = [(float(R), H, G, H * G ** (1.0 / pc)) for R, H, G in zip(Rs, Hs, Gs)]
         rows[idx.label] = data
         products = np.array([row[3] for row in data])
         slope = _fit_tail_slope(Rs, products)

@@ -9,6 +9,7 @@ reliable error estimate per panel.
 from __future__ import annotations
 
 import heapq
+import itertools
 from typing import Callable
 
 import numpy as np
@@ -76,28 +77,20 @@ def gauss_kronrod_panel(f: Callable, a, b):
 
 
 def _sharpened(diff):
-    """The K15 error estimate from the gap |K15 - G7|, elementwise.
+    """The K15 error estimates from the gaps |K15 - G7|, an array.
 
     The gap over-estimates the K15 error, so it is sharpened to
     min(diff, (200 diff)**1.5).  The power only wins below
     diff = 1/200**3 = 1.25e-7, so it is taken below 2e-7 alone (the margin
     keeps rounding near 1.25e-7 from changing the pick), where it cannot
-    overflow.  A zero or NaN gap gives 0.
+    overflow.  A zero or NaN gap gives 0.  The power is libm's, element by
+    element: numpy's vectorized power can round differently in the last bit,
+    and these estimates decide which panel splits next.
     """
-    if np.ndim(diff):
-        small = (diff > 0.0) & (diff < 2e-7)
-        out = np.where(diff > 0.0, diff, 0.0)
-        out[small] = np.minimum(diff[small], (200.0 * diff[small]) ** 1.5)
-        return out
-    if not diff > 0.0:
-        return 0.0
-    return min(diff, (200.0 * diff) ** 1.5) if diff < 2e-7 else diff
-
-
-def _sharpened_panel(f: Callable, a: float, b: float) -> tuple[float, float]:
-    """One K15 panel with its error estimate sharpened."""
-    val, diff = gauss_kronrod_panel(f, a, b)
-    return float(val), _sharpened(float(diff))
+    small = (diff > 0.0) & (diff < 2e-7)
+    out = np.where(diff > 0.0, diff, 0.0)
+    out[small] = [min(d, (200.0 * d) ** 1.5) for d in diff[small].tolist()]
+    return out
 
 
 def integrate_adaptive(
@@ -114,47 +107,52 @@ def integrate_adaptive(
     Stops when the summed panel error drops below
     ``max(abs_tol, rel_tol * |integral|)``; always splits the worst panel.
     Raises :class:`QuadratureNonconvergence` if the panel budget runs out.
-    ``a`` and ``b`` are scalars or arrays of one shape, one integral per
-    pair: the first panels of an array are one batched call, and only the
-    intervals whose first panel misses the tolerance are refined, each as
-    its scalar call.
+    ``a`` and ``b`` are scalars (the result is a float) or arrays of one
+    shape, one integral per pair.  The integrals are refined in lockstep:
+    each round splits the worst panel of every integral still open and
+    evaluates all the new halves in one call of ``f``.  Each integral keeps
+    its own heap of panels, so its splits, sums and error estimates, and its
+    result bit for bit, are those it takes alone.
     """
-    if np.ndim(a) or np.ndim(b):
-        a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        val, diff = gauss_kronrod_panel(f, lo, hi)
-        val[lo == hi] = 0.0
-        missed = _sharpened(diff) > np.maximum(abs_tol, rel_tol * np.abs(val))
-        for i in zip(*np.nonzero(missed)):
-            val[i] = integrate_adaptive(f, float(lo[i]), float(hi[i]), abs_tol=abs_tol,
-                                        rel_tol=rel_tol, max_panels=max_panels)
-        return np.where(b < a, -val, val)
-    if a == b:
-        return 0.0
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-    val, err = _sharpened_panel(f, a, b)
-    # heap of (-error, left, right, value) so the worst panel pops first
-    heap = [(-err, a, b, val)]
-    total = val
-    total_err = err
-    while total_err > max(abs_tol, rel_tol * abs(total)):
-        if len(heap) >= max_panels:
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+    a = np.broadcast_to(np.asarray(a, dtype=float), shape).ravel()
+    b = np.broadcast_to(np.asarray(b, dtype=float), shape).ravel()
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    total, diff = gauss_kronrod_panel(f, lo, hi)
+    empty = lo == hi
+    total[empty], diff[empty] = 0.0, 0.0
+    total_err = _sharpened(diff)
+    open_ = np.arange(lo.size)
+    heaps = {}  # per open integral, (-error, left, right, value): worst pops first
+    for panels in itertools.count(1):
+        # fmax, as Python's max, takes abs_tol over a NaN integral
+        missed = total_err[open_] > np.fmax(abs_tol, rel_tol * np.abs(total[open_]))
+        open_ = open_[missed]
+        if not open_.size:
+            break
+        if panels >= max_panels:
+            i = open_[0]
             raise QuadratureNonconvergence(
-                f"quadrature on [{a:g}, {b:g}] did not reach tolerance "
-                f"{rel_tol:g} after {max_panels} panels (error {total_err:g})"
+                f"quadrature on [{lo[i]:g}, {hi[i]:g}] did not reach tolerance "
+                f"{rel_tol:g} after {max_panels} panels (error {total_err[i]:g})"
             )
-        neg_err, left, right, old_val = heapq.heappop(heap)
+        if panels == 1:
+            heaps = {i: [(-float(total_err[i]), float(lo[i]), float(hi[i]), float(total[i]))]
+                     for i in open_.tolist()}
+        neg_err, left, right, old_val = np.array([heapq.heappop(heaps[i]) for i in open_.tolist()]).T
         mid = 0.5 * (left + right)
-        v1, e1 = _sharpened_panel(f, left, mid)
-        v2, e2 = _sharpened_panel(f, mid, right)
-        total += v1 + v2 - old_val
-        total_err += e1 + e2 - (-neg_err)
-        heapq.heappush(heap, (-e1, left, mid, v1))
-        heapq.heappush(heap, (-e2, mid, right, v2))
-    return sign * total
+        val, diff = gauss_kronrod_panel(f, np.concatenate((left, mid)), np.concatenate((mid, right)))
+        err = _sharpened(diff)
+        n = open_.size
+        total[open_] += val[:n] + val[n:] - old_val
+        total_err[open_] += err[:n] + err[n:] - (-neg_err)
+        halves = (zip((-err[:n]).tolist(), left.tolist(), mid.tolist(), val[:n].tolist()),
+                  zip((-err[n:]).tolist(), mid.tolist(), right.tolist(), val[n:].tolist()))
+        for i, first, second in zip(open_.tolist(), *halves):
+            heapq.heappush(heaps[i], first)
+            heapq.heappush(heaps[i], second)
+    out = np.where(b < a, -total, total).reshape(shape)
+    return out if shape else float(out)
 
 
 def gauss_legendre_nodes(a: float, b: float, panels: int, order: int = 8):

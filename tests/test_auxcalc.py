@@ -355,9 +355,9 @@ def test_phi_cells_make_the_recursions_panels(model, horizon):
         assert np.array_equal(q, ref[:, 0]) and np.array_equal(E, ref[:, 1])
 
 
-def test_walk_blocks_and_chunks_leave_results_unchanged(monkeypatch):
-    """Tiny node budgets, rounds and panel chunks change the schedule, not
-    the panels or the bits."""
+def test_walk_rounds_and_chunks_leave_results_unchanged(monkeypatch):
+    """Tiny rounds and panel chunks change the schedule, not the panels or
+    the bits."""
     model = DampingModel.power_law(1.0, -0.5)
     t = np.geomspace(1e-3, 1e3, 97).reshape(1, 97)
     panels, exp_panels = [], auxcalc._exp_panels
@@ -366,7 +366,6 @@ def test_walk_blocks_and_chunks_leave_results_unchanged(monkeypatch):
     want = build_aux_table(model, 1e3)
     g = want.g_at(t)
     counted, panels[:] = sum(panels), []
-    monkeypatch.setattr(auxcalc, "_NODE_BUDGET", 1)
     monkeypatch.setattr(auxcalc, "_ROUND", 5)
     monkeypatch.setattr(auxcalc, "_CHUNK", 3)
     got = build_aux_table(model, 1e3)
