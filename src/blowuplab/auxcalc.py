@@ -85,11 +85,12 @@ class TableRangeError(ValueError):
 _DEPTH = 48          # split limit of a cell's tree
 _CHUNK = 32          # panels per batched evaluation of b
 _ROUND = 4096        # panels evaluated per round of a walk, at most
-# panels one cell may take: above the heaviest cell of the builds known to
-# resolve (2.27M panels for b growing like t**0.5 to horizon 1e7), far below
-# the 2**48 leaves a cell splits into where the rounding of its node
-# positions keeps the error estimate above tol
-_CELL_PANELS = 1 << 22
+# panels one cell may take: ten times the heaviest cell seen (106 panels, in
+# the tests, the benchmark and 800 random aux tables), far below the 2**48
+# leaves of a cell that never settles; such a cell fails after about 50 kB
+# of tree nodes
+_CELL_PANELS = 1 << 10
+_OFFSETS = 1.0 + _KRONROD_NODES  # Kronrod nodes on [0, 2]
 
 
 def _exp_panels(bfun, t0, t1):
@@ -105,13 +106,17 @@ def _exp_panels(bfun, t0, t1):
     out = np.empty((3, t0.size))
     with np.errstate(all="ignore"):
         for s in range(0, t0.size, _CHUNK):
-            a, b = t0[s:s + _CHUNK, None], t1[s:s + _CHUNK, None]
-            half = 0.5 * (b - a)
-            breaks = np.concatenate((a, 0.5 * (a + b) + half * _KRONROD_NODES, b), axis=1)
+            a, width = t0[s:s + _CHUNK, None], t1[s:s + _CHUNK, None] - t0[s:s + _CHUNK, None]
+            half = 0.5 * width
+            # breaks and nodes as offsets from a: taken at absolute times,
+            # their rounding would floor the error estimate of a cell only a
+            # few ulps of t wide above tol
+            breaks = np.concatenate((np.zeros_like(a), half * _OFFSETS, width), axis=1)
             lefts, rights = breaks[:, :-1, None], breaks[:, 1:, None]
             sub_half = 0.5 * (rights - lefts)
             grid = sub_half * _KRONROD_NODES
             grid += 0.5 * (lefts + rights)
+            grid += a[..., None]
             vals = np.asarray(bfun(grid), dtype=float)
             # one BLAS call of one shape per panel (a stacked matmul, a
             # vecdot per row), so a panel's sums do not depend on its batch

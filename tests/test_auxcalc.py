@@ -286,15 +286,19 @@ def test_failed_table_checks_are_numerical_failures(monkeypatch):
 # -- the batched exponential cell ----------------------------------------------
 
 def _reference_panel(bfun, t0, t1):
-    """One K15 panel of tau -> exp(-int_{t0}^{tau} b), scalar: (q, err, ib)."""
-    half = 0.5 * (t1 - t0)
-    nodes = 0.5 * (t0 + t1) + half * _KRONROD_NODES
-    breaks = np.concatenate(([t0], nodes, [t1]))
+    """One K15 panel of tau -> exp(-int_{t0}^{tau} b), scalar: (q, err, ib).
+
+    The breaks and nodes are offsets from t0, which is added only where b
+    is evaluated."""
+    width = t1 - t0
+    half = 0.5 * width
+    nodes = half * (1.0 + _KRONROD_NODES)
+    breaks = np.concatenate(([0.0], nodes, [width]))
     lefts, rights = breaks[:-1], breaks[1:]
     sub_half = 0.5 * (rights - lefts)
     sub_mid = 0.5 * (lefts + rights)
     grid = sub_mid[:, None] + sub_half[:, None] * _KRONROD_NODES[None, :]
-    vals = np.asarray(bfun(grid.ravel()), dtype=float).reshape(grid.shape)
+    vals = np.asarray(bfun(grid.ravel() + t0), dtype=float).reshape(grid.shape)
     cum = np.cumsum(sub_half * (vals @ _KRONROD_WEIGHTS))
     weights_at_nodes = np.exp(-cum[:-1])
     k15 = half * float(np.dot(_KRONROD_WEIGHTS, weights_at_nodes))
@@ -375,20 +379,21 @@ def test_walk_rounds_and_chunks_leave_results_unchanged(monkeypatch):
     assert sum(panels) == counted
 
 
-def test_unresolvable_cells_stop_at_the_panel_limit(monkeypatch):
-    """b = 4e14 near t = 1e-3: the decay layer is a few hundred ulps of t wide,
-    so rounding keeps every panel's error estimate above tol and the cell
-    would split toward 2**48 leaves; the walk stops at the panel limit."""
-    monkeypatch.setattr(auxcalc, "_CELL_PANELS", 4096)
-    with pytest.raises(QuadratureNonconvergence, match="did not resolve within 4096 panels"):
-        auxcalc._phi_cells(DampingModel.constant(4e14).b, np.array([1e-3]),
-                           np.array([1.0367e-3]), 1e-11)
+def test_unresolvable_cells_stop_at_the_panel_limit():
+    """Seeded noise for b never settles a panel, so the cell would split
+    toward 2**48 leaves; the walk stops at the panel limit."""
+    rng = np.random.default_rng(0)
+    noise = lambda t: rng.uniform(1.0, 2.0, np.shape(t))
+    limit = auxcalc._CELL_PANELS
+    with pytest.raises(QuadratureNonconvergence, match=f"did not resolve within {limit} panels"):
+        auxcalc._phi_cells(noise, np.array([0.0, 1e-3, 1.0]), np.array([1.0, 1e-3, 2.0]), 1e-11)
 
 
 def test_cells_resolve_together_exactly_when_alone(monkeypatch):
-    """The panel limit holds per cell, not per batch: heavy cells walked
-    together resolve under the largest one's panel count, bit for bit as
-    each alone, and fail one panel below it, as that cell alone does."""
+    """The panel limit holds per cell, not per batch: a table's heaviest
+    cells walked together, with many times the largest one's panel count
+    between them, resolve under that count, bit for bit as each alone, and
+    fail one panel below it, as that cell alone does."""
     model = DampingModel.power_law(1.0, -0.5)
     aux = build_aux_table(model, 1e5)
     t0, t1, tol = aux.grid[-9:-1], aux.grid[-8:], aux.quad_tol * 0.1
@@ -398,7 +403,7 @@ def test_cells_resolve_together_exactly_when_alone(monkeypatch):
         auxcalc._phi_cells(counting.b, a, b, tol)
         panels.append(counting.points // (16 * 15))
     heaviest = int(np.argmax(panels))
-    assert panels[heaviest] > 1000 and sorted(panels)[-2] > 500
+    assert panels[heaviest] > 50 and sum(panels) > 4 * panels[heaviest]
     monkeypatch.setattr(auxcalc, "_CELL_PANELS", panels[heaviest])
     q, E = auxcalc._phi_cells(model.b, t0, t1, tol)
     alone = np.array([auxcalc._phi_cells(model.b, a, b, tol) for a, b in zip(t0, t1)])
