@@ -179,17 +179,24 @@ def _cmd_scan(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     outcome = simulator.run(_sim_spec_from_args(args, cfg))
-    # the trace ends before the first step whose sup or energy overflowed
-    finite = np.isfinite(outcome.sup_norms) & np.isfinite(outcome.energies)
+    times, sups, energies = outcome.times, outcome.sup_norms, outcome.energies
+    # the trace ends before the first step whose sup norm overflowed; an
+    # energy that alone overflowed is written as an empty field
+    finite = np.isfinite(sups)
     kept = len(finite) if finite.all() else int(np.argmin(finite))
+    energy_ok = np.isfinite(energies)
     # one format per row, the same "{:.12g}" as _fmt for each float
-    lines = map("{:.12g},{:.12g},{:.12g}\n".format, outcome.times[:kept],
-                outcome.sup_norms[:kept], outcome.energies[:kept])
+    row, bare = "{:.12g},{:.12g},{:.12g}\n".format, "{:.12g},{:.12g},\n".format
+    lines = (row(t, s, e) if ok else bare(t, s)
+             for t, s, e, ok in zip(times[:kept], sups[:kept], energies[:kept], energy_ok))
     _write_csv(args.out, ["t", "sup_norm", "energy"], lines, args.quiet)
     tstar = f" t* = {_fmt(outcome.t_star)}" if outcome.t_star is not None else ""
     cut = ""
+    if not energy_ok[:kept].all():
+        first = float(times[np.argmin(energy_ok)])
+        cut = f"energy overflowed at t = {_fmt(first)}, left empty where not finite; "
     if kept < len(finite):
-        cut = f"overflowed at t = {_fmt(float(outcome.times[kept]))}, trace ends before it; "
+        cut += f"sup norm overflowed at t = {_fmt(float(times[kept]))}, trace ends before it; "
     print(f"verdict: {outcome.verdict}{tstar} ({cut}{outcome.note})")
     return EXIT_OK
 

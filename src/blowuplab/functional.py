@@ -313,11 +313,31 @@ def _fit_tail_slope(Rs: np.ndarray, products: np.ndarray) -> float:
 
 
 def scan_horizon(model: DampingModel, s_max: float) -> float:
-    """Smallest power-of-two horizon T with B(T) >= s_max."""
-    T = max(2.0, s_max * float(model.b(0.0)))
-    while compute_B(model, T, 1e-8) < s_max:
-        T *= 2.0
-    return T
+    """Smallest horizon T = T0 * 2**k, T0 = max(2, s_max b(0)), with B(T) >= s_max.
+
+    B increases with T, so k is found by doubling it and then bisecting,
+    in a few dozen evaluations of B even where T ends near the top of the
+    floating-point range.  A ladder that needs T >= 2**1023 raises
+    ``ValueError``.
+    """
+    T0 = max(2.0, s_max * float(model.b(0.0)))
+    # the largest k with T0 * 2**k below 2**1023, so that quadrature
+    # midpoints 0.5 * (a + b) on [0, T] cannot overflow
+    top = 1023 - math.frexp(T0)[1] if math.isfinite(T0) else -1
+
+    def short(k: int) -> bool:
+        return k <= top and compute_B(model, math.ldexp(T0, k), 1e-8) < s_max
+
+    lo, hi = -1, 0  # short(lo), unless lo = -1, and not short(hi)
+    while short(hi):
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if short(mid) else (lo, mid)
+    if hi > top:
+        raise ValueError(f"B(T) reaches {s_max:g} only at T >= 2**1023; "
+                         "shorten the scale ladder")
+    return math.ldexp(T0, hi)
 
 
 def scan_condition(

@@ -136,6 +136,30 @@ def test_g_constant_family(aux_const1):
     assert abs(aux2.g_at(5.0) - 0.5) < 1e-10
 
 
+def test_g_constant_family_over_a_long_table():
+    """Constant damping: g = 1/mu at every node and read of a table to 1e7,
+    where cells are many ulps of t narrower than t itself."""
+    for mu in (1.0, 0.97, 1e-3, 1e4):
+        aux = build_aux_table(DampingModel.constant(mu), 1e7)
+        assert np.max(np.abs(aux.g_vals * mu - 1.0)) < 1e-12
+        t = np.geomspace(1e-4, 1e7, 200)
+        assert np.max(np.abs(aux.g_at(t) * mu - 1.0)) < 1e-11
+
+
+def test_g_growing_damping_at_large_times():
+    """b = sqrt(1 + t) to horizon 1e6 against the closed form
+    g = (2/3)**(1/3) e**v GammaUpper(2/3, v), v = (2/3)(1 + t)**1.5, at 1e-10."""
+    mpmath = pytest.importorskip("mpmath")
+    aux = build_aux_table(DampingModel.power_law(1.0, -0.5), 1e6)
+    with mpmath.workdps(40):
+        def g_exact(t):
+            v = mpmath.mpf(2) / 3 * (1 + mpmath.mpf(t)) ** mpmath.mpf(1.5)
+            third = mpmath.mpf(1) / 3
+            return float((2 * third) ** third * mpmath.exp(v) * mpmath.gammainc(2 * third, v))
+        exact = np.array([g_exact(t) for t in aux.grid])
+    assert np.max(np.abs(aux.g_vals / exact - 1.0)) < 1e-10
+
+
 def test_g_at_zero_is_reciprocal_mass(aux_powerlaw_half):
     assert abs(aux_powerlaw_half.g_at(0.0) * aux_powerlaw_half.bhat1 - 1.0) < 1e-12
 

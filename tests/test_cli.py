@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import math
+import os
+import tempfile
 import time
 import warnings
 
@@ -105,18 +107,42 @@ def test_simulate_blowup_from_config(tmp_path, capsys):
     assert "blowup" in printed and "t*" in printed
 
 
+def _finite_or_empty(rows):
+    return all(value == "" or math.isfinite(float(value)) for row in rows for value in row.values())
+
+
 def test_simulate_overflow_ends_the_trace(tmp_path, capsys):
-    """An overflowing run writes only finite rows and its verdict says so."""
+    """An overflowing run ends its trace before the first overflowed sup
+    norm, writes an energy that overflowed before it as an empty field, and
+    its verdict names both times."""
     out = tmp_path / "trace.csv"
     code = dispatch(["simulate", "--u1-amplitude", "50", "--p", "3", "--threshold", "1e308",
                      "--J", "200", "--r-max", "30", "--T-max", "20", "--out", str(out),
                      "--quiet"])
     printed = capsys.readouterr().out
     assert code == EXIT_OK
-    assert "blowup t* = 0.75" in printed and "overflowed at t = 0.75" in printed
+    assert "blowup t* = 0.75" in printed
+    assert "energy overflowed at t = 0.75" in printed and "sup norm overflowed at t = 0.825" in printed
     rows = read_csv(out)
-    assert rows[-1]["t"] == "0.675"
-    assert all(math.isfinite(float(value)) for row in rows for value in row.values())
+    assert rows[-1]["t"] == "0.75" and rows[-1]["energy"] == ""
+    assert rows[-2]["t"] == "0.675" and rows[-2]["energy"] != ""
+    assert _finite_or_empty(rows)
+
+
+def test_simulate_energy_overflow_alone_keeps_the_trace(tmp_path, capsys):
+    """v0**2/2 overflows at t = 0 while the sup norm stays finite: every row
+    with a finite sup norm is written, with an empty energy, and the verdict
+    names the time t* that the trace reaches."""
+    out = tmp_path / "trace.csv"
+    code = dispatch(["simulate", "--u1-amplitude", "1e200", "--threshold", "1e308",
+                     "--J", "64", "--r-max", "40", "--T-max", "1", "--out", str(out), "--quiet"])
+    printed = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "blowup t* = 0.3125" in printed and "energy overflowed at t = 0," in printed
+    rows = read_csv(out)
+    assert [row["t"] for row in rows] == ["0", "0.3125"]
+    assert all(row["energy"] == "" for row in rows) and float(rows[-1]["sup_norm"]) > 1e199
+    assert _finite_or_empty(rows)
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -326,3 +352,52 @@ def test_solver_arguments_end_cleanly(command, n, powers, damping, u0, u1, thres
     assert elapsed < 5.0, argv
     assert "Traceback" not in err.getvalue(), argv
     assert "nan" not in out.getvalue() and "inf" not in out.getvalue(), argv
+
+
+def _real(lo, hi, special=()):
+    """Floats in [lo, hi] as command-line text, and the ``special`` values."""
+    return st.one_of(st.floats(lo, hi), st.sampled_from(special) if special else st.nothing()).map(repr)
+
+
+_DAMPING = st.tuples(
+    st.sampled_from(["constant", "powerlaw", "perturbed"]),
+    st.floats(-6.0, 6.0).map(lambda e: repr(10.0**e)),
+    _real(-1.2, 1.2),
+    st.sampled_from([[], ["--perturbation", "log"], ["--perturbation", "sin"]]),
+).map(lambda d: ["--damping", d[0], "--mu", d[1], "--kappa", d[2]] + d[3])
+
+_SCAN = st.tuples(
+    st.integers(0, 4), _real(1.0, 8.0), _real(-1.0, 1.0), _real(-1.0, 1.0), _real(-1.0, 1.0),
+    st.lists(st.floats(1.5, 400.0), min_size=4, max_size=6, unique=True), _DAMPING,
+).map(lambda a: ["scan", "--n", str(a[0]), "--p", a[1], "--alpha", a[2], "--gamma", a[3],
+                 "--delta", a[4], "--R", ",".join(repr(R) for R in sorted(a[5]))] + a[6])
+
+_EXPONENTS = st.tuples(
+    st.integers(-1, 5), *(_real(-2.0, 2.0, (math.nan, math.inf, -math.inf)) for _ in range(3)),
+).map(lambda a: ["exponents", "--n", str(a[0]), "--alpha", a[1], "--gamma", a[2], "--delta", a[3]])
+
+_CHECK = st.tuples(st.floats(1.0, 308.0).map(lambda e: repr(10.0**e)), _real(-0.5, 1.5), _DAMPING).map(
+    lambda a: ["check", "--horizon", a[0], "--margin", a[1]] + a[2])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(argv=st.one_of(_SCAN, _EXPONENTS, _CHECK))
+# a ladder whose table horizon lies past the floating-point range
+@example(argv=["scan", "--n", "3", "--p", "7.64", "--alpha", "0.83", "--gamma", "0.19",
+               "--delta", "0.15", "--R", "78.5,135.9,205.9,331.0", "--damping", "powerlaw",
+               "--mu", "1.77e-06", "--kappa", "-0.9486", "--perturbation", "sin"])
+def test_analysis_arguments_end_cleanly(argv):
+    """Any scan, exponents or check arguments: exit 0, 2 or 3 within 5 s, no
+    traceback, and no nan or inf in the CSV."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/out.csv"
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = dispatch(argv + ["--out", path, "--quiet"])
+        elapsed = time.perf_counter() - start
+        written = open(path).read() if os.path.exists(path) else ""
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL), argv
+    assert elapsed < 5.0, argv
+    assert "Traceback" not in err.getvalue(), argv
+    assert "nan" not in written and "inf" not in written, argv

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from blowuplab.auxcalc import build_aux_table
+from blowuplab.auxcalc import build_aux_table, compute_B
 from blowuplab.coeffs import DampingModel, ProblemSpec
 from blowuplab.functional import (
     G_alpha,
@@ -18,6 +18,7 @@ from blowuplab.functional import (
     dstar_coefficients,
     predicted_slope,
     scan_condition,
+    scan_horizon,
     time_estimate_better,
     weak_residual,
 )
@@ -293,3 +294,24 @@ def test_data_functional_linearity():
     mix1 = lambda r: 2.0 * u1a(r) + 3.0 * u1b(r)
     fmix = data_functional(mix0, mix1, m, n=2, bhat1=bh)
     assert abs(fmix - (2.0 * fa + 3.0 * fb)) < 1e-10 * max(1.0, abs(fmix))
+
+
+@pytest.mark.parametrize("model, s_max", [
+    (DampingModel.constant(1.0), 700.0),
+    (DampingModel.power_law(1.0, 0.5), 5e4),
+    (DampingModel.power_law(1.0, -0.5), 30.0),
+    (DampingModel.power_law(3.0, -0.9), 1e3),
+])
+def test_scan_horizon_is_the_first_doubling_that_reaches(model, s_max):
+    """The horizon is the first T0 * 2**k, T0 = max(2, s_max b(0)), with
+    B(T) >= s_max, as doubling T one step at a time finds it."""
+    T = max(2.0, s_max * float(model.b(0.0)))
+    while compute_B(model, T, 1e-8) < s_max:
+        T *= 2.0
+    assert scan_horizon(model, s_max) == T
+
+
+def test_scan_horizon_beyond_the_float_range_is_rejected():
+    """B grows like t**0.05 here, so B(T) = 1e30 needs T far past 1e308."""
+    with pytest.raises(ValueError, match="shorten the scale ladder"):
+        scan_horizon(DampingModel.power_law(1e-6, -0.95), 1e30)

@@ -74,3 +74,62 @@ def test_nonconvergence_raises():
 def test_gauss_legendre_panels():
     nodes, weights = gauss_legendre_nodes(0.0, math.pi, panels=8, order=8)
     assert abs(float(np.sum(weights * np.sin(nodes))) - 2.0) < 1e-12
+
+
+# -- lockstep refinement of array calls ------------------------------------------
+
+_WAVE = lambda x: np.exp(-0.5 * x) * np.cos(3.0 * x) / (1.0 + x)
+
+
+def _alone(f, a, b, **tol):
+    """Each interval's scalar result, as an array of the shape of ``a``."""
+    return np.array([integrate_adaptive(f, float(lo), float(hi), **tol)
+                     for lo, hi in zip(np.ravel(a), np.ravel(b))]).reshape(np.shape(a))
+
+
+def _refinements(f, a, b, **tol):
+    """Splits the scalar call takes: one panel first, then two per split."""
+    panels = []
+    integrate_adaptive(lambda x: panels.append(len(x)) or f(x), a, b, **tol)
+    return (sum(panels) - 1) // 2
+
+
+def _same_bits(x, y):
+    return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+def test_lockstep_matches_each_interval_alone():
+    """Intervals needing 0, 1 and many splits, refined together, give each
+    scalar result bit for bit, in one integrand call per round."""
+    a = np.array([[0.0, 0.0], [0.0, 2.0]])
+    b = np.array([[1.0, 1.5], [20.0, 60.0]])
+    tol = dict(rel_tol=1e-11)
+    splits = [_refinements(_WAVE, lo, hi, **tol) for lo, hi in zip(a.ravel(), b.ravel())]
+    assert splits[:2] == [0, 1] and min(splits[2:]) > 10
+    calls = []
+    got = integrate_adaptive(lambda x: calls.append(len(x)) or _WAVE(x), a, b, **tol)
+    assert got.shape == a.shape
+    assert _same_bits(got, _alone(_WAVE, a, b, **tol))
+    assert len(calls) == 1 + max(splits)
+
+
+def test_lockstep_empty_and_reversed_intervals():
+    """A zero-width interval gives +0.0 and a reversed one the negated
+    forward value, in a batch exactly as alone."""
+    a = np.array([0.0, 3.0, 20.0, 5.0])
+    b = np.array([3.0, 0.0, 0.0, 5.0])
+    got = integrate_adaptive(_WAVE, a, b, rel_tol=1e-11)
+    assert _same_bits(got, _alone(_WAVE, a, b, rel_tol=1e-11))
+    assert _same_bits(got[1], -got[0]) and _same_bits(got[3], 0.0)
+
+
+def test_lockstep_raises_as_the_failing_interval_alone():
+    """One interval that exhausts ``max_panels`` fails the batch with the
+    error it raises alone."""
+    f = lambda x: 1.0 / np.maximum(x, 1e-300)
+    tol = dict(abs_tol=1e-14, rel_tol=1e-14, max_panels=100)
+    with pytest.raises(QuadratureNonconvergence) as alone:
+        integrate_adaptive(f, 0.0, 1.0, **tol)
+    with pytest.raises(QuadratureNonconvergence) as batch:
+        integrate_adaptive(f, np.array([1.0, 2.0, 0.0]), np.array([2.0, 4.0, 1.0]), **tol)
+    assert str(batch.value) == str(alone.value)
