@@ -21,7 +21,11 @@ for pure power-law damping and whose contribution is damped by
 exp(-int_t^T b); T is pushed out until the estimate stabilizes.  The
 finite stretches are adaptive exponential cells (:func:`_phi_cells`),
 resolved many at once: a table's cells in one call, an array read's bridges
-in one call.
+in one call, each call one walk over the split trees of all its cells.  A
+panel places its nodes as offsets from its cell's left end, so a cell
+narrow against t is resolved to the accuracy of its width, not of t.  The
+increments of B and log beta, and the scan's integrals of g, refine many
+integrals in lockstep (:func:`integrate_adaptive` with array endpoints).
 """
 
 from __future__ import annotations
@@ -98,15 +102,17 @@ def _exp_panels(bfun, t0, t1):
 
     ``t0`` and ``t1`` are 1-d arrays.  Returns the arrays (q, err, ib, E):
     the integral, its error estimate, ib = int_{t0}^{t1} b and
-    E = exp(-ib).  The inner accumulations run over the 16 sub-panels
-    between consecutive Kronrod nodes, so one call to ``bfun`` feeds a chunk
-    of ``_CHUNK`` cells.  A non-finite panel (b overflowing, say) raises
-    ``FloatingPointError``.
+    E = exp(-ib).  The breaks and nodes are offsets from t0, added to it
+    only where b is evaluated.  The inner accumulations run over the 16
+    sub-panels between consecutive Kronrod nodes, so one call to ``bfun``
+    feeds a chunk of ``_CHUNK`` cells.  A non-finite panel (b overflowing,
+    say) raises ``FloatingPointError``.
     """
     out = np.empty((3, t0.size))
     with np.errstate(all="ignore"):
         for s in range(0, t0.size, _CHUNK):
-            a, width = t0[s:s + _CHUNK, None], t1[s:s + _CHUNK, None] - t0[s:s + _CHUNK, None]
+            a = t0[s:s + _CHUNK, None]
+            width = t1[s:s + _CHUNK, None] - a
             half = 0.5 * width
             # breaks and nodes as offsets from a: taken at absolute times,
             # their rounding would floor the error estimate of a cell only a
@@ -154,14 +160,16 @@ def _phi_cells(bfun, t0, t1, tol: float):
     The exponentially dead right half is pruned when
     E_left * width_right <= tol * q_left, through the bound
     q_right <= width_right.  E is the cell's own panel value: the damping
-    mass is layer-free and accurate.
+    mass is layer-free and accurate.  The panels take their nodes as
+    offsets from the cell's left end (see :func:`_exp_panels`).
 
     The panels, splits and prunes are those of a depth-first recursion over
     each cell, but all the cells of a call are walked together, in one walk
     of one batched panel evaluation per round (see :func:`_walk`).  The walk
     keeps every panel of the call, about 50 bytes each.  A cell that takes
     more than ``_CELL_PANELS`` panels raises ``QuadratureNonconvergence``,
-    in any batch exactly as alone.  A non-finite panel raises
+    in any batch exactly as alone, so a cell that never settles fails after
+    about 50 kB of its own nodes.  A non-finite panel raises
     ``FloatingPointError``.
     """
     shape = np.shape(t0)
