@@ -226,12 +226,12 @@ def _walk(bfun, tree: _Tree, tol: float):
 
     Each round evaluates, in one batched call, the right halves that fell
     due and the left halves of the nodes that split most recently, at most
-    ``_ROUND`` panels, so the walk leans depth first.  A right half falls due as soon as its left sibling's panel
-    shows that the prune test must fail (E_left * width_right >
-    2 tol width_left, while q_left <= width_left), and otherwise once the
-    left subtree's q is composed and the test fails.  A right half that the
-    exact test prunes after all is dropped, so the result never depends on
-    the schedule.
+    ``_ROUND`` panels, so the walk leans depth first.  A right half falls
+    due as soon as its left sibling's panel shows that the prune test must
+    fail (E_left * width_right > 2 tol width_left, while
+    q_left <= width_left), and otherwise once the left subtree's q is
+    composed and the test fails.  A right half that the exact test prunes
+    after all is dropped, so the result never depends on the schedule.
     """
     roots = tree.size
     panels = np.ones(roots, np.int64)

@@ -123,7 +123,9 @@ def integrate_adaptive(
     total[empty], diff[empty] = 0.0, 0.0
     total_err = _sharpened(diff)
     open_ = np.arange(lo.size)
-    heaps = {}  # per open integral, (-error, left, right, value): worst pops first
+    # per integral, a heap of (-error, left, right, value): the worst panel pops first
+    heaps = [[panel] for panel in zip((-total_err).tolist(), lo.tolist(), hi.tolist(),
+                                      total.tolist())]
     for panels in itertools.count(1):
         # fmax, as Python's max, takes abs_tol over a NaN integral
         missed = total_err[open_] > np.fmax(abs_tol, rel_tol * np.abs(total[open_]))
@@ -136,9 +138,6 @@ def integrate_adaptive(
                 f"quadrature on [{lo[i]:g}, {hi[i]:g}] did not reach tolerance "
                 f"{rel_tol:g} after {max_panels} panels (error {total_err[i]:g})"
             )
-        if panels == 1:
-            heaps = {i: [(-float(total_err[i]), float(lo[i]), float(hi[i]), float(total[i]))]
-                     for i in open_.tolist()}
         neg_err, left, right, old_val = np.array([heapq.heappop(heaps[i]) for i in open_.tolist()]).T
         mid = 0.5 * (left + right)
         val, diff = gauss_kronrod_panel(f, np.concatenate((left, mid)), np.concatenate((mid, right)))

@@ -9,6 +9,7 @@ import os
 import tempfile
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -380,7 +381,7 @@ _CHECK = st.tuples(st.floats(1.0, 308.0).map(lambda e: repr(10.0**e)), _real(-0.
     lambda a: ["check", "--horizon", a[0], "--margin", a[1]] + a[2])
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(argv=st.one_of(_SCAN, _EXPONENTS, _CHECK))
 # a ladder whose table horizon lies past the floating-point range
 @example(argv=["scan", "--n", "3", "--p", "7.64", "--alpha", "0.83", "--gamma", "0.19",
@@ -396,7 +397,7 @@ def test_analysis_arguments_end_cleanly(argv):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = dispatch(argv + ["--out", path, "--quiet"])
         elapsed = time.perf_counter() - start
-        written = open(path).read() if os.path.exists(path) else ""
+        written = Path(path).read_text() if os.path.exists(path) else ""
     assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL), argv
     assert elapsed < 5.0, argv
     assert "Traceback" not in err.getvalue(), argv
