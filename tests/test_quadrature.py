@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from blowuplab.quadrature import (
     QuadratureNonconvergence,
+    _sharpened,
     gauss_kronrod_panel,
     gauss_legendre_nodes,
     integrate_adaptive,
@@ -133,3 +134,12 @@ def test_lockstep_raises_as_the_failing_interval_alone():
     with pytest.raises(QuadratureNonconvergence) as batch:
         integrate_adaptive(f, np.array([1.0, 2.0, 0.0]), np.array([2.0, 4.0, 1.0]), **tol)
     assert str(batch.value) == str(alone.value)
+
+
+def test_sharpened_estimates_are_the_scalar_formula():
+    """Each estimate is min(d, (200 d)**1.5) with Python's power, bit for
+    bit; numpy's vectorized power can round differently in the last bit."""
+    diff = 10.0 ** np.random.default_rng(0).uniform(-20.0, -5.0, 2000)
+    want = [min(d, (200.0 * d) ** 1.5) if d < 2e-7 else d for d in diff.tolist()]
+    assert _same_bits(_sharpened(diff), np.array(want))
+    assert _same_bits(_sharpened(np.array([0.0, np.nan, 1.0])), np.array([0.0, 0.0, 1.0]))
