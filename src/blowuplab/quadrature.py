@@ -110,9 +110,10 @@ def integrate_adaptive(
     ``a`` and ``b`` are scalars (the result is a float) or arrays of one
     shape, one integral per pair.  The integrals are refined in lockstep:
     each round splits the worst panel of every integral still open and
-    evaluates all the new halves in one call of ``f``.  Each integral keeps
-    its own heap of panels, so its splits, sums and error estimates, and its
-    result bit for bit, are those it takes alone.
+    evaluates all the new halves in one call of ``f``, which takes an array
+    of abscissae of shape (panels, 15), for scalar endpoints too.  Each
+    integral keeps its own heap of panels, so its splits, sums and error
+    estimates, and its result bit for bit, are those it takes alone.
     """
     shape = np.broadcast_shapes(np.shape(a), np.shape(b))
     a = np.broadcast_to(np.asarray(a, dtype=float), shape).ravel()
