@@ -513,6 +513,9 @@ def build_aux_table(
         raise ValueError("horizon must be finite")
     if horizon <= 10 * t_min:
         raise ValueError("horizon too small for the tabulation grid")
+    if not math.isfinite(horizon / t_min):
+        raise ValueError(f"horizon {horizon:g} is too large: horizon / t_min must be finite, "
+                         f"so the horizon must stay below {t_min * np.finfo(float).max:.4g}")
     decades = math.log10(horizon / t_min)
     count = max(2, int(math.ceil(decades * points_per_decade)))
     grid = np.concatenate(([0.0], np.geomspace(t_min, horizon, count)))

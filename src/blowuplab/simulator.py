@@ -24,10 +24,21 @@ march would hold.  Energies are computed in chunks: the full-width rows of
 u are buffered and turned into energies in one 2-D pass, with every row
 summed over all J pairs, zeros included, because numpy's pairwise sum
 groups its terms by the length of the row.
+
+The source term skips pow on the wave's numerical front, where numpy's
+pow is slow.  Below cut(p) = 2^(-1076/p) the exact |u|^p is under a
+quarter of the smallest subnormal, so any pow with error under 0.75 ulp
+returns +0.0 there, and the source row holds +0.0 without calling it.
+numpy's SIMD pow states no error bound that far down, and for p beyond
+about 1e15 the rounding of the cut itself can cost the margin, so each
+power's cut is kept only after a probe of the same ufunc returns +0.0 on
+the largest double below it, a spread down to 5e-324 and 0; otherwise
+nothing is skipped.  nan and inf always go through pow.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -222,6 +233,24 @@ def _coefficient_arrays(prob: ProblemSpec, aux: AuxTable, steps: int, dt: float)
     return ts, a, b, ftime
 
 
+@functools.lru_cache(maxsize=1024)
+def _underflow_cut(p: float) -> float:
+    """Magnitude below which ``np.power(x, p)`` is +0.0, or 0.0 for no cut.
+
+    The cut 2^(-1076/p) (see the module docstring) is kept only if the
+    same ufunc returns +0.0 on a contiguous array of the largest double
+    below it, a geometric spread down to 5e-324, and 0.
+    """
+    cut = 2.0 ** (-1076.0 / p)
+    below = np.nextafter(cut, 0.0)
+    if below == 0.0:    # p near 1: only 0 lies below the cut
+        return 0.0
+    probe = np.append(np.geomspace(below, 5e-324, 63), 0.0)
+    with np.errstate(all="ignore"):
+        zeros = np.power(probe, p)
+    return cut if not zeros.view(np.int64).any() else 0.0
+
+
 class _Stencil:
     """Grid constants of the leapfrog update on a (rows, J+1) batch.
 
@@ -271,12 +300,17 @@ class _Stencil:
         None when ``scale`` is 0: the source is then exactly zero for a
         finite field.  Each power stays a scalar, as in a single run: numpy
         takes a scalar 2 or 0.5 as a square or a square root, not as pow.
+        pow runs only where |u| >= ``_underflow_cut(p)``; every other entry
+        is the +0.0 that pow returns there, and numpy's pow is slow on such
+        entries.  The mask ``~(mag < cut)`` sends nan and inf through pow,
+        and the full-row multiply by the scale still turns the skipped
+        zeros into -0.0 where the scale is negative.
         """
         if scale == 0.0:
             return None
-        src = np.empty_like(absu)
+        src = np.zeros_like(absu)
         for row, mag, p in zip(src, absu, powers):
-            np.power(mag, p, out=row)
+            np.power(mag, p, out=row, where=~(mag < _underflow_cut(p)))
         src *= scale if self.fspace is None else scale * self.fspace
         return src
 

@@ -236,6 +236,8 @@ def test_simulate_rejects_nan_input(flag, capsys):
     (["aux", "--mu", "nan"], EXIT_VALIDATION),
     (["aux", "--mu", "inf"], EXIT_VALIDATION),
     (["aux", "--horizon", "inf"], EXIT_VALIDATION),
+    # finite, but horizon / t_min overflows
+    (["aux", "--horizon", "1e308"], EXIT_VALIDATION),
     (["check", "--horizon", "inf"], EXIT_VALIDATION),
     (["scan", "--R", "8,16,32,inf"], EXIT_VALIDATION),
     (["scan", "--R", "8,16,32,nan"], EXIT_VALIDATION),

@@ -16,7 +16,9 @@ from blowuplab.simulator import (
     SimSpec,
     _ENERGY_BUDGET,
     _WINDOW_BLOCK,
+    _Stencil,
     _march,
+    _underflow_cut,
     convergence_test,
     detect_blowup,
     run,
@@ -299,6 +301,12 @@ REFERENCE_SPECS = {
     "sharp-front": SimSpec(problem=unit_problem(2.0), r_max=60.0, J=300, T_max=20.0,
                            u1=GaussianData(1e150, 0.5), nonlinearity=0.0,
                            blowup_threshold=1e200),
+    # a negative nonlinearity on a front whose |u|^p underflows: the skipped
+    # source entries are -0.0, as pow's +0.0 times the scale is
+    "n1-delta-defocusing": SimSpec(
+        problem=ProblemSpec(n=1, alpha=0.0, gamma=0.0, delta=0.5, p=2.5,
+                            damping=DampingModel.constant(1.0)),
+        r_max=30.0, J=200, T_max=10.0, u1=GaussianData(2.0, 0.5), nonlinearity=-1.0),
     # closed box: the support starts near r = 8.2 and reaches the wall mid-run
     "support-reaches-wall": SimSpec(
         problem=ProblemSpec(n=3, alpha=0.0, gamma=0.0, delta=0.0, p=2.5,
@@ -346,6 +354,73 @@ def test_reference_specs_reach_the_window_edges():
     r = np.arange(spec.J + 1) * spec.dr
     assert np.count_nonzero(spec.u1(r)) < spec.J // 2
     assert run(spec).final_u[-2] != 0.0
+
+    # fronts where the source skips pow: nonzero |u| below the underflow cut
+    for name in ("n2", "n1-delta-defocusing"):
+        spec = REFERENCE_SPECS[name]
+        mag = np.abs(run(spec).final_u)
+        assert np.any((mag > 0.0) & (mag < _underflow_cut(spec.problem.p)))
+    assert REFERENCE_SPECS["n1-delta-defocusing"].nonlinearity < 0.0
+
+
+# -- source term: the underflow cut ------------------------------------------------------
+
+# 1e17: np.power(cut, p) is 1e-323, so the boundary must sit exactly at x < cut;
+# 1e20: the cut rounds to 1.0
+CUT_POWERS = [1.01, 1.2, 1.5, 2.0, 2.5, 3.0, 6.0, 50.0, 1e17, 1e20]
+
+
+def _mixed_magnitudes(p: float, size: int, rng) -> np.ndarray:
+    """|u| values of every input class of pow at power p, shuffled."""
+    cut = 2.0 ** (-1076.0 / p)
+    near = [cut]
+    for _ in range(4):
+        near = [np.nextafter(near[0], 0.0)] + near + [np.nextafter(near[-1], np.inf)]
+    classes = [
+        near,                                               # both sides of the cut
+        np.geomspace(5e-324, 2.0**-1022, 40),               # subnormal |u|
+        np.geomspace(max(2.0 ** (-1200.0 / p), 5e-324), cut, 40),   # |u|^p underflows
+        np.geomspace(2.0 ** (-1074.0 / p), 2.0 ** (-1022.0 / p), 40),   # subnormal |u|^p
+        [0.0, 0.0, np.inf, np.nan],
+    ]
+    mixed = np.concatenate(classes)
+    mag = np.concatenate((mixed, rng.uniform(0.0, 4.0, size - len(mixed))))  # ordinary
+    rng.shuffle(mag)
+    return mag
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.5])
+@pytest.mark.parametrize("scale", [1.5, -0.75])
+def test_source_matches_pow_bitwise(scale, delta):
+    """Skipping the entries below the cut leaves every bit of the source row."""
+    rng = np.random.default_rng(7)
+    J = 400
+    powers = CUT_POWERS + [1.001]    # 1.001: only 0 is below the cut, nothing is skipped
+    st = _Stencil(J, 0.05, 2, delta)
+    absu = np.array([_mixed_magnitudes(p, J + 1, rng) for p in powers])
+    with np.errstate(all="ignore"):
+        src = st.source(absu, powers, scale)
+        factor = scale if st.fspace is None else scale * st.fspace
+        for row, mag, p in zip(src, absu, powers):
+            assert np.array_equal(row.view(np.int64), (factor * np.power(mag, p)).view(np.int64))
+    assert (st.fspace is None) == (delta == 0.0)
+
+
+@pytest.mark.parametrize("p", CUT_POWERS)
+def test_pow_underflows_below_the_cut(p):
+    cut = 2.0 ** (-1076.0 / p)
+    below = np.nextafter(cut, 0.0)
+    values = np.append(np.geomspace(5e-324, below, 4096), below)
+    assert np.all(values < cut)
+    assert not np.power(values, p).view(np.int64).any()    # +0.0 has the bits 0
+    assert _underflow_cut(p) == cut
+
+
+def test_underflow_cut_falls_back_to_no_cut():
+    # p near 1: no positive double lies below the cut
+    assert _underflow_cut(1.001) == 0.0
+    # x^-2 is huge below the cut: the probe fails and nothing is skipped
+    assert _underflow_cut(-2.0) == 0.0
 
 
 # -- manufactured verification -----------------------------------------------------------
