@@ -236,8 +236,6 @@ def test_simulate_rejects_nan_input(flag, capsys):
     (["aux", "--mu", "nan"], EXIT_VALIDATION),
     (["aux", "--mu", "inf"], EXIT_VALIDATION),
     (["aux", "--horizon", "inf"], EXIT_VALIDATION),
-    # finite, but horizon / t_min overflows
-    (["aux", "--horizon", "1e308"], EXIT_VALIDATION),
     (["check", "--horizon", "inf"], EXIT_VALIDATION),
     (["scan", "--R", "8,16,32,inf"], EXIT_VALIDATION),
     (["scan", "--R", "8,16,32,nan"], EXIT_VALIDATION),
@@ -249,6 +247,8 @@ def test_simulate_rejects_nan_input(flag, capsys):
     (["scan", "--c-a", "nan"], EXIT_VALIDATION),
     (["scan", "--c-f", "nan"], EXIT_VALIDATION),
     (["simulate", "--c-a", "nan"], EXIT_VALIDATION),
+    # finite, but horizon / t_min overflows
+    (["aux", "--horizon", "1e308"], EXIT_VALIDATION),
 ])
 def test_nonfinite_inputs_exit_cleanly(argv, expected, capsys):
     captured = _assert_clean_exit(argv, expected, capsys)
