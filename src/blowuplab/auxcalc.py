@@ -65,6 +65,7 @@ __all__ = [
 
 DEFAULT_QUAD_TOL = 1e-10
 POINTS_PER_DECADE = 64
+T_MIN = 1e-3         # first positive node of a table's grid
 
 
 class TailNonconvergence(RuntimeError):
@@ -95,6 +96,7 @@ _ROUND = 4096        # panels evaluated per round of a walk, at most
 # of tree nodes
 _CELL_PANELS = 1 << 10
 _OFFSETS = 1.0 + _KRONROD_NODES  # Kronrod nodes on [0, 2]
+_TAIL_CELLS = 800    # outward cells of a tail march before it gives up
 
 
 def _exp_panels(bfun, t0, t1):
@@ -156,7 +158,7 @@ def _phi_cells(bfun, t0, t1, tol: float):
     Returns the arrays (q, E), of the shape of ``t0``, with
     q = int_{t0}^{t1} exp(-int_{t0}^{tau} b) dtau and E = exp(-int_{t0}^{t1} b).
     A cell whose K15 panel does not stand (see :func:`_settled`) is halved,
-    down to depth 48, and q composes exactly: q = q_left + E_left * q_right.
+    and q composes exactly: q = q_left + E_left * q_right.
     The exponentially dead right half is pruned when
     E_left * width_right <= tol * q_left, through the bound
     q_right <= width_right.  E is the cell's own panel value: the damping
@@ -169,8 +171,10 @@ def _phi_cells(bfun, t0, t1, tol: float):
     keeps every panel of the call, about 50 bytes each.  A cell that takes
     more than ``_CELL_PANELS`` panels raises ``QuadratureNonconvergence``,
     in any batch exactly as alone, so a cell that never settles fails after
-    about 50 kB of its own nodes.  A non-finite panel raises
-    ``FloatingPointError``.
+    about 50 kB of its own nodes; so does a cell with a piece whose panel
+    still does not stand after ``_DEPTH`` halvings, where the rounding of t
+    floors its error estimate above tol (far horizons against 1/b).  A
+    non-finite panel raises ``FloatingPointError``.
     """
     shape = np.shape(t0)
     t0 = np.ravel(np.asarray(t0, dtype=float))
@@ -255,7 +259,13 @@ def _walk(bfun, tree: _Tree, tol: float):
                 f"within {_CELL_PANELS} panels")
         q, err, ib, E = _exp_panels(bfun, a, b)
         depth = tree.depth[parents] - 1
-        settled = _settled(q, err, ib, tol) | (depth <= 0)
+        settled = _settled(q, err, ib, tol)
+        stuck = ~settled & (depth <= 0)
+        if stuck.any():
+            i = root[np.argmax(stuck)]
+            raise QuadratureNonconvergence(
+                f"exponential cell [{tree.a[i]:g}, {tree.b[i]:g}] did not resolve "
+                f"within {_DEPTH} halvings")
         kids = tree.add(a, b, E, q, parents, root, depth, settled)
         nl = split.size
         tree.left[split], tree.right[due] = kids[:nl], kids[nl:]
@@ -299,7 +309,7 @@ def _compose(tree: _Tree, nodes, tol: float):
     return np.array(due, dtype=np.intp)
 
 
-def _g_tail(model: DampingModel, start: float, tol: float, max_cells: int = 800) -> float:
+def _g_tail(model: DampingModel, start: float, tol: float) -> float:
     """g(start) = int_start^inf exp(-int_start^tau b) dtau.
 
     Marches geometrically growing cells outward, closing with the
@@ -313,7 +323,7 @@ def _g_tail(model: DampingModel, start: float, tol: float, max_cells: int = 800)
     step = 0.5 / float(model.b(start))
     estimate = None
     stable = 0
-    for _ in range(max_cells):
+    for _ in range(_TAIL_CELLS):
         T_next = T + max(step, 0.35 * T)
         q, E = _phi_cells(bfun, T, T_next, tol * 0.1)
         accumulated += damping_factor * float(q)
@@ -360,17 +370,17 @@ def compute_B(model: DampingModel, t: float, tol: float = DEFAULT_QUAD_TOL) -> f
                               abs_tol=tol, rel_tol=tol)
 
 
-def compute_beta(model: DampingModel, t: float, tol: float = DEFAULT_QUAD_TOL) -> float:
-    """beta(t) = exp(-int_0^t b), relative accuracy ~ tol."""
+def compute_beta(model: DampingModel, t: float) -> float:
+    """beta(t) = exp(-int_0^t b), relative accuracy ~ ``DEFAULT_QUAD_TOL``."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t == 0:
         return 1.0
-    integral = integrate_adaptive(model.b, 0.0, t, abs_tol=0.1 * tol, rel_tol=0.0)
+    integral = integrate_adaptive(model.b, 0.0, t, abs_tol=0.1 * DEFAULT_QUAD_TOL, rel_tol=0.0)
     return math.exp(-integral)
 
 
-def compute_Gamma(model: DampingModel, t: float, tol: float = DEFAULT_QUAD_TOL) -> float:
+def compute_Gamma(model: DampingModel, t: float) -> float:
     """Gamma(t) = int_t^inf beta, via the factored tail march.
 
     Computed as beta(t) * g(t) so the result keeps relative accuracy even
@@ -378,12 +388,12 @@ def compute_Gamma(model: DampingModel, t: float, tol: float = DEFAULT_QUAD_TOL) 
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    return compute_beta(model, t, tol) * _g_tail(model, t, tol)
+    return compute_beta(model, t) * _g_tail(model, t, DEFAULT_QUAD_TOL)
 
 
-def compute_bhat1(model: DampingModel, tol: float = DEFAULT_QUAD_TOL) -> float:
+def compute_bhat1(model: DampingModel) -> float:
     """Reciprocal total mass of beta: 1 / Gamma(0)."""
-    return 1.0 / _g_tail(model, 0.0, tol)
+    return 1.0 / _g_tail(model, 0.0, DEFAULT_QUAD_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +411,7 @@ class AuxTable:
 
     Queries between grid points are closed with one local quadrature panel
     against the nearest grid value, so lookups inherit the build accuracy
-    (about ``quad_tol`` relative) instead of an interpolation error.  Every
+    (about 1e-10 relative) instead of an interpolation error.  Every
     read takes a scalar (and returns a float) or an array of times (and
     returns an array of its shape); the B and log beta bridges of an array
     are one batched panel call, its g bridges one batched set of adaptive
@@ -415,7 +425,6 @@ class AuxTable:
     log_beta_vals: np.ndarray
     g_vals: np.ndarray
     bhat1: float
-    quad_tol: float
     B_unit_shift: float  # B(1), the regularizing shift for speed/forcing laws
 
     @property
@@ -461,7 +470,7 @@ class AuxTable:
 
     def g_at(self, t):
         t, i = self._locate(t)
-        q, E = _phi_cells(self.model.b, t, self.grid[i], self.quad_tol)
+        q, E = _phi_cells(self.model.b, t, self.grid[i], DEFAULT_QUAD_TOL)
         return _like_query(q + E * self.g_vals[i])
 
     def dg_at(self, t):
@@ -471,7 +480,7 @@ class AuxTable:
         return self.beta_at(t) * self.g_at(t)
 
     def invert_B(self, s: float) -> float:
-        """A(s): the time t with B(t) = s, to |B(A(s)) - s| <= quad_tol."""
+        """A(s): the time t with B(t) = s, to |B(A(s)) - s| <= ``DEFAULT_QUAD_TOL``."""
         if not math.isfinite(s):
             raise ValueError("s must be finite")
         if s < 0:
@@ -492,14 +501,10 @@ class AuxTable:
         return float(root)
 
 
-def build_aux_table(
-    model: DampingModel,
-    horizon: float,
-    quad_tol: float = DEFAULT_QUAD_TOL,
-    points_per_decade: int = POINTS_PER_DECADE,
-    t_min: float = 1e-3,
-) -> AuxTable:
+def build_aux_table(model: DampingModel, horizon: float) -> AuxTable:
     """Tabulate B, log beta and g on a log-spaced grid over [0, horizon].
+
+    The grid is 0, then ``POINTS_PER_DECADE`` nodes a decade from ``T_MIN``.
 
     g is filled right to left by the exact cell recurrence
     g(t_i) = q_i + E_i * g(t_{i+1}), seeded by the stabilized tail value at
@@ -511,25 +516,26 @@ def build_aux_table(
     """
     if not math.isfinite(horizon):
         raise ValueError("horizon must be finite")
-    if horizon <= 10 * t_min:
+    if horizon <= 10 * T_MIN:
         raise ValueError("horizon too small for the tabulation grid")
-    if not math.isfinite(horizon / t_min):
+    if not math.isfinite(horizon / T_MIN):
         raise ValueError(f"horizon {horizon:g} is too large: horizon / t_min must be finite, "
-                         f"so the horizon must stay below {t_min * np.finfo(float).max:.4g}")
-    decades = math.log10(horizon / t_min)
-    count = max(2, int(math.ceil(decades * points_per_decade)))
-    grid = np.concatenate(([0.0], np.geomspace(t_min, horizon, count)))
+                         f"so the horizon must stay below {T_MIN * np.finfo(float).max:.4g}")
+    decades = math.log10(horizon / T_MIN)
+    count = max(2, int(math.ceil(decades * POINTS_PER_DECADE)))
+    grid = np.concatenate(([0.0], np.geomspace(T_MIN, horizon, count)))
     grid[-1] = horizon
 
     bfun = model.b
     lo, hi = grid[:-1], grid[1:]
-    adaptive = dict(abs_tol=quad_tol * 1e-3, rel_tol=quad_tol * 0.1)
+    tol = DEFAULT_QUAD_TOL
+    adaptive = dict(abs_tol=tol * 1e-3, rel_tol=tol * 0.1)
     dB = integrate_adaptive(lambda x: 1.0 / bfun(x), lo, hi, **adaptive)
-    # a first panel of b within quad_tol stands as it is
+    # a first panel of b within tol stands as it is
     dI, gap = gauss_kronrod_panel(bfun, lo, hi)
-    refine = gap > quad_tol * np.maximum(1.0, np.abs(dI))
+    refine = gap > tol * np.maximum(1.0, np.abs(dI))
     dI[refine] = integrate_adaptive(bfun, lo[refine], hi[refine], **adaptive)
-    q_cells, E_cells = _phi_cells(bfun, lo, hi, quad_tol * 0.1)
+    q_cells, E_cells = _phi_cells(bfun, lo, hi, tol * 0.1)
 
     with np.errstate(over="ignore"):
         B_vals = np.concatenate(([0.0], np.cumsum(dB)))
@@ -540,7 +546,7 @@ def build_aux_table(
             raise TabulationError(f"{name} leaves the floating-point range at t = {t:g}")
 
     g_vals = np.empty(len(grid))
-    g_vals[-1] = _g_tail(model, horizon, quad_tol)
+    g_vals[-1] = _g_tail(model, horizon, tol)
     for i in range(len(grid) - 2, -1, -1):
         g_vals[i] = q_cells[i] + E_cells[i] * g_vals[i + 1]
 
@@ -556,7 +562,6 @@ def build_aux_table(
         log_beta_vals=log_beta,
         g_vals=g_vals,
         bhat1=1.0 / float(g_vals[0]),
-        quad_tol=quad_tol,
         B_unit_shift=0.0,
     )
     object.__setattr__(table, "B_unit_shift", table.B_at(1.0))
@@ -593,12 +598,7 @@ class HypothesisReport:
     horizon: float
 
 
-def check_hypothesis(
-    model: DampingModel,
-    horizon: float,
-    margin: float = 0.05,
-    points_per_decade: int = POINTS_PER_DECADE,
-) -> HypothesisReport:
+def check_hypothesis(model: DampingModel, horizon: float, margin: float = 0.05) -> HypothesisReport:
     """Sample the admissibility ratios up to ``horizon`` and report verdicts.
 
     The liminf/limsup estimates are extrema over the last decade
@@ -609,7 +609,7 @@ def check_hypothesis(
         raise ValueError("horizon must be finite")
     if horizon < 100:
         raise ValueError("horizon must be at least 100")
-    count = max(16, int(math.log10(horizon) * points_per_decade))
+    count = max(16, int(math.log10(horizon) * POINTS_PER_DECADE))
     ts = np.geomspace(1.0, horizon, count)
     b = np.asarray(model.b(ts), dtype=float)
     db = np.asarray(model.db(ts), dtype=float)
@@ -646,6 +646,9 @@ def check_hypothesis(
     return report
 
 
+_EXPONENT_SLACK = 0.05  # of the dilation bounds in verify_equivalences
+
+
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Measured two-sided comparability ratios and dilation checks."""
@@ -661,12 +664,12 @@ class EquivalenceReport:
     B_scaling_ok: bool = True
 
 
-def verify_equivalences(aux: AuxTable, horizon: float, margin: float = 0.05) -> EquivalenceReport:
+def verify_equivalences(aux: AuxTable, horizon: float) -> EquivalenceReport:
     """Measure Gamma*b/beta and B*b/t plus the dilation-ratio bounds.
 
     For lam in {2, 4, 8} and tail times t the ratios b(lam t)/b(t) and
     B(lam t)/B(t) are checked against the power bounds implied by the
-    fitted growth exponents (with ``margin`` of slack in the exponent).
+    fitted growth exponents, with ``_EXPONENT_SLACK`` of slack in the exponent.
     """
     if horizon > aux.horizon:
         raise TableRangeError("horizon beyond tabulated range")
@@ -691,10 +694,11 @@ def verify_equivalences(aux: AuxTable, horizon: float, margin: float = 0.05) -> 
         t_samples = np.geomspace(horizon / 10.0, horizon / lam, 16)
         b_ratio = np.asarray(aux.model.b(lam * t_samples) / aux.model.b(t_samples), float)
         B_ratio = aux.B_at(lam * t_samples) / aux.B_at(t_samples)
-        lo, hi = lam ** (-fitted_M - margin), lam ** (fitted_m + margin)
+        lo, hi = lam ** (-fitted_M - _EXPONENT_SLACK), lam ** (fitted_m + _EXPONENT_SLACK)
         ok_b = bool(np.all((b_ratio >= lo) & (b_ratio <= hi)))
         expo = np.log(B_ratio) / np.log(lam)
-        ok_B = bool(np.all((expo >= 1.0 - fitted_m - margin) & (expo <= 1.0 + fitted_M + margin)))
+        ok_B = bool(np.all((expo >= 1.0 - fitted_m - _EXPONENT_SLACK)
+                           & (expo <= 1.0 + fitted_M + _EXPONENT_SLACK)))
         rows.append({
             "lam": lam,
             "b_ratio_min": float(np.min(b_ratio)),

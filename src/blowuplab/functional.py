@@ -46,6 +46,10 @@ __all__ = [
 
 BOUNDED_TOL = 0.02
 GROWING_TOL = 0.05
+# Gauss points per axis of the exact box quadrature
+_BOX_POINTS = 24
+# time and space extent of the cutoff in the weak-form residual
+_CUTOFF_SCALE = 4.0
 
 
 class NonintegrableSingularity(ValueError):
@@ -194,24 +198,19 @@ def _radial_factor(spec: ProblemSpec, R: float, full_ball: bool) -> float:
 def G_alpha(
     spec: ProblemSpec,
     family: ScalingFamily,
-    R: float,
+    Rs: Sequence[float],
     alpha: MultiIndex,
     method: str = "radial",
-    box_points: int = 24,
-) -> float:
-    """Weighted p'-integral of the operator coefficient over its shell.
+) -> list:
+    """Weighted p'-integral of the operator coefficient over its shell, one per scale.
 
-    ``radial`` replaces the box cross-sections by the matching balls (exact
-    for n = 1, same growth rate otherwise); ``box`` does the tensor-product
-    quadrature over the exact box regions, available for n <= 3.
+    Returns the list of G(R) for the ladder ``Rs``.  ``radial`` replaces
+    the box cross-sections by the matching balls (exact for n = 1, same
+    growth rate otherwise); ``box`` does the tensor-product quadrature over
+    the exact box regions, available for n <= 3.  The time integrals of all
+    the scales are one lockstep :func:`integrate_adaptive` call, so each
+    value equals that of its one-scale ladder bit for bit.
     """
-    return _G_values(spec, family, [R], alpha, method, box_points)[0]
-
-
-def _G_values(spec: ProblemSpec, family: ScalingFamily, Rs, alpha: MultiIndex,
-              method: str = "radial", box_points: int = 24) -> list:
-    """:func:`G_alpha` at each scale of ``Rs``; the time integrals of all
-    the scales are one lockstep :func:`integrate_adaptive` call."""
     _check_integrability(spec)
     if alpha.label not in ("2e0", "e0", "2e_space"):
         return [0.0] * len(Rs)
@@ -223,13 +222,13 @@ def _G_values(spec: ProblemSpec, family: ScalingFamily, Rs, alpha: MultiIndex,
     if method == "radial":
         x_int = [_radial_factor(spec, R, full_ball=alpha.space_order == 0) for R in Rs]
     elif method == "box":
-        x_int = [_box_space_integral(spec, R, alpha, box_points) for R in Rs]
+        x_int = [_box_space_integral(spec, R, alpha) for R in Rs]
     else:
         raise ValueError(f"unknown method {method!r}")
     return [t * x for t, x in zip(t_int.tolist(), x_int)]
 
 
-def _box_space_integral(spec: ProblemSpec, R: float, alpha: MultiIndex, pts: int) -> float:
+def _box_space_integral(spec: ProblemSpec, R: float, alpha: MultiIndex) -> float:
     """|x|^(-delta(p'-1)) over the exact box region, tensor Gauss rule."""
     n = spec.n
     if n > 3:
@@ -239,9 +238,9 @@ def _box_space_integral(spec: ProblemSpec, R: float, alpha: MultiIndex, pts: int
     axes = []
     for i in range(n):
         if alpha.space_order > 0 and alpha.space[i] != 0:
-            nodes, weights = gauss_legendre_nodes(R / 2.0, R, max(2, pts // 2))
+            nodes, weights = gauss_legendre_nodes(R / 2.0, R, _BOX_POINTS // 2)
         else:
-            nodes, weights = gauss_legendre_nodes(0.0, R, pts)
+            nodes, weights = gauss_legendre_nodes(0.0, R, _BOX_POINTS)
         axes.append((nodes, weights, 2.0))  # even symmetry per axis
     mesh = np.meshgrid(*[a[0] for a in axes], indexing="ij")
     wmesh = np.meshgrid(*[a[1] for a in axes], indexing="ij")
@@ -344,8 +343,6 @@ def scan_condition(
     spec: ProblemSpec,
     R_list: Sequence[float],
     aux: Optional[AuxTable] = None,
-    bounded_tol: float = BOUNDED_TOL,
-    growing_tol: float = GROWING_TOL,
 ) -> ScanResult:
     """Evaluate H * G**(1/p') on growing boxes and classify the growth."""
     Rs = np.asarray(sorted(float(R) for R in R_list))
@@ -370,16 +367,16 @@ def scan_condition(
     rows, fitted, predicted, verdicts = {}, {}, {}, {}
     for idx in indices:
         Hs = [H_alpha(family, R, idx) for R in Rs]
-        Gs = _G_values(spec, family, Rs, idx)
+        Gs = G_alpha(spec, family, Rs, idx)
         data = [(float(R), H, G, H * G ** (1.0 / pc)) for R, H, G in zip(Rs, Hs, Gs)]
         rows[idx.label] = data
         products = np.array([row[3] for row in data])
         slope = _fit_tail_slope(Rs, products)
         fitted[idx.label] = slope
         predicted[idx.label] = predicted_slope(spec, idx)
-        if slope <= bounded_tol:
+        if slope <= BOUNDED_TOL:
             verdicts[idx.label] = "bounded"
-        elif slope >= growing_tol:
+        elif slope >= GROWING_TOL:
             verdicts[idx.label] = "growing"
         else:
             verdicts[idx.label] = "inconclusive"
@@ -431,30 +428,30 @@ def weak_residual(
     spec: ProblemSpec,
     aux: AuxTable,
     *,
-    eta_scale: float = 4.0,
-    bump_scale: float = 4.0,
     panels: int = 24,
-    order: int = 8,
-    profile: Optional[BumpProfile] = None,
     domain: Optional[tuple] = None,
 ) -> float:
     """Defect of the weak-solution identity under a manufactured forcing.
 
     The forcing is the equation evaluated pointwise on the sample solution,
     so the identity holds exactly and the returned value is pure quadrature
-    error; it must fall with the panel count until roundoff.
+    error; it must fall with the panel count until roundoff.  The test
+    function is the default profile's cutoff, reaching t = 4 and |x| = 4;
+    ``domain`` (T, X) is the quadrature box [0, T] x [-X, X], by default
+    the cutoff's support.
     """
     if spec.n != 1:
         raise ValueError("the weak-form residual is implemented for n = 1")
-    profile = profile or BumpProfile()
-    T_box, X_box = domain if domain is not None else (eta_scale, bump_scale)
-    if T_box < eta_scale or X_box < bump_scale:
+    profile = BumpProfile()
+    scale = _CUTOFF_SCALE
+    T_box, X_box = domain if domain is not None else (scale, scale)
+    if T_box < scale or X_box < scale:
         raise SupportEscape(
             "cutoff support exceeds the quadrature box; enlarge the domain"
         )
 
-    tn, tw = gauss_legendre_nodes(0.0, T_box, panels, order)
-    xn, xw = gauss_legendre_nodes(-X_box, X_box, panels, order)
+    tn, tw = gauss_legendre_nodes(0.0, T_box, panels)
+    xn, xw = gauss_legendre_nodes(-X_box, X_box, panels)
     T, X = np.meshgrid(tn, xn, indexing="ij")
     W = np.outer(tw, xw)
 
@@ -462,13 +459,13 @@ def weak_residual(
     db = np.asarray(spec.damping.db(tn), dtype=float)[:, None]
     a = eval_a(spec, tn, aux)[:, None]
 
-    ts = tn / eta_scale
+    ts = tn / scale
     eta0 = eta_eval(profile, 0, ts)[:, None]
-    eta1 = (eta_eval(profile, 1, ts) / eta_scale)[:, None]
-    eta2 = (eta_eval(profile, 2, ts) / eta_scale**2)[:, None]
-    xs = xn / bump_scale
+    eta1 = (eta_eval(profile, 1, ts) / scale)[:, None]
+    eta2 = (eta_eval(profile, 2, ts) / scale**2)[:, None]
+    xs = xn / scale
     phi0 = bump_eval(profile, 0, xs)[None, :]
-    phi2 = (bump_eval(profile, 2, xs) / bump_scale**2)[None, :]
+    phi2 = (bump_eval(profile, 2, xs) / scale**2)[None, :]
 
     Phi = eta0 * phi0
     Phi_t = eta1 * phi0
@@ -487,7 +484,7 @@ def weak_residual(
     u1 = solution.u_t(0.0, xn)
     phi_at0 = bump_eval(profile, 0, xs)
     # eta' vanishes at t = 0 (plateau), so Phi_t(0, x) carries only that factor
-    phi_t_at0 = (eta_eval(profile, 1, 0.0) / eta_scale) * phi_at0
+    phi_t_at0 = (eta_eval(profile, 1, 0.0) / scale) * phi_at0
     rhs_data = float(np.sum(xw * ((u1 + u0 * b0) * phi_at0 - u0 * phi_t_at0)))
 
     return abs(lhs - rhs_bulk - rhs_data)
@@ -500,18 +497,17 @@ def data_functional(
     *,
     n: int = 1,
     r_max: float = 12.0,
-    panels: int = 64,
-    order: int = 8,
     bhat1: Optional[float] = None,
 ) -> float:
     """Signed data mass: integral over R^n of u1 + bhat1 * u0.
 
-    Radial profiles, quadrature over [0, r_max] with the sphere-area weight;
-    positivity is the admissibility hypothesis for the nonexistence range.
+    Radial profiles, 64 Gauss-Legendre panels over [0, r_max] with the
+    sphere-area weight; positivity is the admissibility hypothesis for the
+    nonexistence range.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     w1 = bhat1 if bhat1 is not None else compute_bhat1(model)
-    nodes, weights = gauss_legendre_nodes(0.0, r_max, panels, order)
+    nodes, weights = gauss_legendre_nodes(0.0, r_max, 64)
     vals = np.asarray(u1(nodes), dtype=float) + w1 * np.asarray(u0(nodes), dtype=float)
     return sphere_area(n) * float(np.sum(weights * vals * nodes ** (n - 1)))

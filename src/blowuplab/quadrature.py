@@ -155,14 +155,13 @@ def integrate_adaptive(
     return out if shape else float(out)
 
 
-def gauss_legendre_nodes(a: float, b: float, panels: int, order: int = 8):
+def gauss_legendre_nodes(a: float, b: float, panels: int):
     """Composite Gauss-Legendre nodes and weights on [a, b].
 
     Returns flat arrays (nodes, weights) covering ``panels`` equal panels
-    with ``order`` points each; exact for polynomials of degree 2*order-1
-    per panel.
+    with 8 points each; exact for polynomials of degree 15 per panel.
     """
-    xi, wi = np.polynomial.legendre.leggauss(order)
+    xi, wi = np.polynomial.legendre.leggauss(8)
     edges = np.linspace(a, b, panels + 1)
     lefts = edges[:-1]
     halves = 0.5 * (edges[1:] - lefts)

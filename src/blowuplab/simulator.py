@@ -83,11 +83,11 @@ class GaussianData:
     def __call__(self, r):
         return self.amplitude * np.exp(-((np.asarray(r, float) / self.width) ** 2))
 
-    def effective_radius(self, floor: float = 1e-14) -> float:
-        """Radius beyond which the profile falls below ``floor``."""
+    def effective_radius(self) -> float:
+        """Radius beyond which the profile falls below 1e-14."""
         if self.amplitude == 0.0:
             return 0.0
-        return self.width * math.sqrt(max(math.log(abs(self.amplitude) / floor), 0.0))
+        return self.width * math.sqrt(max(math.log(abs(self.amplitude) / 1e-14), 0.0))
 
     def to_dict(self) -> dict:
         return {"amplitude": self.amplitude, "width": self.width}
@@ -366,19 +366,31 @@ class _Stencil:
         return self.area * pairs.sum(axis=1)
 
 
-def _time_step(spec: SimSpec, aux: AuxTable) -> tuple[float, int]:
-    """The run's dt and step count, after the CFL, step-count and boundary-reach checks."""
-    prob = spec.problem
-    dr = spec.dr
-    # stability limit against the largest wave speed on [0, T_max]
-    sup_a = float(np.max(eval_a(prob, aux.grid[aux.grid <= spec.T_max], aux)))
-    dt_limit = spec.cfl * dr / math.sqrt(sup_a)
-    dt = spec.dt if spec.dt is not None else dt_limit
+def _stable_dt(prob: ProblemSpec, aux: AuxTable, cfl: float, dr: float, T: float,
+               dt: Optional[float]) -> float:
+    """``dt``, checked against the CFL limit cfl * dr / sqrt(sup a) on [0, T], or that limit.
+
+    a(t) = c_a (B(t) + B(1))**(-alpha) is monotone in t, so
+    sup a = max(a(0), a(T)).  A ``dt`` above the limit raises
+    ``CflViolation``; None takes the limit.
+    """
+    sup_a = float(np.max(eval_a(prob, np.array([0.0, T]), aux)))
+    dt_limit = cfl * dr / math.sqrt(sup_a)
+    if dt is None:
+        return dt_limit
     if dt > dt_limit * (1.0 + 1e-12):
         raise CflViolation(
             f"dt = {dt:g} exceeds the stability limit {dt_limit:g} "
             f"(cfl * dr / sqrt(sup a))"
         )
+    return dt
+
+
+def _time_step(spec: SimSpec, aux: AuxTable) -> tuple[float, int]:
+    """The run's dt and step count, after the CFL, step-count and boundary-reach checks."""
+    prob = spec.problem
+    dr = spec.dr
+    dt = _stable_dt(prob, aux, spec.cfl, dr, spec.T_max, spec.dt)
     if not spec.T_max <= _MAX_STEPS * dt:
         raise ValueError(
             f"dt = {dt:g} needs {spec.T_max / dt:.4g} steps to reach T_max = "
@@ -624,22 +636,24 @@ def _weighted_l2(field: np.ndarray, rpow: np.ndarray, dr: float, n: int) -> floa
     return math.sqrt(sphere_area(n) * float(np.trapezoid(field**2 * rpow, dx=dr)))
 
 
-def _run_manufactured(
-    prob: ProblemSpec, aux: AuxTable, r_max: float, J: int, T_final: float,
-    dt: Optional[float] = None, cfl: float = 0.5, return_field: bool = False,
-):
-    """March the linear scheme against the manufactured source.
+# the manufactured-solution checks run on r in [0, 8] up to t = 1
+_MMS_R_MAX = 8.0
+_MMS_T_FINAL = 1.0
 
-    Returns the final-time weighted L2 error against the exact solution, or
-    the final field itself when ``return_field`` is set.
+
+def _run_manufactured(prob: ProblemSpec, aux: AuxTable, J: int,
+                      dt: Optional[float] = None, return_field: bool = False):
+    """March the linear scheme against the manufactured source on J cells.
+
+    ``dt`` None takes the CFL limit at cfl = 0.5; the step is then adjusted
+    to divide t = 1 evenly.  Returns the final-time weighted L2 error
+    against the exact solution, or the final field itself when
+    ``return_field`` is set.
     """
     n = prob.n
-    dr = r_max / J
-    sup_a = float(np.max(eval_a(prob, np.array([0.0, T_final]), aux)))
-    dt_limit = cfl * dr / math.sqrt(sup_a)
-    dt = dt_limit if dt is None else dt
-    if dt > dt_limit * (1.0 + 1e-12):
-        raise CflViolation(f"dt = {dt:g} exceeds stability limit {dt_limit:g}")
+    T_final = _MMS_T_FINAL
+    dr = _MMS_R_MAX / J
+    dt = _stable_dt(prob, aux, 0.5, dr, T_final, dt)
     steps = max(1, int(round(T_final / dt)))
     dt = T_final / steps
 
@@ -670,23 +684,14 @@ def _run_manufactured(
     return _weighted_l2(u[0] - u_exact(T_final, r), rpow, dr, n)
 
 
-def convergence_test(
-    prob: ProblemSpec,
-    aux: Optional[AuxTable] = None,
-    r_max: float = 8.0,
-    J: int = 64,
-    T_final: float = 1.0,
-) -> dict:
-    """Richardson order check of the linear scheme at J, 2J, 4J cells.
+def convergence_test(prob: ProblemSpec) -> dict:
+    """Richardson order check of the linear scheme at 64, 128 and 256 cells.
 
     dt scales with dr (fixed CFL number), so the observed order combines
     space and time; both are second order.
     """
-    if aux is None:
-        aux = build_aux_table(prob.damping, max(2.0, T_final) * 1.01)
-    errors = [
-        _run_manufactured(prob, aux, r_max, jj, T_final) for jj in (J, 2 * J, 4 * J)
-    ]
+    aux = build_aux_table(prob.damping, max(2.0, _MMS_T_FINAL) * 1.01)
+    errors = [_run_manufactured(prob, aux, J) for J in (64, 128, 256)]
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
     return {
         "errors": errors,
@@ -695,27 +700,21 @@ def convergence_test(
     }
 
 
-def time_order_ratio(
-    prob: ProblemSpec,
-    aux: Optional[AuxTable] = None,
-    r_max: float = 8.0,
-    J: int = 512,
-    T_final: float = 1.0,
-) -> float:
-    """Error ratio when dt alone is halved on a fine grid (expected near 4).
+def time_order_ratio(prob: ProblemSpec) -> float:
+    """Error ratio when dt alone is halved on a 512-cell grid (expected near 4).
 
     The spatial error is frozen by comparing against a small-dt reference
     on the same grid, isolating the quadratic time error.
     """
-    if aux is None:
-        aux = build_aux_table(prob.damping, max(2.0, T_final) * 1.01)
-    dr = r_max / J
-    dt0 = 0.5 * dr / math.sqrt(prob.c_a)
+    aux = build_aux_table(prob.damping, max(2.0, _MMS_T_FINAL) * 1.01)
+    J = 512
+    dr = _MMS_R_MAX / J
+    dt0 = _stable_dt(prob, aux, 0.5, dr, _MMS_T_FINAL, None)
     r = np.arange(J + 1) * dr
     rpow = r ** (prob.n - 1) if prob.n > 1 else np.ones_like(r)
 
     def field_at(dt: float) -> np.ndarray:
-        return _run_manufactured(prob, aux, r_max, J, T_final, dt=dt, return_field=True)
+        return _run_manufactured(prob, aux, J, dt=dt, return_field=True)
 
     ref = field_at(dt0 / 16.0)
     e1 = _weighted_l2(field_at(dt0) - ref, rpow, dr, prob.n)

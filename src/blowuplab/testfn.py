@@ -39,20 +39,19 @@ def default_sigma(p: float) -> int:
     return int(math.ceil(2.0 * p / (p - 1.0))) + 1
 
 
+# highest derivative of the profile supplied in closed form
+MAX_ORDER = 2
+
+
 @dataclass(frozen=True)
 class BumpProfile:
-    """Power and derivative budget of the cutoff profile."""
+    """Power of the cutoff profile."""
 
     sigma: int = 4
-    max_order: int = 2
 
     def __post_init__(self):
         if self.sigma < 1 or int(self.sigma) != self.sigma:
             raise ValueError("sigma must be a positive integer")
-        if self.max_order < 2:
-            raise ValueError("max_order must be at least 2")
-        if self.max_order > 2:
-            raise ValueError("analytic derivatives are supplied up to order 2")
 
 
 def _bridge_powers(u, sigma: int):
@@ -91,8 +90,8 @@ def bump_eval(profile: BumpProfile, order: int, y) -> float:
 
 def eta_eval(profile: BumpProfile, order: int, t) -> float:
     """One-sided time cutoff: 1 on [0, 1/2], 0 on [1, inf), same powered bridge."""
-    if order < 0 or order > profile.max_order:
-        raise ValueError(f"order {order} exceeds max_order {profile.max_order}")
+    if order < 0 or order > MAX_ORDER:
+        raise ValueError(f"order {order} exceeds max_order {MAX_ORDER}")
     scalar = np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.zeros_like(t)
@@ -165,10 +164,8 @@ def psi_R_deriv(
     return value
 
 
-def power_lemma_check(
-    profile: BumpProfile, r: float, alpha_order: int, grid_size: int = 10_000
-) -> float:
-    """Max over [-1, 1] of |d^k(profile)|**r / profile, with 0/0 read as 0.
+def power_lemma_check(profile: BumpProfile, r: float, alpha_order: int) -> float:
+    """Max of |d^k(profile)|**r / profile on 10 000 points of [-1, 1], 0/0 read as 0.
 
     Finiteness is the content of the inequality; the returned maximum is a
     measured constant with no external target.  Requires
@@ -176,14 +173,14 @@ def power_lemma_check(
     """
     if r <= 1:
         raise ValueError("r must exceed 1")
-    if alpha_order < 0 or alpha_order > profile.max_order:
+    if alpha_order < 0 or alpha_order > MAX_ORDER:
         raise ValueError("alpha_order out of range")
     needed = alpha_order * r / (r - 1.0)
     if profile.sigma < needed:
         raise ValueError(
             f"sigma = {profile.sigma} violates sigma >= alpha_order * r' = {needed:g}"
         )
-    ys = np.linspace(-1.0, 1.0, grid_size)
+    ys = np.linspace(-1.0, 1.0, 10_000)
     den = bump_eval(profile, 0, ys)
     num = np.abs(bump_eval(profile, alpha_order, ys)) ** r
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -205,7 +205,7 @@ def test_table_monotonicity_and_anchors(model):
     log_gamma = aux.log_beta_vals + np.log(aux.g_vals)
     assert np.all(np.diff(log_gamma) < 0)
     assert np.all(aux.g_vals > 0)
-    assert abs(aux.Gamma_vals[0] * aux.bhat1 - 1.0) <= aux.quad_tol * 10
+    assert abs(aux.Gamma_vals[0] * aux.bhat1 - 1.0) <= auxcalc.DEFAULT_QUAD_TOL * 10
 
 
 @pytest.mark.parametrize("model", CATALOG, ids=lambda m: f"{m.kind}-{m.mu}-{m.kappa}")
@@ -371,8 +371,8 @@ def test_phi_cells_make_the_recursions_panels(model, horizon):
     """
     aux = build_aux_table(model, horizon)
     t = np.geomspace(1e-4, horizon, 64)
-    cells = [(aux.grid[:-1], aux.grid[1:], aux.quad_tol * 0.1),
-             (t, aux.grid[np.searchsorted(aux.grid, t)], aux.quad_tol)]
+    cells = [(aux.grid[:-1], aux.grid[1:], auxcalc.DEFAULT_QUAD_TOL * 0.1),
+             (t, aux.grid[np.searchsorted(aux.grid, t)], auxcalc.DEFAULT_QUAD_TOL)]
     for t0, t1, tol in cells:
         counting = _CountingDamping(model)
         q, E = auxcalc._phi_cells(counting.b, t0, t1, tol)
@@ -413,6 +413,16 @@ def test_unresolvable_cells_stop_at_the_panel_limit():
         auxcalc._phi_cells(noise, np.array([0.0, 1e-3, 1.0]), np.array([1.0, 1e-3, 2.0]), 1e-11)
 
 
+def test_g_tail_stops_at_the_depth_limit():
+    """For b = 1, where g = 1, the tail holds to 1e15; from 1e16 on, pieces
+    of its cells do not stand after 48 halvings, and it raises instead of
+    drifting (it returned 0.0619 at 1e18)."""
+    model = DampingModel.constant(1.0)
+    assert abs(auxcalc._g_tail(model, 1e15, 1e-10) - 1.0) < 1e-14
+    with pytest.raises(QuadratureNonconvergence, match="did not resolve within 48 halvings"):
+        auxcalc._g_tail(model, 1e18, 1e-10)
+
+
 def test_cells_resolve_together_exactly_when_alone(monkeypatch):
     """The panel limit holds per cell, not per batch: a table's heaviest
     cells walked together, with many times the largest one's panel count
@@ -420,7 +430,7 @@ def test_cells_resolve_together_exactly_when_alone(monkeypatch):
     fail one panel below it, as that cell alone does."""
     model = DampingModel.power_law(1.0, -0.5)
     aux = build_aux_table(model, 1e5)
-    t0, t1, tol = aux.grid[-9:-1], aux.grid[-8:], aux.quad_tol * 0.1
+    t0, t1, tol = aux.grid[-9:-1], aux.grid[-8:], auxcalc.DEFAULT_QUAD_TOL * 0.1
     panels = []
     for a, b in zip(t0, t1):
         counting = _CountingDamping(model)

@@ -271,6 +271,13 @@ def test_extreme_damping_scale_is_a_numerical_failure(argv, capsys):
     assert "(34," not in captured.err and "Numerical result out of range" not in captured.err
 
 
+def test_far_horizon_is_a_numerical_failure(capsys):
+    """For b = 1 at horizon 1e18 the rounding of t floors the panel errors
+    above tol; the cell stops at the depth limit instead of giving g."""
+    captured = _assert_clean_exit(["aux", "--horizon", "1e18"], EXIT_NUMERICAL, capsys)
+    assert "48 halvings" in captured.err
+
+
 def _assert_clean_exit(argv, expected, capsys):
     """Exit code within 5 s, no traceback, and no nan or inf written."""
     start = time.perf_counter()

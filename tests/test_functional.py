@@ -88,7 +88,7 @@ def test_multi_index_validation():
 def test_G_alpha_nonintegrable(family_unit):
     spec = unit_problem(2.0, delta=2.0)  # delta (p'-1) = 2 >= n = 1
     with pytest.raises(NonintegrableSingularity):
-        G_alpha(spec, family_unit, 8.0, MultiIndex.space2(1))
+        G_alpha(spec, family_unit, [8.0], MultiIndex.space2(1))
 
 
 def test_G_alpha_time_condition():
@@ -97,22 +97,32 @@ def test_G_alpha_time_condition():
     aux = build_aux_table(spec.damping, 200.0)
     fam = ScalingFamily(n=1, d=2.0 / (1.0 - spec.alpha), aux=aux)
     with pytest.raises(NonintegrableSingularity):
-        G_alpha(spec, fam, 2.0, MultiIndex.space2(1))
+        G_alpha(spec, fam, [2.0], MultiIndex.space2(1))
 
 
 def test_G_alpha_nonnegative_and_unused_index(family_unit):
     spec = unit_problem(3.0)
-    assert G_alpha(spec, family_unit, 8.0, MultiIndex.space2(1)) >= 0.0
-    assert G_alpha(spec, family_unit, 8.0, MultiIndex(1, (1,))) == 0.0
+    assert G_alpha(spec, family_unit, [8.0], MultiIndex.space2(1))[0] >= 0.0
+    assert G_alpha(spec, family_unit, [8.0], MultiIndex(1, (1,))) == [0.0]
 
 
 def test_G_alpha_cubic_growth(family_unit):
     """Unit coefficients in one space dimension: the shell integral grows like R^3."""
     spec = unit_problem(3.0)
     Rs = np.array([8.0, 16.0, 32.0, 64.0])
-    Gs = np.array([G_alpha(spec, family_unit, R, MultiIndex.space2(1)) for R in Rs])
+    Gs = np.array(G_alpha(spec, family_unit, Rs, MultiIndex.space2(1)))
     slope = np.polyfit(np.log(Rs), np.log(Gs), 1)[0]
     assert abs(slope - 3.0) <= 0.05
+
+
+@pytest.mark.parametrize("method", ["radial", "box"])
+def test_G_alpha_ladder_matches_one_scale_calls(family_unit, method):
+    """A ladder's values equal those of its one-scale ladders bit for bit."""
+    spec = unit_problem(3.0)
+    Rs = [8.0, 16.0, 32.0, 64.0]
+    for idx in (MultiIndex.time2(1), MultiIndex.time1(1), MultiIndex.space2(1)):
+        ladder = G_alpha(spec, family_unit, Rs, idx, method=method)
+        assert ladder == [G_alpha(spec, family_unit, [R], idx, method=method)[0] for R in Rs]
 
 
 def test_G_alpha_box_matches_radial_rate():
@@ -123,8 +133,8 @@ def test_G_alpha_box_matches_radial_rate():
     fam = ScalingFamily(n=2, d=2.0, aux=aux)
     Rs = np.array([4.0, 8.0, 16.0, 32.0])
     for idx in (MultiIndex.space2(2), MultiIndex.time2(2)):
-        g_rad = np.array([G_alpha(spec, fam, R, idx, method="radial") for R in Rs])
-        g_box = np.array([G_alpha(spec, fam, R, idx, method="box") for R in Rs])
+        g_rad = np.array(G_alpha(spec, fam, Rs, idx, method="radial"))
+        g_box = np.array(G_alpha(spec, fam, Rs, idx, method="box"))
         s_rad = np.polyfit(np.log(Rs), np.log(g_rad), 1)[0]
         s_box = np.polyfit(np.log(Rs), np.log(g_box), 1)[0]
         assert abs(s_rad - s_box) < 0.02, idx.label
@@ -244,7 +254,7 @@ def test_weak_residual_refines_by_four(aux_short):
 def test_weak_residual_support_escape(aux_short):
     with pytest.raises(SupportEscape):
         weak_residual(ManufacturedSolution.zero(), unit_problem(2.0), aux_short,
-                      eta_scale=4.0, bump_scale=4.0, domain=(2.0, 4.0))
+                      domain=(2.0, 4.0))
 
 
 def test_weak_residual_needs_one_dimension(aux_short):

@@ -73,7 +73,7 @@ def test_nonconvergence_raises():
 
 
 def test_gauss_legendre_panels():
-    nodes, weights = gauss_legendre_nodes(0.0, math.pi, panels=8, order=8)
+    nodes, weights = gauss_legendre_nodes(0.0, math.pi, panels=8)
     assert abs(float(np.sum(weights * np.sin(nodes))) - 2.0) < 1e-12
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from blowuplab.auxcalc import build_aux_table
-from blowuplab.coeffs import DampingModel, ProblemSpec
+from blowuplab.coeffs import DampingModel, ProblemSpec, eval_a
 from blowuplab.functional import sphere_area
 from blowuplab.simulator import (
     CflViolation,
@@ -138,6 +138,22 @@ def test_cfl_violation():
                    dt=1.0, allow_boundary_reflections=True)
     with pytest.raises(CflViolation):
         run(spec)
+
+
+def test_cfl_limit_includes_the_horizon_speed():
+    """For alpha < 0 the speed grows, so sup a on [0, T_max] is a(T_max);
+    the sup over the table nodes below T_max, the former limit, is 0.96%
+    too large a step at alpha = -0.5, T_max = 50."""
+    prob = ProblemSpec(n=1, alpha=-0.5, gamma=0.0, delta=0.0, p=2.0,
+                       damping=DampingModel.power_law(1.0, 0.5))
+    spec = SimSpec(problem=prob, r_max=10.0, J=100, T_max=50.0,
+                   allow_boundary_reflections=True)
+    aux = build_aux_table(prob.damping, max(2.0, spec.T_max) * 1.01)
+    a_nodes = eval_a(prob, aux.grid[aux.grid <= spec.T_max], aux)
+    old_dt = spec.cfl * spec.dr / math.sqrt(float(np.max(a_nodes)))
+    assert old_dt > 1.009 * spec.cfl * spec.dr / math.sqrt(eval_a(prob, spec.T_max, aux))
+    with pytest.raises(CflViolation):
+        run(replace(spec, dt=old_dt), aux)
 
 
 def test_delta_must_be_nonnegative():
@@ -439,3 +455,10 @@ def test_convergence_with_varying_coefficients():
 def test_time_step_refinement_ratio():
     ratio = time_order_ratio(unit_problem(1.5))
     assert 3.0 <= ratio <= 5.0
+
+
+def test_time_step_refinement_ratio_with_growing_speed():
+    """For alpha < 0 the base step is the CFL limit at a(1), not at c_a."""
+    prob = ProblemSpec(n=1, alpha=-0.5, gamma=0.0, delta=0.0, p=2.0,
+                       damping=DampingModel.constant(1.0))
+    assert 3.0 <= time_order_ratio(prob) <= 5.0

@@ -78,12 +78,12 @@ def test_default_sigma():
 # -- power inequality -------------------------------------------------------------
 
 def test_power_lemma_bounded():
-    val = power_lemma_check(PROF, 2.0, 1, grid_size=10_000)
+    val = power_lemma_check(PROF, 2.0, 1)
     assert np.isfinite(val) and val < 1e3
 
 
 def test_power_lemma_second_order():
-    val = power_lemma_check(BumpProfile(sigma=8), 2.0, 2, grid_size=10_000)
+    val = power_lemma_check(BumpProfile(sigma=8), 2.0, 2)
     assert np.isfinite(val)
 
 
@@ -192,5 +192,3 @@ def test_box_region_tags(family):
 def test_validation():
     with pytest.raises(ValueError):
         BumpProfile(sigma=0)
-    with pytest.raises(ValueError):
-        BumpProfile(sigma=4, max_order=1)
