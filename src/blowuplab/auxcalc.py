@@ -89,7 +89,6 @@ class TableRangeError(ValueError):
 
 _DEPTH = 48          # split limit of a cell's tree
 _CHUNK = 32          # panels per batched evaluation of b
-_ROUND = 4096        # panels evaluated per round of a walk, at most
 # panels one cell may take: ten times the heaviest cell seen (106 panels, in
 # the tests, the benchmark and 800 random aux tables), far below the 2**48
 # leaves of a cell that never settles; such a cell fails after about 50 kB
@@ -204,7 +203,7 @@ class _Tree:
         self.size = 0
         for name, dtype in self._COLUMNS:
             setattr(self, name, np.empty(0, dtype))
-        self._resize(max(_ROUND, 4 * a.size))
+        self._resize(max(4096, 4 * a.size))  # nodes held before the first resize
         self.add(a, b, E, Q, up=-1, root=np.arange(a.size), depth=_DEPTH, finished=False)
 
     def add(self, a, b, E, Q, up, root, depth, finished):
@@ -228,25 +227,21 @@ class _Tree:
 def _walk(bfun, tree: _Tree, tol: float):
     """The composed q of the root cells, whose own panels do not stand.
 
-    Each round evaluates, in one batched call, the right halves that fell
-    due and the left halves of the nodes that split most recently, at most
-    ``_ROUND`` panels, so the walk leans depth first.  A right half falls
-    due as soon as its left sibling's panel shows that the prune test must
-    fail (E_left * width_right > 2 tol width_left, while
-    q_left <= width_left), and otherwise once the left subtree's q is
-    composed and the test fails.  A right half that the exact test prunes
+    Each round evaluates, in one batched call, the left halves of all the
+    nodes whose panels did not stand in the round before and the right
+    halves that fell due.  A right half falls due as soon as its left
+    sibling's panel shows that the prune test must fail
+    (E_left * width_right > 2 tol width_left, while q_left <= width_left),
+    and otherwise once the left subtree's q is composed and the test fails.  A right half that the exact test prunes
     after all is dropped, so the result never depends on the schedule.
     """
     roots = tree.size
     panels = np.ones(roots, np.int64)
-    # nodes to split, newest last, and nodes whose right half is due; all
-    # the due ones go in the next round (they are at most as many as the
-    # round's panels), so an early right half is evaluated before its left
-    # sibling's subtree can compose
-    work, due = np.arange(roots), np.arange(0)
-    while work.size or due.size:
-        rest = max(0, work.size + due.size - _ROUND)
-        split, work = work[rest:], work[:rest]
+    # nodes to split and nodes whose right half is due; an early right half
+    # is evaluated in the round of its left sibling's first half, before
+    # that subtree can compose
+    split, due = np.arange(roots), np.arange(0)
+    while split.size or due.size:
         a = np.concatenate((tree.a[split], tree.b[tree.left[due]]))
         b = np.concatenate((0.5 * (tree.a[split] + tree.b[split]), tree.b[due]))
         parents = np.concatenate((split, due))
@@ -273,7 +268,7 @@ def _walk(bfun, tree: _Tree, tol: float):
         width_l, width_r = b[:nl] - a[:nl], tree.b[split] - b[:nl]
         early = ~settled[:nl] & (E[:nl] * width_r > tol * np.maximum(2.0 * width_l, 1e-300))
         due = np.concatenate((split[early], _compose(tree, kids[settled], tol)))
-        work = np.concatenate((work, kids[~settled]))
+        split = kids[~settled]
     return tree.Q[:roots]
 
 
@@ -364,8 +359,6 @@ def compute_B(model: DampingModel, t: float, tol: float = DEFAULT_QUAD_TOL) -> f
     """B(t): adaptive quadrature of 1/b over [0, t]."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if t == 0:
-        return 0.0
     return integrate_adaptive(lambda x: 1.0 / model.b(x), 0.0, t,
                               abs_tol=tol, rel_tol=tol)
 
@@ -374,8 +367,6 @@ def compute_beta(model: DampingModel, t: float) -> float:
     """beta(t) = exp(-int_0^t b), relative accuracy ~ ``DEFAULT_QUAD_TOL``."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if t == 0:
-        return 1.0
     integral = integrate_adaptive(model.b, 0.0, t, abs_tol=0.1 * DEFAULT_QUAD_TOL, rel_tol=0.0)
     return math.exp(-integral)
 
@@ -516,8 +507,8 @@ def build_aux_table(model: DampingModel, horizon: float) -> AuxTable:
     """
     if not math.isfinite(horizon):
         raise ValueError("horizon must be finite")
-    if horizon <= 10 * T_MIN:
-        raise ValueError("horizon too small for the tabulation grid")
+    if horizon < 1:
+        raise ValueError(f"horizon {horizon:g} is below 1: every table reads B(1)")
     if not math.isfinite(horizon / T_MIN):
         raise ValueError(f"horizon {horizon:g} is too large: horizon / t_min must be finite, "
                          f"so the horizon must stay below {T_MIN * np.finfo(float).max:.4g}")
@@ -603,12 +594,16 @@ def check_hypothesis(model: DampingModel, horizon: float, margin: float = 0.05) 
 
     The liminf/limsup estimates are extrema over the last decade
     [horizon/10, horizon]; drift relative to the preceding decade marks the
-    report inconclusive.
+    report inconclusive.  ``margin`` must lie in [0, 1).
     """
     if not math.isfinite(horizon):
         raise ValueError("horizon must be finite")
     if horizon < 100:
         raise ValueError("horizon must be at least 100")
+    if not math.isfinite(margin):
+        raise ValueError("margin must be finite")
+    if not 0.0 <= margin < 1.0:
+        raise ValueError(f"margin {margin:g} must lie in [0, 1)")
     count = max(16, int(math.log10(horizon) * POINTS_PER_DECADE))
     ts = np.geomspace(1.0, horizon, count)
     b = np.asarray(model.b(ts), dtype=float)

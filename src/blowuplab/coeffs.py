@@ -238,12 +238,10 @@ def eval_a(spec: ProblemSpec, t, aux) -> float:
 
     The shift B0 keeps the formula finite at t = 0 when alpha > 0; only the
     large-time growth rate matters downstream, and the shift leaves it
-    untouched.  alpha = 0 short-circuits to the constant c_a.
+    untouched.  A scalar t gives a float; for alpha = 0 the power is exactly
+    1.0, so a = c_a to the bit.
     """
-    if spec.alpha == 0.0:
-        return spec.c_a if np.ndim(t) == 0 else spec.c_a * np.ones_like(np.asarray(t, float))
-    out = spec.c_a * (aux.B_at(t) + aux.B_unit_shift) ** (-spec.alpha)
-    return float(out) if np.ndim(t) == 0 else out
+    return spec.c_a * (aux.B_at(t) + aux.B_unit_shift) ** (-spec.alpha)
 
 
 def eval_f(spec: ProblemSpec, t, r, aux) -> float:
@@ -254,10 +252,5 @@ def eval_f(spec: ProblemSpec, t, r, aux) -> float:
         raise ValueError("radius must be nonnegative")
     if spec.delta < 0 and np.any(r_arr == 0):
         raise SingularEvaluation("forcing weight is singular at r = 0 for delta < 0")
-    if spec.gamma == 0.0:
-        tpart = 1.0
-    else:
-        tpart = (aux.B_at(t) + aux.B_unit_shift) ** spec.gamma
-    rpart = np.ones_like(r_arr) if spec.delta == 0.0 else r_arr**spec.delta
-    out = spec.c_f * tpart * rpart
+    out = spec.c_f * (aux.B_at(t) + aux.B_unit_shift) ** spec.gamma * r_arr**spec.delta
     return float(out) if scalar else out

@@ -50,16 +50,12 @@ class ExponentReport:
             raise ValueError("meaningful flag inconsistent with the range")
 
 
-def p_crit_damped(n, alpha: float = None, gamma: float = None, delta: float = None) -> ExponentReport:
+def p_crit_damped(n: int, alpha: float, gamma: float, delta: float) -> ExponentReport:
     """Critical range for the damped wave with decaying speed and growing forcing.
 
     p_crit = 1 + 2(1+gamma)/(n(1-alpha)) + delta/n and
     p_min = 1 + max{[gamma+alpha]^+ / (1-alpha), [delta]^+ / n}.
-    Accepts either a ProblemSpec-like object or the four raw parameters.
     """
-    if alpha is None:
-        spec = n
-        n, alpha, gamma, delta = spec.n, spec.alpha, spec.gamma, spec.delta
     n = int(n)
     if n < 1:
         raise ValueError("n must be a positive integer")

@@ -105,10 +105,8 @@ class MultiIndex:
         return MultiIndex(1, (0,) * n)
 
     @staticmethod
-    def space2(n: int, i: int = 0) -> "MultiIndex":
-        space = [0] * n
-        space[i] = 2
-        return MultiIndex(0, tuple(space))
+    def space2(n: int) -> "MultiIndex":
+        return MultiIndex(0, (2,) + (0,) * (n - 1))
 
 
 @dataclass(frozen=True)
@@ -121,7 +119,7 @@ class DstarCoefficients:
     zero_order: float  # identically 0: the defining property of the multiplier
 
 
-def dstar_coefficients(spec: ProblemSpec, aux: AuxTable, t: float, x=None) -> DstarCoefficients:
+def dstar_coefficients(spec: ProblemSpec, aux: AuxTable, t: float) -> DstarCoefficients:
     """Evaluate {g, -g a, g' - 1} at time t (space-independent here)."""
     g = aux.g_at(t)
     b = float(spec.damping.b(t))
@@ -245,7 +243,7 @@ def _box_space_integral(spec: ProblemSpec, R: float, alpha: MultiIndex) -> float
     mesh = np.meshgrid(*[a[0] for a in axes], indexing="ij")
     wmesh = np.meshgrid(*[a[1] for a in axes], indexing="ij")
     radius2 = sum(m**2 for m in mesh)
-    integrand = radius2 ** (power / 2.0) if power != 0.0 else np.ones_like(radius2)
+    integrand = radius2 ** (power / 2.0)
     weight = np.ones_like(radius2)
     for wm in wmesh:
         weight = weight * wm
@@ -344,7 +342,11 @@ def scan_condition(
     R_list: Sequence[float],
     aux: Optional[AuxTable] = None,
 ) -> ScanResult:
-    """Evaluate H * G**(1/p') on growing boxes and classify the growth."""
+    """Evaluate H * G**(1/p') on growing boxes and classify the growth.
+
+    A G that is not finite, or a product that is not finite and positive
+    (g**p' overflowing, say), raises ``FloatingPointError``.
+    """
     Rs = np.asarray(sorted(float(R) for R in R_list))
     if not np.all(np.isfinite(Rs)):
         raise ValueError("R values must be finite")
@@ -352,7 +354,7 @@ def scan_condition(
         raise ValueError("need at least four scales R")
     if len(np.unique(Rs)) != len(Rs):
         raise ValueError("R values must be distinct")
-    report = expo.p_crit_damped(spec)
+    report = expo.p_crit_damped(spec.n, spec.alpha, spec.gamma, spec.delta)
     if spec.p <= report.p_min:
         raise ValueError(f"p = {spec.p:g} must exceed p_min = {report.p_min:g}")
     d = 2.0 / (1.0 - spec.alpha)
@@ -369,6 +371,11 @@ def scan_condition(
         Hs = [H_alpha(family, R, idx) for R in Rs]
         Gs = G_alpha(spec, family, Rs, idx)
         data = [(float(R), H, G, H * G ** (1.0 / pc)) for R, H, G in zip(Rs, Hs, Gs)]
+        for R, _, G, product in data:
+            if not (math.isfinite(G) and math.isfinite(product) and product > 0.0):
+                raise FloatingPointError(
+                    f"index {idx.label} at R = {R:g}: G = {G:g}, H * G**(1/p') = "
+                    f"{product:g}; the scan needs a finite G and a finite positive product")
         rows[idx.label] = data
         products = np.array([row[3] for row in data])
         slope = _fit_tail_slope(Rs, products)

@@ -63,10 +63,8 @@ def gauss_kronrod_panel(f: Callable, a, b):
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    if getattr(half, "ndim", 0):  # array endpoints: abscissae along a new last axis
-        x = mid[..., None] + half[..., None] * _KRONROD_NODES
-    else:
-        x = mid + half * _KRONROD_NODES
+    # abscissae along a new last axis
+    x = np.asarray(mid)[..., None] + np.asarray(half)[..., None] * _KRONROD_NODES
     # an overflowing integrand yields inf or nan here, for the caller's
     # finiteness checks to report
     with np.errstate(all="ignore"):

@@ -216,10 +216,6 @@ def _coefficient_arrays(prob: ProblemSpec, aux: AuxTable, steps: int, dt: float)
     """a, b and the forcing time factor at every step time, precomputed."""
     ts = np.arange(steps + 1) * dt
     b = np.asarray(prob.damping.b(ts), float)
-    if prob.alpha == 0.0 and prob.gamma == 0.0:
-        a = np.full_like(ts, prob.c_a)
-        ftime = np.full_like(ts, prob.c_f)
-        return ts, a, b, ftime
     # accumulate B across the uniform step grid with one K15 panel per step,
     # a chunk of steps at a time so that the node array stays bounded
     dB = np.empty(steps)
@@ -228,8 +224,8 @@ def _coefficient_arrays(prob: ProblemSpec, aux: AuxTable, steps: int, dt: float)
         dB[lo:hi], _ = gauss_kronrod_panel(lambda x: 1.0 / prob.damping.b(x),
                                            ts[lo:hi], ts[lo + 1:hi + 1])
     B = np.concatenate(([0.0], np.cumsum(dB))) + aux.B_unit_shift
-    a = prob.c_a * B ** (-prob.alpha) if prob.alpha != 0.0 else np.full_like(ts, prob.c_a)
-    ftime = prob.c_f * B**prob.gamma if prob.gamma != 0.0 else np.full_like(ts, prob.c_f)
+    a = prob.c_a * B ** (-prob.alpha)
+    ftime = prob.c_f * B**prob.gamma
     return ts, a, b, ftime
 
 
@@ -340,14 +336,14 @@ class _Stencil:
         u_next /= 1.0 + bh
         return u_next
 
-    def energies(self, u, v, a, rpow: Optional[np.ndarray]) -> np.ndarray:
+    def energies(self, u, v, a, rpow: np.ndarray) -> np.ndarray:
         """Discrete kinetic + elastic energy of each full-width row of ``u``.
 
         ``v`` holds the velocity rows and ``a`` the wave speed of each row.
         The arithmetic of ``np.gradient(u, dr)`` and ``np.trapezoid(dens *
         rpow, dx=dr)`` for dens = v^2/2 + a u_r^2/2, row by row: each row
         sums its J pairs with numpy's pairwise sum, as a one-row
-        ``.sum()`` does.  ``rpow`` None means ones.
+        ``.sum()`` does.  ``rpow`` is r^(n-1) on the grid.
         """
         u_r = np.empty_like(u)
         u_r[:, 0] = (u[:, 1] - u[:, 0]) / self.dr
@@ -358,8 +354,7 @@ class _Stencil:
         u_r *= u_r
         u_r *= (0.5 * a)[:, None]
         dens += u_r
-        if rpow is not None:
-            dens *= rpow
+        dens *= rpow
         pairs = dens[:, 1:] + dens[:, :-1]
         pairs *= self.dr
         pairs /= 2.0
@@ -451,7 +446,7 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
     dr, J, rows = spec.dr, spec.J, len(powers)
     st = _Stencil(J, dr, prob.n, prob.delta)
     r = np.arange(J + 1) * dr
-    rpow = r ** (prob.n - 1) if prob.n > 1 else None
+    rpow = r ** (prob.n - 1)
     threshold = spec.blowup_threshold
     guard = 0 if spec.allow_boundary_reflections else max(1, min(5, J // 4))
 
@@ -662,7 +657,7 @@ def _run_manufactured(prob: ProblemSpec, aux: AuxTable, J: int,
 
     st = _Stencil(J, dr, n)
     r = np.arange(J + 1) * dr
-    rpow = r ** (n - 1) if n > 1 else np.ones_like(r)
+    rpow = r ** (n - 1)
 
     def source(m: int):
         t = ts[m]
@@ -711,7 +706,7 @@ def time_order_ratio(prob: ProblemSpec) -> float:
     dr = _MMS_R_MAX / J
     dt0 = _stable_dt(prob, aux, 0.5, dr, _MMS_T_FINAL, None)
     r = np.arange(J + 1) * dr
-    rpow = r ** (prob.n - 1) if prob.n > 1 else np.ones_like(r)
+    rpow = r ** (prob.n - 1)
 
     def field_at(dt: float) -> np.ndarray:
         return _run_manufactured(prob, aux, J, dt=dt, return_field=True)

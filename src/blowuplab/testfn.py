@@ -129,11 +129,6 @@ class ScalingFamily:
             raise ValueError("R must exceed 1")
         return self.aux.invert_B(R**self.d)
 
-    def Fi(self, R: float) -> float:
-        if R <= 1:
-            raise ValueError("R must exceed 1")
-        return float(R)
-
     def scales(self, R: float) -> np.ndarray:
         return np.array([self.F0(R)] + [float(R)] * self.n)
 

@@ -249,6 +249,8 @@ def test_simulate_rejects_nan_input(flag, capsys):
     (["simulate", "--c-a", "nan"], EXIT_VALIDATION),
     # finite, but horizon / t_min overflows
     (["aux", "--horizon", "1e308"], EXIT_VALIDATION),
+    (["check", "--margin", "nan"], EXIT_VALIDATION),
+    (["check", "--margin", "inf"], EXIT_VALIDATION),
 ])
 def test_nonfinite_inputs_exit_cleanly(argv, expected, capsys):
     captured = _assert_clean_exit(argv, expected, capsys)
@@ -269,6 +271,31 @@ def test_extreme_damping_scale_is_a_numerical_failure(argv, capsys):
         captured = _assert_clean_exit(argv, EXIT_NUMERICAL, capsys)
     assert "numerical failure" in captured.err
     assert "(34," not in captured.err and "Numerical result out of range" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--p", "1.01", "--mu", "1e-4"],    # g**p' overflows, g**(1-p') underflows
+    ["scan", "--p", "2.5", "--c-a", "1e308"],
+])
+def test_scan_overflow_is_a_numerical_failure(argv, capsys):
+    """Exit 3 naming the index and scale, with no CSV and no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        captured = _assert_clean_exit(argv, EXIT_NUMERICAL, capsys)
+    assert "index" in captured.err and "R = " in captured.err
+    assert "alpha_tag" not in captured.out
+
+
+@pytest.mark.parametrize("margin", ["-3", "1"])
+def test_check_rejects_margins_outside_the_unit_interval(margin, capsys):
+    captured = _assert_clean_exit(["check", "--margin", margin], EXIT_VALIDATION, capsys)
+    assert "must lie in [0, 1)" in captured.err
+    assert "verdict" not in captured.out
+
+
+def test_aux_rejects_horizons_below_one(capsys):
+    captured = _assert_clean_exit(["aux", "--horizon", "0.5"], EXIT_VALIDATION, capsys)
+    assert "horizon 0.5 is below 1" in captured.err
 
 
 def test_far_horizon_is_a_numerical_failure(capsys):
@@ -396,6 +423,8 @@ _CHECK = st.tuples(st.floats(1.0, 308.0).map(lambda e: repr(10.0**e)), _real(-0.
 @example(argv=["scan", "--n", "3", "--p", "7.64", "--alpha", "0.83", "--gamma", "0.19",
                "--delta", "0.15", "--R", "78.5,135.9,205.9,331.0", "--damping", "powerlaw",
                "--mu", "1.77e-06", "--kappa", "-0.9486", "--perturbation", "sin"])
+# g**p' overflows at p' = 101 while g**(1-p') underflows
+@example(argv=["scan", "--p", "1.01", "--mu", "1e-4"])
 def test_analysis_arguments_end_cleanly(argv):
     """Any scan, exponents or check arguments: exit 0, 2 or 3 within 5 s, no
     traceback, and no nan or inf in the CSV."""

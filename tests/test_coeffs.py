@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from blowuplab.auxcalc import build_aux_table
+from blowuplab.auxcalc import TableRangeError, build_aux_table
 from blowuplab.coeffs import (
     DampingModel,
     Perturbation,
@@ -90,6 +90,11 @@ def test_eval_a_constant_speed(aux_unit):
     spec = ProblemSpec(n=1, alpha=0.0, gamma=0.0, delta=0.0, p=2.0)
     for t in (0.0, 3.0, 17.0):
         assert eval_a(spec, t, aux_unit) == 1.0
+        assert type(eval_a(spec, t, aux_unit)) is float
+    assert np.array_equal(eval_a(spec, np.array([0.0, 3.0]), aux_unit), [1.0, 1.0])
+    # alpha = 0 reads the table like any other alpha
+    with pytest.raises(TableRangeError):
+        eval_a(spec, 60.0, aux_unit)
 
 
 def test_eval_a_decaying_speed(aux_unit):

@@ -37,10 +37,10 @@ def test_p_crit_damped_decaying_speed():
     assert rep.meaningful
 
 
-def test_p_crit_damped_accepts_spec_object():
+def test_p_crit_damped_from_spec_fields():
     spec = ProblemSpec(n=2, alpha=0.0, gamma=1.0, delta=0.0, p=2.0,
                        damping=DampingModel.constant(1.0))
-    rep = p_crit_damped(spec)
+    rep = p_crit_damped(spec.n, spec.alpha, spec.gamma, spec.delta)
     assert rep.p_crit == 1.0 + 2.0 * 2.0 / 2.0
 
 
