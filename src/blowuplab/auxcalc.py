@@ -22,7 +22,10 @@ exp(-int_t^T b); T is pushed out until the estimate stabilizes.  The
 finite stretches are adaptive exponential cells (:func:`_phi_cells`),
 resolved many at once: a table's cells in one call, an array read's bridges
 in one call, each call one walk over the split trees of all its cells.  A
-panel places its nodes as offsets from its cell's left end, so a cell
+panel evaluates b once, at its 15 Kronrod nodes, and takes int b up to
+each node from those values by a spectral integration matrix; it stands
+only if the K15-G7 gaps of both its integral and of int b are small.  It
+places its nodes as offsets from its cell's left end, so a cell
 narrow against t is resolved to the accuracy of its width, not of t.  The
 increments of B and log beta, and the scan's integrals of g, refine many
 integrals in lockstep (:func:`integrate_adaptive` with array endpoints).
@@ -35,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial import legendre
 from scipy.optimize import brentq
 
 from .coeffs import DampingModel
@@ -88,67 +92,80 @@ class TableRangeError(ValueError):
 # exponential cells
 
 _DEPTH = 48          # split limit of a cell's tree
-_CHUNK = 32          # panels per batched evaluation of b
-# panels one cell may take: ten times the heaviest cell seen (106 panels, in
-# the tests, the benchmark and 800 random aux tables), far below the 2**48
-# leaves of a cell that never settles; such a cell fails after about 50 kB
-# of tree nodes
+_CHUNK = 1024        # panels per batched evaluation of b; bounds a round's transients
+# panels one cell may take: about ten times the heaviest cell seen (107
+# panels, in the tests, the benchmark at seeds 0-2 and 200 random aux
+# tables), far below the 2**48 leaves of a cell that never settles; such a
+# cell fails after about 50 kB of tree nodes
 _CELL_PANELS = 1 << 10
 _OFFSETS = 1.0 + _KRONROD_NODES  # Kronrod nodes on [0, 2]
 _TAIL_CELLS = 800    # outward cells of a tail march before it gives up
 
 
+def _spectral_integration_matrix(nodes):
+    """S[i, j] = int_{-1}^{x_i} l_j, with l_j the Lagrange basis on ``nodes``.
+
+    S @ f integrates the interpolant of the values f from -1 up to each
+    node (spectral integration, Greengard, SIAM J. Numer. Anal. 28, 1991).
+    """
+    vander = legendre.legvander(nodes, nodes.size - 1)
+    basis = np.linalg.solve(vander, np.eye(nodes.size))  # column j: l_j in P_k
+    return legendre.legval(nodes, legendre.legint(basis, lbnd=-1)).T
+
+
+_INTEGRATE_TO_NODES = _spectral_integration_matrix(_KRONROD_NODES)
+
+
 def _exp_panels(bfun, t0, t1):
     """K15 panels of tau -> exp(-int_{t0}^{tau} b) on the cells [t0, t1].
 
-    ``t0`` and ``t1`` are 1-d arrays.  Returns the arrays (q, err, ib, E):
-    the integral, its error estimate, ib = int_{t0}^{t1} b and
-    E = exp(-ib).  The breaks and nodes are offsets from t0, added to it
-    only where b is evaluated.  The inner accumulations run over the 16
-    sub-panels between consecutive Kronrod nodes, so one call to ``bfun``
-    feeds a chunk of ``_CHUNK`` cells.  A non-finite panel (b overflowing,
-    say) raises ``FloatingPointError``.
+    ``t0`` and ``t1`` are 1-d arrays.  Returns the arrays (q, err, ib, gap,
+    E): the integral, its error estimate, ib = int_{t0}^{t1} b, the
+    K15-G7 gap of ib, and E = exp(-ib).  b is evaluated once per panel, at
+    its 15 Kronrod nodes, placed as offsets from t0 and added to it only
+    where b is evaluated.  The integral of b up to each node is the
+    spectral integration matrix applied to those 15 values, so one call to
+    ``bfun`` feeds a chunk of ``_CHUNK`` cells.  A non-finite panel (b
+    overflowing, say) raises ``FloatingPointError``.
     """
-    out = np.empty((3, t0.size))
+    out = np.empty((4, t0.size))
     with np.errstate(all="ignore"):
         for s in range(0, t0.size, _CHUNK):
-            a = t0[s:s + _CHUNK, None]
-            width = t1[s:s + _CHUNK, None] - a
-            half = 0.5 * width
-            # breaks and nodes as offsets from a: taken at absolute times,
-            # their rounding would floor the error estimate of a cell only a
-            # few ulps of t wide above tol
-            breaks = np.concatenate((np.zeros_like(a), half * _OFFSETS, width), axis=1)
-            lefts, rights = breaks[:, :-1, None], breaks[:, 1:, None]
-            sub_half = 0.5 * (rights - lefts)
-            grid = sub_half * _KRONROD_NODES
-            grid += 0.5 * (lefts + rights)
-            grid += a[..., None]
-            vals = np.asarray(bfun(grid), dtype=float)
-            # one BLAS call of one shape per panel (a stacked matmul, a
-            # vecdot per row), so a panel's sums do not depend on its batch
-            cum = np.add.accumulate(sub_half[..., 0] * np.matmul(vals, _KRONROD_WEIGHTS), axis=1)
-            weights_at_nodes = np.exp(-cum[:, :-1])
-            k15 = half[:, 0] * np.vecdot(weights_at_nodes, _KRONROD_WEIGHTS)
-            g7 = half[:, 0] * np.vecdot(weights_at_nodes, _GAUSS_WEIGHTS)
-            out[:, s:s + _CHUNK] = k15, np.abs(k15 - g7), cum[:, -1]
-    q, err, ib = out
+            a = t0[s:s + _CHUNK]
+            half = 0.5 * (t1[s:s + _CHUNK] - a)
+            # nodes as offsets from a: taken at absolute times, their
+            # rounding would floor the error estimate of a cell only a few
+            # ulps of t wide above tol
+            vals = np.asarray(bfun(a[:, None] + half[:, None] * _OFFSETS), dtype=float)
+            # one vecdot of one shape per node, so a panel's sums do not
+            # depend on its batch
+            cum = half[:, None] * np.vecdot(vals[:, None, :], _INTEGRATE_TO_NODES)
+            weights_at_nodes = np.exp(-cum)
+            ib = half * np.vecdot(vals, _KRONROD_WEIGHTS)
+            ib_g7 = half * np.vecdot(vals, _GAUSS_WEIGHTS)
+            k15 = half * np.vecdot(weights_at_nodes, _KRONROD_WEIGHTS)
+            g7 = half * np.vecdot(weights_at_nodes, _GAUSS_WEIGHTS)
+            out[:, s:s + _CHUNK] = k15, np.abs(k15 - g7), ib, np.abs(ib - ib_g7)
+    q, err, ib, gap = out
     if not (np.isfinite(q).all() and np.isfinite(ib).all()):
         i = int(np.argmin(np.isfinite(q) & np.isfinite(ib)))
         raise FloatingPointError(f"non-finite damping integral on [{t0[i]:g}, {t1[i]:g}]")
     # libm's exp: numpy's vectorized exp can round E differently in the
     # last bit, which would move every tabulated g
     E = np.fromiter(map(math.exp, -ib), float, ib.size)
-    return q, err, ib, E
+    return q, err, ib, gap, E
 
 
-def _settled(q, err, ib, tol: float):
-    """Cells whose panel stands: few e-folds and a small error estimate.
+def _settled(q, err, ib, gap, tol: float):
+    """Cells whose panel stands: few e-folds and small error estimates.
 
     A cell holding more than a few e-folds of damping hides the decay layer
     from the Kronrod nodes, so it is split whatever its error estimate.
+    The K15-G7 gap of int b must stay within tol too: the 15 nodes that
+    carry the inner integrals cannot see a b they do not resolve, and such
+    a b can leave the q estimate small.
     """
-    return (ib <= 3.0) & (err <= tol * np.maximum(np.abs(q), 1e-300))
+    return (ib <= 3.0) & (err <= tol * np.maximum(np.abs(q), 1e-300)) & (gap <= tol)
 
 
 def _phi_cells(bfun, t0, t1, tol: float):
@@ -161,8 +178,10 @@ def _phi_cells(bfun, t0, t1, tol: float):
     The exponentially dead right half is pruned when
     E_left * width_right <= tol * q_left, through the bound
     q_right <= width_right.  E is the cell's own panel value: the damping
-    mass is layer-free and accurate.  The panels take their nodes as
-    offsets from the cell's left end (see :func:`_exp_panels`).
+    mass is layer-free and accurate.  Each panel evaluates b at its 15
+    Kronrod nodes alone, placed as offsets from the cell's left end (see
+    :func:`_exp_panels`); a b those nodes do not resolve splits the cell
+    through the K15-G7 gap of int b.
 
     The panels, splits and prunes are those of a depth-first recursion over
     each cell, but all the cells of a call are walked together, in one walk
@@ -178,8 +197,8 @@ def _phi_cells(bfun, t0, t1, tol: float):
     shape = np.shape(t0)
     t0 = np.ravel(np.asarray(t0, dtype=float))
     t1 = np.ravel(np.asarray(t1, dtype=float))
-    q, err, ib, E = _exp_panels(bfun, t0, t1)
-    open_ = np.flatnonzero(~_settled(q, err, ib, tol))
+    q, err, ib, gap, E = _exp_panels(bfun, t0, t1)
+    open_ = np.flatnonzero(~_settled(q, err, ib, gap, tol))
     if open_.size:
         q[open_] = _walk(bfun, _Tree(a=t0[open_], b=t1[open_], E=E[open_], Q=q[open_]), tol)
     return q.reshape(shape), E.reshape(shape)
@@ -252,9 +271,9 @@ def _walk(bfun, tree: _Tree, tol: float):
             raise QuadratureNonconvergence(
                 f"exponential cell [{tree.a[i]:g}, {tree.b[i]:g}] did not resolve "
                 f"within {_CELL_PANELS} panels")
-        q, err, ib, E = _exp_panels(bfun, a, b)
+        q, err, ib, gap, E = _exp_panels(bfun, a, b)
         depth = tree.depth[parents] - 1
-        settled = _settled(q, err, ib, tol)
+        settled = _settled(q, err, ib, gap, tol)
         stuck = ~settled & (depth <= 0)
         if stuck.any():
             i = root[np.argmax(stuck)]
@@ -608,7 +627,7 @@ def check_hypothesis(model: DampingModel, horizon: float, margin: float = 0.05) 
     ts = np.geomspace(1.0, horizon, count)
     b = np.asarray(model.b(ts), dtype=float)
     db = np.asarray(model.db(ts), dtype=float)
-    ratio1 = db / b**2                      # liminf target > -1
+    ratio1 = (db / b) / b                   # liminf target > -1; b**2 can leave the range
     ratio2 = ts * db / b                    # limsup target < 1
 
     tail = ts >= horizon / 10.0

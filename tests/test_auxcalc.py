@@ -8,6 +8,7 @@ Closed-form oracles used here:
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -310,32 +311,29 @@ def test_failed_table_checks_are_numerical_failures(monkeypatch):
 # -- the batched exponential cell ----------------------------------------------
 
 def _reference_panel(bfun, t0, t1):
-    """One K15 panel of tau -> exp(-int_{t0}^{tau} b), scalar: (q, err, ib).
+    """One K15 panel of tau -> exp(-int_{t0}^{tau} b), scalar: (q, err, ib, gap).
 
-    The breaks and nodes are offsets from t0, which is added only where b
-    is evaluated."""
-    width = t1 - t0
-    half = 0.5 * width
-    nodes = half * (1.0 + _KRONROD_NODES)
-    breaks = np.concatenate(([0.0], nodes, [width]))
-    lefts, rights = breaks[:-1], breaks[1:]
-    sub_half = 0.5 * (rights - lefts)
-    sub_mid = 0.5 * (lefts + rights)
-    grid = sub_mid[:, None] + sub_half[:, None] * _KRONROD_NODES[None, :]
-    vals = np.asarray(bfun(grid.ravel() + t0), dtype=float).reshape(grid.shape)
-    cum = np.cumsum(sub_half * (vals @ _KRONROD_WEIGHTS))
-    weights_at_nodes = np.exp(-cum[:-1])
-    k15 = half * float(np.dot(_KRONROD_WEIGHTS, weights_at_nodes))
-    g7 = half * float(np.dot(_GAUSS_WEIGHTS, weights_at_nodes))
-    return k15, abs(k15 - g7), float(cum[-1])
+    b is evaluated at the 15 Kronrod nodes, as offsets from t0 added only
+    where b is evaluated; the integral of b up to each node is one dot
+    product of its row of the spectral integration matrix."""
+    half = 0.5 * (t1 - t0)
+    vals = np.asarray(bfun(t0 + half * (1.0 + _KRONROD_NODES)), dtype=float)
+    S = auxcalc._INTEGRATE_TO_NODES
+    cum = half * np.array([np.dot(vals, S[i]) for i in range(15)])
+    weights_at_nodes = np.exp(-cum)
+    ib = half * float(np.dot(vals, _KRONROD_WEIGHTS))
+    ib_g7 = half * float(np.dot(vals, _GAUSS_WEIGHTS))
+    k15 = half * float(np.dot(weights_at_nodes, _KRONROD_WEIGHTS))
+    g7 = half * float(np.dot(weights_at_nodes, _GAUSS_WEIGHTS))
+    return k15, abs(k15 - g7), ib, abs(ib - ib_g7)
 
 
 def _reference_cell(bfun, t0, t1, tol, panels, depth=48):
     """The depth-first cell recursion: (q, E), counting panels in ``panels``."""
     panels[0] += 1
-    q, err, ib = _reference_panel(bfun, t0, t1)
+    q, err, ib, gap = _reference_panel(bfun, t0, t1)
     E = math.exp(-ib)
-    if (ib <= 3.0 and err <= tol * max(abs(q), 1e-300)) or depth <= 0:
+    if (ib <= 3.0 and err <= tol * max(abs(q), 1e-300) and gap <= tol) or depth <= 0:
         return q, E
     mid = 0.5 * (t0 + t1)
     q_l, e_l = _reference_cell(bfun, t0, mid, tol, panels, depth - 1)
@@ -366,7 +364,7 @@ class _CountingDamping:
 def test_phi_cells_make_the_recursions_panels(model, horizon):
     """Batched cells evaluate the recursion's panels and agree in q and E.
 
-    Each panel evaluates b at 16 sub-panels of 15 nodes; the cells are a
+    Each panel evaluates b at its 15 Kronrod nodes; the cells are a
     table's cells and the bridging cells of 64 reads.
     """
     aux = build_aux_table(model, horizon)
@@ -379,8 +377,32 @@ def test_phi_cells_make_the_recursions_panels(model, horizon):
         panels = [0]
         ref = np.array([_reference_cell(model.b, float(a), float(b), tol, panels)
                         for a, b in zip(t0, t1)])
-        assert counting.points == 16 * 15 * panels[0]
+        assert counting.points == 15 * panels[0]
         assert np.array_equal(q, ref[:, 0]) and np.array_equal(E, ref[:, 1])
+
+
+def test_integration_matrix_integrates_polynomials_to_each_node():
+    """S integrates x**k, k = 0..14, from -1 to every Kronrod node."""
+    x = _KRONROD_NODES
+    for k in range(15):
+        exact = (x ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+        got = np.vecdot((x ** k)[None, :], auxcalc._INTEGRATE_TO_NODES)
+        assert np.max(np.abs(got - exact)) <= 1e-15, k
+
+
+def test_unresolved_damping_splits_a_cell_whose_q_stands():
+    """b = 1 + 1e-6 noise on [0, 1e-3]: the first panel's q estimate stands
+    (gap 1.6e-12 q, tol 1e-11), but its gap of int b (5.4e-11) does not,
+    because the 15 nodes do not resolve b; the cell splits."""
+    rng = np.random.default_rng(0)
+    noisy = lambda t: 1.0 + 1e-6 * rng.uniform(0.0, 1.0, np.shape(t))
+    tol, t0, t1 = 1e-11, np.array([0.0]), np.array([1e-3])
+    q, err, ib, gap, _ = auxcalc._exp_panels(noisy, t0, t1)
+    assert err[0] <= tol * q[0] and ib[0] <= 3.0 and gap[0] > tol
+    rng = np.random.default_rng(0)
+    counting = _CountingDamping(SimpleNamespace(b=noisy))
+    auxcalc._phi_cells(counting.b, t0, t1, tol)
+    assert counting.points > 15
 
 
 def test_walk_rounds_and_chunks_leave_results_unchanged(monkeypatch):
@@ -434,7 +456,7 @@ def test_cells_resolve_together_exactly_when_alone(monkeypatch):
     for a, b in zip(t0, t1):
         counting = _CountingDamping(model)
         auxcalc._phi_cells(counting.b, a, b, tol)
-        panels.append(counting.points // (16 * 15))
+        panels.append(counting.points // 15)
     heaviest = int(np.argmax(panels))
     assert panels[heaviest] > 50 and sum(panels) > 4 * panels[heaviest]
     monkeypatch.setattr(auxcalc, "_CELL_PANELS", panels[heaviest])

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 import time
 import warnings
@@ -57,6 +58,25 @@ def test_check_admissible(capsys):
                      "--kappa", "1", "--horizon", "1000", "--quiet"])
     assert code == EXIT_OK
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, verdict", [
+    (["check", "--mu", "1e-300"], "PASS"),
+    (["check", "--mu", "1e300"], "PASS"),
+    (["check", "--damping", "powerlaw", "--kappa", "1", "--mu", "1e-200"], "FAIL"),
+])
+def test_check_at_extreme_damping_scales(argv, verdict, capsys):
+    """b**2 leaves the floating-point range where b'/b**2 does not: every
+    ratio prints finite, with no numpy warning, and the verdict is the
+    closed form's."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = dispatch(argv)
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert not re.search(r"\b(nan|inf)\b", out)  # whole words: "liminf" is a row label
+    assert f"verdict: {verdict}" in out
+    assert f"closed-form admissibility: {verdict == 'PASS'}" in out
 
 
 def test_aux_dump_deterministic(tmp_path, capsys):
@@ -396,12 +416,17 @@ def _real(lo, hi, special=()):
     return st.one_of(st.floats(lo, hi), st.sampled_from(special) if special else st.nothing()).map(repr)
 
 
-_DAMPING = st.tuples(
-    st.sampled_from(["constant", "powerlaw", "perturbed"]),
-    st.floats(-6.0, 6.0).map(lambda e: repr(10.0**e)),
-    _real(-1.2, 1.2),
-    st.sampled_from([[], ["--perturbation", "log"], ["--perturbation", "sin"]]),
-).map(lambda d: ["--damping", d[0], "--mu", d[1], "--kappa", d[2]] + d[3])
+def _damping(decades):
+    """Damping arguments with scales mu in [1e-decades, 1e+decades]."""
+    return st.tuples(
+        st.sampled_from(["constant", "powerlaw", "perturbed"]),
+        st.floats(-decades, decades).map(lambda e: repr(10.0**e)),
+        _real(-1.2, 1.2),
+        st.sampled_from([[], ["--perturbation", "log"], ["--perturbation", "sin"]]),
+    ).map(lambda d: ["--damping", d[0], "--mu", d[1], "--kappa", d[2]] + d[3])
+
+
+_DAMPING = _damping(6.0)
 
 _SCAN = st.tuples(
     st.integers(0, 4), _real(1.0, 8.0), _real(-1.0, 1.0), _real(-1.0, 1.0), _real(-1.0, 1.0),
@@ -413,7 +438,9 @@ _EXPONENTS = st.tuples(
     st.integers(-1, 5), *(_real(-2.0, 2.0, (math.nan, math.inf, -math.inf)) for _ in range(3)),
 ).map(lambda a: ["exponents", "--n", str(a[0]), "--alpha", a[1], "--gamma", a[2], "--delta", a[3]])
 
-_CHECK = st.tuples(st.floats(1.0, 308.0).map(lambda e: repr(10.0**e)), _real(-0.5, 1.5), _DAMPING).map(
+# check only samples b and b', so its scales reach far past the tables'
+_CHECK = st.tuples(st.floats(1.0, 308.0).map(lambda e: repr(10.0**e)), _real(-0.5, 1.5),
+                   _damping(300.0)).map(
     lambda a: ["check", "--horizon", a[0], "--margin", a[1]] + a[2])
 
 
@@ -425,6 +452,10 @@ _CHECK = st.tuples(st.floats(1.0, 308.0).map(lambda e: repr(10.0**e)), _real(-0.
                "--mu", "1.77e-06", "--kappa", "-0.9486", "--perturbation", "sin"])
 # g**p' overflows at p' = 101 while g**(1-p') underflows
 @example(argv=["scan", "--p", "1.01", "--mu", "1e-4"])
+# b**2 underflows (0/0), overflows, and underflows under b' != 0 (-inf)
+@example(argv=["check", "--mu", "1e-300"])
+@example(argv=["check", "--mu", "1e300"])
+@example(argv=["check", "--damping", "powerlaw", "--kappa", "1", "--mu", "1e-200"])
 def test_analysis_arguments_end_cleanly(argv):
     """Any scan, exponents or check arguments: exit 0, 2 or 3 within 5 s, no
     traceback, and no nan or inf in the CSV."""
