@@ -625,7 +625,15 @@ def check_hypothesis(model: DampingModel, horizon: float, margin: float = 0.05) 
         raise ValueError(f"margin {margin:g} must lie in [0, 1)")
     count = max(16, int(math.log10(horizon) * POINTS_PER_DECADE))
     ts = np.geomspace(1.0, horizon, count)
-    b = np.asarray(model.b(ts), dtype=float)
+    with np.errstate(over="ignore"):
+        b = np.asarray(model.b(ts), dtype=float)
+        tb = ts * b
+    bad = np.flatnonzero(~((b > 0.0) & np.isfinite(tb)))    # nan fails b > 0
+    if len(bad):
+        i = bad[0]
+        value = f"t*b(t) = {tb[i]:g}" if 0.0 < b[i] < math.inf else f"b(t) = {b[i]:g}"
+        raise FloatingPointError(
+            f"{value} at t = {ts[i]:g} leaves the floating-point range; lower the horizon")
     db = np.asarray(model.db(ts), dtype=float)
     ratio1 = (db / b) / b                   # liminf target > -1; b**2 can leave the range
     ratio2 = ts * db / b                    # limsup target < 1
@@ -643,7 +651,7 @@ def check_hypothesis(model: DampingModel, horizon: float, margin: float = 0.05) 
     report = HypothesisReport(
         liminf_est=liminf_est,
         limsup_est=limsup_est,
-        tb_liminf=float(np.min((ts * b)[tail])),
+        tb_liminf=float(np.min(tb[tail])),
         growth_m=max(0.0, float(np.max(ratio2[tail]))),
         growth_M=max(0.0, -float(np.min(ratio2[tail]))),
         eps_lower=float(np.min(correction)),

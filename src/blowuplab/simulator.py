@@ -13,14 +13,22 @@ the grid, the time step and the coefficients: a single run is one row, a
 p-sweep is one row per power, and each row equals its single run bit for
 bit.
 
+One step is u+ = ((2c u - (1-bh)c u-) + dt^2 a c L u) + dt^2 c f, with
+bh = b dt/2 and c = 1/(1+bh), and L the three-row radial Laplacian of
+``_Stencil``.
+
 The kernel marches only a support window, the columns [0, W).  Past the
-last nonzero column of u and u_prev, u, its Laplacian, |u|^p and the
-update are all exactly +0.0 (the coefficients are finite, a > 0 and
-1 + b dt/2 > 0), and one step spreads the support by at most one column.
-So W stays at least 3 columns past the support, the support is measured
-again before it could reach column W-2, and W grows by a block when it
-runs short; every column outside the window is exactly what a full-width
-march would hold.  Energies are computed in chunks: the full-width rows of
+last nonzero column of u and u_prev, every term of the step is +-0.0
+(the coefficients are finite, a > 0 and 1 + b dt/2 > 0).  In
+round-to-nearest a sum of zeros is -0.0 only if every term is -0.0, and
+the terms 2c u_j and dt^2 a c di_j u_j have opposite signs (c > 0,
+dt^2 a c > 0, di_j < 0), whatever the sign of (1-bh)c.  So the update
+is +0.0 there, and one step spreads the support by at most one column.
+The Dirichlet column gets no L term, so it keeps its +0.0.  W stays at
+least 3 columns past the support, the support is measured again before
+it could reach column W-2, and W grows by a block when it runs short;
+every column outside the window is exactly what a full-width march
+would hold.  Energies are computed in chunks: the full-width rows of
 u are buffered and turned into energies in one 2-D pass, with every row
 summed over all J pairs, zeros included, because numpy's pairwise sum
 groups its terms by the length of the row.
@@ -229,6 +237,13 @@ def _coefficient_arrays(prob: ProblemSpec, aux: AuxTable, steps: int, dt: float)
     return ts, a, b, ftime
 
 
+def _step_scalars(a: float, b: float, dt: float) -> tuple[float, float, float, float]:
+    """2c, (1 - bh) c, dt^2 a c and dt^2 c of the leapfrog step: bh = b dt/2, c = 1/(1 + bh)."""
+    bh = 0.5 * dt * b
+    c = 1.0 / (1.0 + bh)
+    return 2.0 * c, (1.0 - bh) * c, dt**2 * a * c, dt**2 * c
+
+
 @functools.lru_cache(maxsize=1024)
 def _underflow_cut(p: float) -> float:
     """Magnitude below which ``np.power(x, p)`` is +0.0, or 0.0 for no cut.
@@ -248,10 +263,18 @@ def _underflow_cut(p: float) -> float:
 
 
 class _Stencil:
-    """Grid constants of the leapfrog update on a (rows, J+1) batch.
+    """Grid constants of the leapfrog step on a (rows, J+1) batch.
 
     ``_march`` builds one for the width of its support window, so J+1 is
     that width there.
+
+    The radial Laplacian u_rr + (n-1)/r u_r is held as three coefficient
+    rows on the columns 0..J-1: L u_j = (di_j u_j + up_j u_{j+1}) +
+    lo_j u_{j-1}, with up_j, lo_j = 1/dr^2 +- (n-1)/(2j dr^2) and di_j =
+    -2/dr^2.  At r = 0 the symmetric ghost cell turns the radial term into
+    (n-1) u_rr, so row 0 is 2n (u_1 - u_0)/dr^2 and has no lo term.  For
+    n = 1 the off-diagonal rows are 1/dr^2 bit for bit.  Column J has no
+    row: it is the Dirichlet column.
 
     Each formula runs the same floating-point operations, in the same order,
     as its one-row array expression, so every row of a batch reproduces a
@@ -260,34 +283,13 @@ class _Stencil:
 
     def __init__(self, J: int, dr: float, n: int, delta: float = 0.0):
         self.dr = dr
-        self.n = n
         self.area = sphere_area(n)
-        self.radial = (n - 1) / (np.arange(1, J) * dr)
+        inv = 1.0 / dr**2
+        radial = (n - 1) / (2.0 * np.arange(1, J)) * inv
+        self.lo = np.concatenate(([0.0], inv - radial))
+        self.di = np.concatenate(([-2.0 * n * inv], np.full(J - 1, -2.0 * inv)))
+        self.up = np.concatenate(([2.0 * n * inv], inv + radial))
         self.fspace = (np.arange(J + 1) * dr) ** delta if delta != 0.0 else None
-
-    def gradient(self, u: np.ndarray) -> np.ndarray:
-        """Rows of (u[j+1] - u[j-1]) / (2 dr) on the interior, shape (rows, J-1)."""
-        return (u[:, 2:] - u[:, :-2]) / (2.0 * self.dr)
-
-    def laplacian(self, u: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """u_rr + (n-1)/r u_r with the symmetric ghost cell at the origin.
-
-        At r = 0 the radial term tends to (n-1) u_rr, so the whole operator
-        becomes 2n (u_1 - u_0)/dr^2 there.  The outer column is 0; the
-        caller imposes the Dirichlet value on the update.  ``grad`` (from
-        ``gradient``) is consumed.
-        """
-        lap = np.empty_like(u)
-        inner = lap[:, 1:-1]
-        np.multiply(u[:, 1:-1], 2.0, out=inner)
-        np.subtract(u[:, 2:], inner, out=inner)
-        inner += u[:, :-2]
-        inner /= self.dr**2
-        grad *= self.radial
-        inner += grad
-        lap[:, 0] = 2.0 * self.n * (u[:, 1] - u[:, 0]) / self.dr**2
-        lap[:, -1] = 0.0
-        return lap
 
     def source(self, absu: np.ndarray, powers: Sequence[float],
                scale: float) -> Optional[np.ndarray]:
@@ -311,30 +313,36 @@ class _Stencil:
         return src
 
     def start(self, u0, v0, a0, b0, forcing, dt: float) -> np.ndarray:
-        """Taylor start u0 + dt v0 + dt^2/2 (a0 Lap u0 - b0 v0 + forcing) of each row."""
-        lap0 = self.laplacian(u0, self.gradient(u0))
-        accel = a0 * lap0 - b0 * v0
-        if forcing is not None:
-            accel += forcing
-        return u0 + dt * v0 + 0.5 * dt**2 * accel
+        """Taylor start u0 + dt v0 + dt^2/2 (a0 L u0 - b0 v0 + forcing) of each row.
 
-    def update(self, u_prev, u, lap, forcing, a, b, dt: float) -> np.ndarray:
-        """(2u - (1-bh) u_prev + dt^2 (a Lap u + forcing)) / (1+bh), bh = b dt/2.
-
-        ``u_prev`` and ``lap`` are consumed; ``forcing`` None means no
-        source term.
+        This is ``step`` with the scalars 1, -(1 - bh) dt, dt^2 a0/2 and
+        dt^2/2, bh = b0 dt/2, on a copy of ``v0`` in place of u_prev.
         """
-        bh = 0.5 * dt * b
-        u_next = u * 2.0
-        u_prev *= 1.0 - bh
-        u_next -= u_prev
-        lap *= a
+        bh = 0.5 * dt * b0
+        return self.step(u0, np.tile(v0, (len(u0), 1)), forcing,
+                         (1.0, -(1.0 - bh) * dt, 0.5 * dt**2 * a0, 0.5 * dt**2))
+
+    def step(self, u, u_prev, forcing, k) -> np.ndarray:
+        """((k_u u - k_prev u_prev) + k_lap L u) + k_src forcing, written into ``u_prev``.
+
+        ``k`` is (k_u, k_prev, k_lap, k_src); the leapfrog step takes
+        ``_step_scalars``.  ``u_prev`` and ``forcing`` are consumed;
+        ``forcing`` None means no source term.  Column J gets no L u term:
+        it keeps +0.0 in ``_march`` (see the module docstring), and
+        ``_run_manufactured`` sets its boundary value.
+        """
+        k_u, k_prev, k_lap, k_src = k
+        lap = u[:, :-1] * self.di
+        lap += u[:, 1:] * self.up
+        lap[:, 1:] += u[:, :-2] * self.lo[1:]
+        lap *= k_lap
+        u_prev *= -k_prev
+        u_prev += u * k_u
+        u_prev[:, :-1] += lap
         if forcing is not None:
-            lap += forcing
-        lap *= dt**2
-        u_next += lap
-        u_next /= 1.0 + bh
-        return u_next
+            forcing *= k_src
+            u_prev += forcing
+        return u_prev
 
     def energies(self, u, v, a, rpow: np.ndarray) -> np.ndarray:
         """Discrete kinetic + elastic energy of each full-width row of ``u``.
@@ -347,7 +355,7 @@ class _Stencil:
         """
         u_r = np.empty_like(u)
         u_r[:, 0] = (u[:, 1] - u[:, 0]) / self.dr
-        u_r[:, 1:-1] = self.gradient(u)
+        u_r[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2.0 * self.dr)
         u_r[:, -1] = (u[:, -1] - u[:, -2]) / self.dr
         dens = v * v
         dens *= 0.5
@@ -538,10 +546,7 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
             break
 
         forcing = st.source(absu, powers, fscale[m])
-        lap = st.laplacian(u, st.gradient(u))
-        u_next = st.update(u_prev, u, lap, forcing, a_arr[m], b_arr[m], dt)
-        u_next[:, -1] = 0.0
-        u_prev, u = u, u_next
+        u_prev, u = u, st.step(u, u_prev, forcing, _step_scalars(a_arr.item(m), b_arr.item(m), dt))
     if with_energy:
         flush()
     final[active, :width] = u
@@ -669,10 +674,8 @@ def _run_manufactured(prob: ProblemSpec, aux: AuxTable, J: int,
     u[:, -1] = u_exact(dt, r[-1])
 
     for m in range(1, steps):
-        lap = st.laplacian(u, st.gradient(u))
-        u_next = st.update(u_prev, u, lap, source(m), a_arr[m], b_arr[m], dt)
-        u_next[:, -1] = u_exact(ts[m + 1], r[-1])
-        u_prev, u = u, u_next
+        u_prev, u = u, st.step(u, u_prev, source(m), _step_scalars(a_arr.item(m), b_arr.item(m), dt))
+        u[:, -1] = u_exact(ts[m + 1], r[-1])
 
     if return_field:
         return u[0]

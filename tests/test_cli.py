@@ -45,6 +45,21 @@ def test_exponents_grid_config(tmp_path, capsys):
     assert rows[2]["p_min"] == "2"
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--mu", "1e300", "--horizon", "1e300"],
+    ["check", "--damping", "powerlaw", "--kappa", "0.5", "--mu", "1e-300", "--horizon", "1e100"],
+])
+def test_check_where_b_leaves_the_range_is_a_numerical_failure(argv, capsys):
+    """t*b overflows, or b underflows to 0: exit 3 naming t, with no ratio printed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = dispatch(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL
+    assert "t =" in captured.err
+    assert not re.search(r"\b(nan|inf)\b", captured.out)
+
+
 def test_check_borderline_failure(capsys):
     code = dispatch(["check", "--damping", "powerlaw", "--mu", "0.5",
                      "--kappa", "1", "--horizon", "1000", "--quiet"])
@@ -456,6 +471,10 @@ _CHECK = st.tuples(st.floats(1.0, 308.0).map(lambda e: repr(10.0**e)), _real(-0.
 @example(argv=["check", "--mu", "1e-300"])
 @example(argv=["check", "--mu", "1e300"])
 @example(argv=["check", "--damping", "powerlaw", "--kappa", "1", "--mu", "1e-200"])
+# at far horizons t*b overflows, or b underflows to 0
+@example(argv=["check", "--mu", "1e300", "--horizon", "1e300"])
+@example(argv=["check", "--damping", "powerlaw", "--kappa", "0.5", "--mu", "1e-300",
+               "--horizon", "1e100"])
 def test_analysis_arguments_end_cleanly(argv):
     """Any scan, exponents or check arguments: exit 0, 2 or 3 within 5 s, no
     traceback, and no nan or inf in the CSV."""

@@ -239,14 +239,21 @@ def test_sweep_rows_equal_single_runs():
 
 # -- one-row array reference (alpha = gamma = 0) ------------------------------------------
 
+def _reference_rows(J, dr, n):
+    """lo, di and up of the radial Laplacian on the columns 0..J-1."""
+    inv = 1.0 / dr**2
+    radial = (n - 1) / (2.0 * np.arange(1, J)) * inv
+    lo = np.concatenate(([0.0], inv - radial))
+    di = np.concatenate(([-2.0 * n * inv], np.full(J - 1, -2.0 * inv)))
+    up = np.concatenate(([2.0 * n * inv], inv + radial))
+    return lo, di, up
+
+
 def _reference_laplacian(u, dr, n):
-    lap = np.empty_like(u)
-    r = np.arange(1, len(u) - 1) * dr
-    u_rr = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dr**2
-    u_r = (u[2:] - u[:-2]) / (2.0 * dr)
-    lap[1:-1] = u_rr + (n - 1) / r * u_r
-    lap[0] = 2.0 * n * (u[1] - u[0]) / dr**2
-    lap[-1] = 0.0
+    lo, di, up = _reference_rows(len(u) - 1, dr, n)
+    lap = np.zeros_like(u)
+    lap[:-1] = di * u[:-1] + up * u[1:]
+    lap[1:-1] += lo[1:] * u[:-2]
     return lap
 
 
@@ -276,8 +283,9 @@ def _reference_traces(spec, dt, steps):
     u_prev[-1] = 0.0
     v0 = spec.u1(r)
     v0[-1] = 0.0
-    accel0 = prob.c_a * _reference_laplacian(u_prev, dr, n) - b[0] * v0 + source(u_prev)
-    u = u_prev + dt * v0 + 0.5 * dt**2 * accel0
+    bh = 0.5 * dt * b[0]
+    u = (u_prev + (1.0 - bh) * dt * v0 + 0.5 * dt**2 * prob.c_a * _reference_laplacian(u_prev, dr, n)
+         + 0.5 * dt**2 * source(u_prev))
     u[-1] = 0.0
     sups, energies = [float(np.max(np.abs(u_prev)))], [energy(v0, u_prev)]
     for m in range(1, steps + 1):
@@ -286,8 +294,9 @@ def _reference_traces(spec, dt, steps):
         if m == steps:
             break
         bh = 0.5 * dt * b[m]
-        u_next = (2.0 * u - (1.0 - bh) * u_prev
-                  + dt**2 * (prob.c_a * _reference_laplacian(u, dr, n) + source(u))) / (1.0 + bh)
+        c = 1.0 / (1.0 + bh)
+        u_next = (2.0 * c * u - (1.0 - bh) * c * u_prev
+                  + dt**2 * prob.c_a * c * _reference_laplacian(u, dr, n) + dt**2 * c * source(u))
         u_next[-1] = 0.0
         u_prev, u = u, u_next
     return np.array(sups), np.array(energies), u
@@ -323,6 +332,12 @@ REFERENCE_SPECS = {
         problem=ProblemSpec(n=1, alpha=0.0, gamma=0.0, delta=0.5, p=2.5,
                             damping=DampingModel.constant(1.0)),
         r_max=30.0, J=200, T_max=10.0, u1=GaussianData(2.0, 0.5), nonlinearity=-1.0),
+    # strong damping, b dt/2 = 2.5: the coefficient (1 - b dt/2) c of u_prev is
+    # negative; u0 < 0 leaves -0.0 past a support that stays narrow
+    "strong-damping": SimSpec(
+        problem=ProblemSpec(n=2, alpha=0.0, gamma=0.0, delta=0.0, p=2.0,
+                            damping=DampingModel.constant(50.0)),
+        r_max=60.0, J=300, T_max=10.0, u0=GaussianData(-0.5, 0.5), u1=GaussianData(1.0, 0.5)),
     # closed box: the support starts near r = 8.2 and reaches the wall mid-run
     "support-reaches-wall": SimSpec(
         problem=ProblemSpec(n=3, alpha=0.0, gamma=0.0, delta=0.0, p=2.5,
@@ -356,6 +371,13 @@ def test_reference_specs_reach_the_window_edges():
     out = run(spec)
     assert out.verdict == "blowup" and np.count_nonzero(out.final_u) < spec.J - _WINDOW_BLOCK
 
+    spec = REFERENCE_SPECS["strong-damping"]
+    r = np.arange(spec.J + 1) * spec.dr
+    out = run(spec)
+    assert 0.5 * out.dt * spec.problem.damping.b(0.0) > 1.0
+    assert np.any(np.signbit(spec.u0(r)) & (spec.u0(r) == 0.0))
+    assert np.count_nonzero(out.final_u) < spec.J - _WINDOW_BLOCK
+
     spec = REFERENCE_SPECS["sharp-front"]
     r = np.arange(spec.J + 1) * spec.dr
     out = run(spec)
@@ -376,6 +398,50 @@ def test_reference_specs_reach_the_window_edges():
         spec = REFERENCE_SPECS[name]
         mag = np.abs(run(spec).final_u)
         assert np.any((mag > 0.0) & (mag < _underflow_cut(spec.problem.p)))
+
+
+# -- the three-row Laplacian -------------------------------------------------------------
+
+def _apply_laplacian(st, u):
+    """L u of each row through ``step``: the scalars (0, 0, 1, 0) leave k_lap L u alone."""
+    return st.step(u, np.zeros_like(u), None, (0.0, 0.0, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_laplacian_of_r_squared(n):
+    # the terms are about J^2 times the result, so J stays small
+    J, dr = 32, 0.25
+    r = np.arange(J + 1) * dr
+    lap = _apply_laplacian(_Stencil(J, dr, n), (r**2)[None])[0]
+    assert np.allclose(lap[:-1], 2.0 * n, rtol=1e-12, atol=0.0)
+    assert lap[-1] == 0.0
+
+
+def test_off_diagonal_rows_are_plain_for_n1():
+    dr = 0.3
+    st = _Stencil(64, dr, 1)
+    assert np.array_equal(st.lo[1:], np.full(63, 1.0 / dr**2))
+    assert np.array_equal(st.up[1:], np.full(63, 1.0 / dr**2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_laplacian_matches_the_gradient_form(n):
+    """The rows agree with u_rr + (n-1)/r u_r from differences, and 2n (u_1 - u_0)/dr^2 at r = 0."""
+    rng = np.random.default_rng(n)
+    J, dr = 300, 0.07
+    u = rng.normal(size=(3, J + 1))
+    st = _Stencil(J, dr, n)
+    lap = _apply_laplacian(st, u)
+    old = np.zeros_like(u)
+    j = np.arange(1, J)
+    old[:, 1:-1] = ((u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / dr**2
+                    + (n - 1) / (j * dr) * (u[:, 2:] - u[:, :-2]) / (2.0 * dr))
+    old[:, 0] = 2.0 * n * (u[:, 1] - u[:, 0]) / dr**2
+    # relative to the size of the terms, since the sum can cancel
+    terms = np.abs(st.di * u[:, :-1]) + np.abs(st.up * u[:, 1:])
+    terms[:, 1:] += np.abs(st.lo[1:] * u[:, :-2])
+    assert np.all(np.abs(lap[:, :-1] - old[:, :-1]) <= 1e-13 * terms)
+    assert np.all(lap[:, -1] == 0.0)
 
 
 # -- source term: the underflow cut ------------------------------------------------------
