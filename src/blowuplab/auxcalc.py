@@ -323,23 +323,38 @@ def _compose(tree: _Tree, nodes, tol: float):
     return np.array(due, dtype=np.intp)
 
 
-def _g_tail(model: DampingModel, start: float, tol: float) -> float:
+def _tail_ends(model: DampingModel, start: float):
+    """Right ends of the outward cells of the tail march from ``start``.
+
+    A cell [T, T_next] is at least 0.5/b(start) and 0.35 T long.  A b(start)
+    out of range (which the cells' panels then report) gives no warning.
+    """
+    with np.errstate(all="ignore"):
+        step = float(0.5 / np.float64(model.b(start)))
+    T = start
+    for _ in range(_TAIL_CELLS):
+        T = T + max(step, 0.35 * T)
+        yield T
+
+
+def _g_tail(model: DampingModel, start: float, tol: float, first=None) -> float:
     """g(start) = int_start^inf exp(-int_start^tau b) dtau.
 
-    Marches geometrically growing cells outward, closing with the
-    quasi-stationary estimate (1/b)/(1 + b'/b^2); stops once the running
-    total is stable to ``tol`` over several consecutive extensions.
+    Marches geometrically growing cells outward (:func:`_tail_ends`),
+    closing with the quasi-stationary estimate (1/b)/(1 + b'/b^2); stops
+    once the running total is stable to ``tol`` over several consecutive
+    extensions.  ``first`` is the (q, E) of the first cell when the caller
+    has resolved it, with :func:`_phi_cells` at ``tol * 0.1``.
     """
     bfun = model.b
     accumulated = 0.0
     damping_factor = 1.0
     T = start
-    step = 0.5 / float(model.b(start))
     estimate = None
     stable = 0
-    for _ in range(_TAIL_CELLS):
-        T_next = T + max(step, 0.35 * T)
-        q, E = _phi_cells(bfun, T, T_next, tol * 0.1)
+    for T_next in _tail_ends(model, start):
+        q, E = first if first is not None else _phi_cells(bfun, T, T_next, tol * 0.1)
+        first = None
         accumulated += damping_factor * float(q)
         damping_factor *= float(E)
         T = T_next
@@ -521,8 +536,9 @@ def build_aux_table(model: DampingModel, horizon: float) -> AuxTable:
     the horizon, so per-cell quadrature errors are the only error source.
     The increments of B and log beta take one batched K15 panel per cell,
     refined by :func:`integrate_adaptive` only where that panel misses its
-    tolerance; the cells' (q_i, E_i) are one :func:`_phi_cells` call.  A
-    table failing its checks raises :class:`TabulationError`.
+    tolerance; the cells' (q_i, E_i) and those of the first cell of the
+    tail march are one :func:`_phi_cells` call.  A table failing its checks
+    raises :class:`TabulationError`.
     """
     if not math.isfinite(horizon):
         raise ValueError("horizon must be finite")
@@ -545,7 +561,9 @@ def build_aux_table(model: DampingModel, horizon: float) -> AuxTable:
     dI, gap = gauss_kronrod_panel(bfun, lo, hi)
     refine = gap > tol * np.maximum(1.0, np.abs(dI))
     dI[refine] = integrate_adaptive(bfun, lo[refine], hi[refine], **adaptive)
-    q_cells, E_cells = _phi_cells(bfun, lo, hi, tol * 0.1)
+    # the first cell of the tail march from the horizon rides along
+    tail_end = next(_tail_ends(model, horizon))
+    q_cells, E_cells = _phi_cells(bfun, np.append(lo, horizon), np.append(hi, tail_end), tol * 0.1)
 
     with np.errstate(over="ignore"):
         B_vals = np.concatenate(([0.0], np.cumsum(dB)))
@@ -556,7 +574,7 @@ def build_aux_table(model: DampingModel, horizon: float) -> AuxTable:
             raise TabulationError(f"{name} leaves the floating-point range at t = {t:g}")
 
     g_vals = np.empty(len(grid))
-    g_vals[-1] = _g_tail(model, horizon, tol)
+    g_vals[-1] = _g_tail(model, horizon, tol, first=(q_cells[-1], E_cells[-1]))
     for i in range(len(grid) - 2, -1, -1):
         g_vals[i] = q_cells[i] + E_cells[i] * g_vals[i + 1]
 

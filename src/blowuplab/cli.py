@@ -185,10 +185,11 @@ def _cmd_simulate(args) -> int:
     finite = np.isfinite(sups)
     kept = len(finite) if finite.all() else int(np.argmin(finite))
     energy_ok = np.isfinite(energies)
-    # one format per row, the same "{:.12g}" as _fmt for each float
+    # one format per row, the same "{:.12g}" as _fmt for each float; Python
+    # floats format faster than numpy scalars
     row, bare = "{:.12g},{:.12g},{:.12g}\n".format, "{:.12g},{:.12g},\n".format
-    lines = (row(t, s, e) if ok else bare(t, s)
-             for t, s, e, ok in zip(times[:kept], sups[:kept], energies[:kept], energy_ok))
+    columns = (v[:kept].tolist() for v in (times, sups, energies, energy_ok))
+    lines = (row(t, s, e) if ok else bare(t, s) for t, s, e, ok in zip(*columns))
     _write_csv(args.out, ["t", "sup_norm", "energy"], lines, args.quiet)
     tstar = f" t* = {_fmt(outcome.t_star)}" if outcome.t_star is not None else ""
     cut = ""

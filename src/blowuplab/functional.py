@@ -150,34 +150,36 @@ def _check_integrability(spec: ProblemSpec) -> None:
         )
 
 
-def _time_weight(spec: ProblemSpec, aux: AuxTable, alpha: MultiIndex) -> Callable:
-    """Integrand of the time part of the shell integral for one index.
+def _time_weights(spec: ProblemSpec, aux: AuxTable, alphas: Sequence[MultiIndex]) -> Callable:
+    """Integrand of the time parts of the shell integrals of several indices.
 
-    The integrand takes an array of times and returns the array of values.
+    The integrand takes an array of times and, for each time, the position
+    of its index in ``alphas``, and returns the array of values.  It reads
+    g and B once per distinct time, so times shared between indices cost
+    one read.
     """
     pc = spec.p_conjugate
     gpow = -spec.gamma * (pc - 1.0)
+    apow = -spec.alpha * pc
     cf = spec.c_f ** (-(pc - 1.0))
 
-    def base(t: np.ndarray):
-        g = aux.g_at(t)
-        Bs = aux.B_at(t) + aux.B_unit_shift
-        return g ** (-(pc - 1.0)) * cf * Bs**gpow, g, Bs
-
-    if alpha.alpha0 == 2:
-        def w(t: np.ndarray):
-            common, g, _ = base(t)
-            return g**pc * common
-    elif alpha.alpha0 == 1:
-        def w(t: np.ndarray):
-            common, g, _ = base(t)
-            return np.abs(g * spec.damping.b(t) - 2.0) ** pc * common
-    else:
-        apow = -spec.alpha * pc
-
-        def w(t: np.ndarray):
-            common, g, Bs = base(t)
-            return (g * spec.c_a) ** pc * Bs**apow * common
+    def w(t: np.ndarray, which: np.ndarray):
+        nodes, inverse = np.unique(t, return_inverse=True)
+        g = aux.g_at(nodes)
+        Bs = aux.B_at(nodes) + aux.B_unit_shift
+        common = g ** (-(pc - 1.0)) * cf * Bs**gpow
+        g, Bs, common = (v[inverse].reshape(t.shape) for v in (g, Bs, common))
+        out = np.empty_like(t)
+        for k, alpha in enumerate(alphas):
+            rows = which == k
+            if alpha.alpha0 == 2:
+                out[rows] = g[rows] ** pc * common[rows]
+            elif alpha.alpha0 == 1:
+                out[rows] = (np.abs(g[rows] * spec.damping.b(t[rows]) - 2.0) ** pc
+                             * common[rows])
+            else:
+                out[rows] = (g[rows] * spec.c_a) ** pc * Bs[rows] ** apow * common[rows]
+        return out
     return w
 
 
@@ -197,33 +199,40 @@ def G_alpha(
     spec: ProblemSpec,
     family: ScalingFamily,
     Rs: Sequence[float],
-    alpha: MultiIndex,
+    alphas: Sequence[MultiIndex],
     method: str = "radial",
 ) -> list:
     """Weighted p'-integral of the operator coefficient over its shell, one per scale.
 
-    Returns the list of G(R) for the ladder ``Rs``.  ``radial`` replaces
-    the box cross-sections by the matching balls (exact for n = 1, same
-    growth rate otherwise); ``box`` does the tensor-product quadrature over
-    the exact box regions, available for n <= 3.  The time integrals of all
-    the scales are one lockstep :func:`integrate_adaptive` call, so each
-    value equals that of its one-scale ladder bit for bit.
+    Returns, for each index in ``alphas``, the list of G(R) for the ladder
+    ``Rs``.  ``radial`` replaces the box cross-sections by the matching
+    balls (exact for n = 1, same growth rate otherwise); ``box`` does the
+    tensor-product quadrature over the exact box regions, available for
+    n <= 3.  The time integrals of all the indices and scales are one
+    lockstep :func:`integrate_adaptive` call, so each value equals that of
+    its one-index, one-scale call bit for bit.
     """
     _check_integrability(spec)
-    if alpha.label not in ("2e0", "e0", "2e_space"):
-        return [0.0] * len(Rs)
+    live = [k for k, alpha in enumerate(alphas) if alpha.label in ("2e0", "e0", "2e_space")]
+    ladders = [[0.0] * len(Rs) for _ in alphas]
+    if not live:
+        return ladders
     F0 = np.array([family.F0(R) for R in Rs])
-    t_lo = F0 / 2.0 if alpha.alpha0 > 0 else 0.0
-    t_int = integrate_adaptive(_time_weight(spec, family.aux, alpha),
-                               t_lo, F0, abs_tol=1e-14, rel_tol=1e-9)
+    t_lo = [F0 / 2.0 if alphas[k].alpha0 > 0 else np.zeros_like(F0) for k in live]
+    t_int = integrate_adaptive(_time_weights(spec, family.aux, alphas),
+                               np.concatenate(t_lo), np.tile(F0, len(live)),
+                               abs_tol=1e-14, rel_tol=1e-9, args=(np.repeat(live, len(Rs)),))
 
-    if method == "radial":
-        x_int = [_radial_factor(spec, R, full_ball=alpha.space_order == 0) for R in Rs]
-    elif method == "box":
-        x_int = [_box_space_integral(spec, R, alpha) for R in Rs]
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return [t * x for t, x in zip(t_int.tolist(), x_int)]
+    for k, ts in zip(live, t_int.reshape(len(live), len(Rs)).tolist()):
+        alpha = alphas[k]
+        if method == "radial":
+            x_int = [_radial_factor(spec, R, full_ball=alpha.space_order == 0) for R in Rs]
+        elif method == "box":
+            x_int = [_box_space_integral(spec, R, alpha) for R in Rs]
+        else:
+            raise ValueError(f"unknown method {method!r}")
+        ladders[k] = [t * x for t, x in zip(ts, x_int)]
+    return ladders
 
 
 def _box_space_integral(spec: ProblemSpec, R: float, alpha: MultiIndex) -> float:
@@ -367,9 +376,8 @@ def scan_condition(
     indices = [MultiIndex.time2(spec.n), MultiIndex.time1(spec.n),
                MultiIndex.space2(spec.n)]
     rows, fitted, predicted, verdicts = {}, {}, {}, {}
-    for idx in indices:
+    for idx, Gs in zip(indices, G_alpha(spec, family, Rs, indices)):
         Hs = [H_alpha(family, R, idx) for R in Rs]
-        Gs = G_alpha(spec, family, Rs, idx)
         data = [(float(R), H, G, H * G ** (1.0 / pc)) for R, H, G in zip(Rs, Hs, Gs)]
         for R, _, G, product in data:
             if not (math.isfinite(G) and math.isfinite(product) and product > 0.0):

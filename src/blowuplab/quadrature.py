@@ -99,6 +99,7 @@ def integrate_adaptive(
     abs_tol: float = 1e-12,
     rel_tol: float = 1e-10,
     max_panels: int = 2000,
+    args: tuple = (),
 ):
     """Adaptive bisection with G7/K15 panels.
 
@@ -112,12 +113,19 @@ def integrate_adaptive(
     of abscissae of shape (panels, 15), for scalar endpoints too.  Each
     integral keeps its own heap of panels, so its splits, sums and error
     estimates, and its result bit for bit, are those it takes alone.
+    ``args`` are arrays of that shape, one entry per integral; ``f`` is
+    then called as ``f(x, *args)`` with the entries of each panel's integral.
     """
     shape = np.broadcast_shapes(np.shape(a), np.shape(b))
     a = np.broadcast_to(np.asarray(a, dtype=float), shape).ravel()
     b = np.broadcast_to(np.asarray(b, dtype=float), shape).ravel()
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    total, diff = gauss_kronrod_panel(f, lo, hi)
+    args = [np.broadcast_to(arg, shape).ravel() for arg in args]
+
+    def panels_of(rows, left, right):
+        return gauss_kronrod_panel(lambda x: f(x, *(arg[rows] for arg in args)), left, right)
+
+    total, diff = panels_of(np.arange(lo.size), lo, hi)
     empty = lo == hi
     total[empty], diff[empty] = 0.0, 0.0
     total_err = _sharpened(diff)
@@ -139,7 +147,8 @@ def integrate_adaptive(
             )
         neg_err, left, right, old_val = np.array([heapq.heappop(heaps[i]) for i in open_.tolist()]).T
         mid = 0.5 * (left + right)
-        val, diff = gauss_kronrod_panel(f, np.concatenate((left, mid)), np.concatenate((mid, right)))
+        val, diff = panels_of(np.concatenate((open_, open_)),
+                              np.concatenate((left, mid)), np.concatenate((mid, right)))
         err = _sharpened(diff)
         n = open_.size
         total[open_] += val[:n] + val[n:] - old_val

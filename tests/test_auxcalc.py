@@ -303,7 +303,7 @@ def test_failed_table_checks_are_numerical_failures(monkeypatch):
 
     with pytest.raises(TabulationError, match="monotonicity"):
         build_aux_table(NegativeNearZero(), 10.0)
-    monkeypatch.setattr(auxcalc, "_g_tail", lambda model, start, tol: -1.0)
+    monkeypatch.setattr(auxcalc, "_g_tail", lambda model, start, tol, first: -1.0)
     with pytest.raises(TabulationError, match="nonpositive"):
         build_aux_table(DampingModel.constant(1.0), 10.0)
 
@@ -432,6 +432,19 @@ def test_unresolvable_cells_stop_at_the_panel_limit():
     limit = auxcalc._CELL_PANELS
     with pytest.raises(QuadratureNonconvergence, match=f"did not resolve within {limit} panels"):
         auxcalc._phi_cells(noise, np.array([0.0, 1e-3, 1.0]), np.array([1.0, 1e-3, 2.0]), 1e-11)
+
+
+@pytest.mark.parametrize("model, horizon", [
+    (DampingModel.constant(1.0), 300.0),
+    (DampingModel.power_law(1.0, 0.5), 300.0),
+    (DampingModel.power_law(1.0, -0.5), 1e4),
+    (DampingModel.perturbed_power(1.0, -0.3, Perturbation("sin", 0.5)), 1e3),
+])
+def test_table_tail_equals_the_march_alone(model, horizon):
+    """The table resolves the tail's first cell in its own walk; g at the
+    horizon is still the tail march's value alone, bit for bit."""
+    table = build_aux_table(model, horizon)
+    assert table.g_vals[-1] == auxcalc._g_tail(model, horizon, auxcalc.DEFAULT_QUAD_TOL)
 
 
 def test_g_tail_stops_at_the_depth_limit():

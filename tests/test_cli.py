@@ -340,6 +340,13 @@ def test_far_horizon_is_a_numerical_failure(capsys):
     assert "48 halvings" in captured.err
 
 
+def test_far_horizon_fails_in_the_tail(capsys):
+    """At horizon 1e16 (b = 1) the table's cells stand, but the tail's first
+    cell, resolved in the table's walk, stops at the depth limit."""
+    captured = _assert_clean_exit(["aux", "--horizon", "1e16"], EXIT_NUMERICAL, capsys)
+    assert "48 halvings" in captured.err
+
+
 def _assert_clean_exit(argv, expected, capsys):
     """Exit code within 5 s, no traceback, and no nan or inf written."""
     start = time.perf_counter()

@@ -88,7 +88,7 @@ def test_multi_index_validation():
 def test_G_alpha_nonintegrable(family_unit):
     spec = unit_problem(2.0, delta=2.0)  # delta (p'-1) = 2 >= n = 1
     with pytest.raises(NonintegrableSingularity):
-        G_alpha(spec, family_unit, [8.0], MultiIndex.space2(1))
+        G_alpha(spec, family_unit, [8.0], [MultiIndex.space2(1)])
 
 
 def test_G_alpha_time_condition():
@@ -97,20 +97,20 @@ def test_G_alpha_time_condition():
     aux = build_aux_table(spec.damping, 200.0)
     fam = ScalingFamily(n=1, d=2.0 / (1.0 - spec.alpha), aux=aux)
     with pytest.raises(NonintegrableSingularity):
-        G_alpha(spec, fam, [2.0], MultiIndex.space2(1))
+        G_alpha(spec, fam, [2.0], [MultiIndex.space2(1)])
 
 
 def test_G_alpha_nonnegative_and_unused_index(family_unit):
     spec = unit_problem(3.0)
-    assert G_alpha(spec, family_unit, [8.0], MultiIndex.space2(1))[0] >= 0.0
-    assert G_alpha(spec, family_unit, [8.0], MultiIndex(1, (1,))) == [0.0]
+    assert G_alpha(spec, family_unit, [8.0], [MultiIndex.space2(1)])[0][0] >= 0.0
+    assert G_alpha(spec, family_unit, [8.0], [MultiIndex(1, (1,))]) == [[0.0]]
 
 
 def test_G_alpha_cubic_growth(family_unit):
     """Unit coefficients in one space dimension: the shell integral grows like R^3."""
     spec = unit_problem(3.0)
     Rs = np.array([8.0, 16.0, 32.0, 64.0])
-    Gs = np.array(G_alpha(spec, family_unit, Rs, MultiIndex.space2(1)))
+    Gs = np.array(G_alpha(spec, family_unit, Rs, [MultiIndex.space2(1)])[0])
     slope = np.polyfit(np.log(Rs), np.log(Gs), 1)[0]
     assert abs(slope - 3.0) <= 0.05
 
@@ -121,8 +121,28 @@ def test_G_alpha_ladder_matches_one_scale_calls(family_unit, method):
     spec = unit_problem(3.0)
     Rs = [8.0, 16.0, 32.0, 64.0]
     for idx in (MultiIndex.time2(1), MultiIndex.time1(1), MultiIndex.space2(1)):
-        ladder = G_alpha(spec, family_unit, Rs, idx, method=method)
-        assert ladder == [G_alpha(spec, family_unit, [R], idx, method=method)[0] for R in Rs]
+        ladder = G_alpha(spec, family_unit, Rs, [idx], method=method)[0]
+        assert ladder == [G_alpha(spec, family_unit, [R], [idx], method=method)[0][0]
+                          for R in Rs]
+
+
+@pytest.mark.parametrize("method", ["radial", "box"])
+@pytest.mark.parametrize("n, damping", [(1, DampingModel.constant(1.0)),
+                                        (2, DampingModel.power_law(1.0, 0.5))])
+def test_G_alpha_indices_match_one_index_calls(n, damping, method):
+    """All the indices of one call equal their one-index calls bit for bit,
+    though their time integrals run in lockstep and share table reads."""
+    spec = ProblemSpec(n=n, alpha=0.25, gamma=0.5, delta=0.25, p=5.0, damping=damping)
+    d = 2.0 / (1.0 - spec.alpha)
+    Rs = [2.0, 4.0, 8.0, 16.0]
+    aux = build_aux_table(damping, scan_horizon(damping, Rs[-1] ** d * 1.05))
+    fam = ScalingFamily(n=n, d=d, aux=aux)
+    indices = [MultiIndex.time2(n), MultiIndex(1, (1,) + (0,) * (n - 1)),
+               MultiIndex.time1(n), MultiIndex.space2(n)]
+    ladders = G_alpha(spec, fam, Rs, indices, method=method)
+    assert ladders == [G_alpha(spec, fam, Rs, [idx], method=method)[0] for idx in indices]
+    assert ladders[1] == [0.0] * len(Rs)
+    assert all(G > 0.0 for k in (0, 2, 3) for G in ladders[k])
 
 
 def test_G_alpha_box_matches_radial_rate():
@@ -133,8 +153,8 @@ def test_G_alpha_box_matches_radial_rate():
     fam = ScalingFamily(n=2, d=2.0, aux=aux)
     Rs = np.array([4.0, 8.0, 16.0, 32.0])
     for idx in (MultiIndex.space2(2), MultiIndex.time2(2)):
-        g_rad = np.array(G_alpha(spec, fam, Rs, idx, method="radial"))
-        g_box = np.array(G_alpha(spec, fam, Rs, idx, method="box"))
+        g_rad = np.array(G_alpha(spec, fam, Rs, [idx], method="radial")[0])
+        g_box = np.array(G_alpha(spec, fam, Rs, [idx], method="box")[0])
         s_rad = np.polyfit(np.log(Rs), np.log(g_rad), 1)[0]
         s_box = np.polyfit(np.log(Rs), np.log(g_box), 1)[0]
         assert abs(s_rad - s_box) < 0.02, idx.label

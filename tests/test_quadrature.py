@@ -114,6 +114,20 @@ def test_lockstep_matches_each_interval_alone():
     assert len(calls) == 1 + max(splits)
 
 
+def test_lockstep_passes_each_integrals_args():
+    """With ``args``, each panel's values come from its own integral's
+    entries, and every result equals its one-integral call bit for bit."""
+    a = np.array([[0.0, 0.0], [2.0, 0.0]])
+    b = np.array([[20.0, 20.0], [60.0, 1.0]])
+    rate = np.array([[0.5, 2.0], [0.5, 0.1]])
+    f = lambda x, c: np.exp(-c[:, None] * x) * np.cos(3.0 * x) / (1.0 + x)
+    got = integrate_adaptive(f, a, b, rel_tol=1e-11, args=(rate,))
+    alone = [integrate_adaptive(lambda x: f(x, np.full(len(x), c)), lo, hi, rel_tol=1e-11)
+             for lo, hi, c in zip(a.ravel(), b.ravel(), rate.ravel())]
+    assert _same_bits(got, np.reshape(alone, a.shape))
+    assert got[0, 0] != got[0, 1]
+
+
 def test_lockstep_empty_and_reversed_intervals():
     """A zero-width interval gives +0.0 and a reversed one the negated
     forward value, in a batch exactly as alone."""
