@@ -33,6 +33,7 @@ integrals in lockstep (:func:`integrate_adaptive` with array endpoints).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -450,11 +451,15 @@ class AuxTable:
     log_beta_vals: np.ndarray
     g_vals: np.ndarray
     bhat1: float
-    B_unit_shift: float  # B(1), the regularizing shift for speed/forcing laws
 
     @property
     def horizon(self) -> float:
         return float(self.grid[-1])
+
+    @functools.cached_property
+    def B_unit_shift(self) -> float:
+        """B(1), the regularizing shift for speed/forcing laws."""
+        return self.B_at(1.0)
 
     @property
     def beta_vals(self) -> np.ndarray:
@@ -583,17 +588,14 @@ def build_aux_table(model: DampingModel, horizon: float) -> AuxTable:
     if not np.all(g_vals > 0):
         raise TabulationError("nonpositive multiplier values in table")
 
-    table = AuxTable(
+    return AuxTable(
         model=model,
         grid=grid,
         B_vals=B_vals,
         log_beta_vals=log_beta,
         g_vals=g_vals,
         bhat1=1.0 / float(g_vals[0]),
-        B_unit_shift=0.0,
     )
-    object.__setattr__(table, "B_unit_shift", table.B_at(1.0))
-    return table
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import nullcontext
@@ -17,7 +18,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import auxcalc, exponents, functional, simulator
-from .coeffs import DampingModel, Perturbation, ProblemSpec
+from .coeffs import DampingModel, Perturbation, ProblemSpec, _from_json, _integer
 from .quadrature import QuadratureNonconvergence
 
 EXIT_OK = 0
@@ -54,24 +55,35 @@ def _load_config(path: Optional[str]) -> dict:
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config {path} must hold a JSON object, got {cfg!r}")
+    return cfg
+
+
+def _block(cfg: dict, key: str, read):
+    """``read(cfg[key])``, or None when the key is absent or null; errors name the key."""
+    return _from_json(dict, cfg, **{key: read}).get(key)
+
+
+def _list_of(read):
+    """Reader of a JSON list that reads each entry with ``read``."""
+    def read_list(value) -> list:
+        if not isinstance(value, list):
+            raise ValueError(f"expected a JSON list, got {value!r}")
+        return [read(entry) for entry in value]
+    return read_list
 
 
 def _damping_from_args(args, cfg: dict) -> DampingModel:
-    block = cfg.get("damping")
-    if block and args.damping is None:
-        return DampingModel.from_dict(block)
-    kind = args.damping or "constant"
-    pert = None
-    if args.perturbation:
-        pert = Perturbation(args.perturbation, args.perturbation_exponent)
-    return DampingModel(kind, args.mu, args.kappa, pert)
+    if args.damping is None and cfg.get("damping") is not None:
+        return _block(cfg, "damping", DampingModel.from_dict)
+    pert = Perturbation(args.perturbation, args.perturbation_exponent) if args.perturbation else None
+    return DampingModel(args.damping or "constant", args.mu, args.kappa, pert)
 
 
 def _problem_from_args(args, cfg: dict) -> ProblemSpec:
-    if cfg.get("spec"):
-        return ProblemSpec.from_dict(cfg["spec"])
-    return ProblemSpec(
+    return _block(cfg, "spec", ProblemSpec.from_dict) or ProblemSpec(
         n=args.n, alpha=args.alpha, gamma=args.gamma, delta=args.delta,
         p=args.p, damping=_damping_from_args(args, cfg),
         c_a=args.c_a, c_f=args.c_f,
@@ -95,8 +107,7 @@ def _sim_spec_from_args(args, cfg: dict) -> simulator.SimSpec:
 # subcommands
 
 
-def _cmd_check(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_check(args, cfg: dict) -> int:
     model = _damping_from_args(args, cfg)
     report = auxcalc.check_hypothesis(model, args.horizon, margin=args.margin)
     rows = [
@@ -119,8 +130,7 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _cmd_aux(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_aux(args, cfg: dict) -> int:
     model = _damping_from_args(args, cfg)
     table = auxcalc.build_aux_table(model, args.horizon)
     rows = [
@@ -133,21 +143,20 @@ def _cmd_aux(args) -> int:
     return EXIT_OK
 
 
-def _cmd_exponents(args) -> int:
-    cfg = _load_config(args.config)
-    grid = cfg.get("grid")
+def _cmd_exponents(args, cfg: dict) -> int:
+    grid_point = functools.partial(_from_json, dict, n=_integer, alpha=float, gamma=float,
+                                   delta=float)
+    grid = _block(cfg, "grid", _list_of(grid_point))
     if grid is None:
         grid = [{"n": args.n, "alpha": args.alpha, "gamma": args.gamma, "delta": args.delta}]
     rows = []
-    for entry in grid:
-        n = int(entry["n"])
-        report = exponents.p_crit_damped(
-            n, float(entry.get("alpha", 0.0)),
-            float(entry.get("gamma", 0.0)), float(entry.get("delta", 0.0)))
+    for point in grid:
+        n = point["n"]
+        alpha, gamma, delta = (point.get(key, 0.0) for key in ("alpha", "gamma", "delta"))
+        report = exponents.p_crit_damped(n, alpha, gamma, delta)
         classics = exponents.classic_exponents(n)
         rows.append([
-            n, entry.get("alpha", 0.0), entry.get("gamma", 0.0), entry.get("delta", 0.0),
-            report.p_min, report.p_crit, report.meaningful,
+            n, alpha, gamma, delta, report.p_min, report.p_crit, report.meaningful,
             classics.fujita, classics.kato, classics.strauss, classics.sobolev,
         ])
     header = ["n", "alpha", "gamma", "delta", "p_min", "p_crit", "meaningful",
@@ -158,10 +167,9 @@ def _cmd_exponents(args) -> int:
     return EXIT_OK
 
 
-def _cmd_scan(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_scan(args, cfg: dict) -> int:
     spec = _problem_from_args(args, cfg)
-    R_list = cfg.get("R_list") or [float(x) for x in args.R.split(",")]
+    R_list = _block(cfg, "R_list", _list_of(float)) or [float(x) for x in args.R.split(",")]
     result = functional.scan_condition(spec, R_list)
     rows = []
     for label in ("2e0", "e0", "2e_space"):
@@ -176,8 +184,7 @@ def _cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_simulate(args, cfg: dict) -> int:
     outcome = simulator.run(_sim_spec_from_args(args, cfg))
     times, sups, energies = outcome.times, outcome.sup_norms, outcome.energies
     # the trace ends before the first step whose sup norm overflowed; an
@@ -202,10 +209,9 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_sweep(args, cfg: dict) -> int:
     spec = _sim_spec_from_args(args, cfg)
-    p_list = cfg.get("p_list") or [float(x) for x in args.p_list.split(",")]
+    p_list = _block(cfg, "p_list", _list_of(float)) or [float(x) for x in args.p_list.split(",")]
     rows = [[r["p"], r["verdict"], r["t_star"]] for r in simulator.sweep_p(spec, p_list)]
     _write_csv(args.out, ["p", "verdict", "t_star"], _csv_lines(rows), args.quiet)
     return EXIT_OK
@@ -254,6 +260,7 @@ def _add_sim(p: argparse.ArgumentParser) -> None:
     p.add_argument("--allow-boundary", action="store_true", dest="allow_boundary")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blowuplab",
@@ -306,13 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def dispatch(argv: Optional[list[str]] = None) -> int:
     """Parse and execute; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        return args.func(args, _load_config(args.config))
     except (QuadratureNonconvergence, auxcalc.TailNonconvergence,
             simulator.CflViolation, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -8,6 +8,7 @@ reciprocal damping B(t) supplied by an auxiliary table.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -33,6 +34,40 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite")
 
 
+def _integer(value) -> int:
+    """A JSON integer: an integral number, not a bool."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _boolean(value) -> bool:
+    """A JSON ``true`` or ``false``."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not true or false")
+    return value
+
+
+def _from_json(cls, d, **readers):
+    """``cls`` built from the JSON object ``d``, each key converted by its reader.
+
+    An absent or null key keeps the field's default; a ``ValueError`` names a malformed key.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a JSON object, got {d!r}")
+    given = {}
+    for key, read in readers.items():
+        if d.get(key) is not None:
+            try:
+                given[key] = read(d[key])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{key}: {exc}") from None
+    try:
+        return cls(**given)
+    except TypeError as exc:  # a field without a default was not given
+        raise ValueError(str(exc)) from None
+
+
 class SingularEvaluation(ValueError):
     """Forcing weight evaluated at a non-integrable point (delta < 0, r = 0)."""
 
@@ -51,7 +86,7 @@ class Perturbation:
     """
 
     kind: str
-    exponent: float
+    exponent: float = 1.0
 
     def __post_init__(self):
         if self.kind not in _PERTURBATION_KINDS:
@@ -76,9 +111,6 @@ class Perturbation:
         a = self.exponent
         phase = s ** (-2.0 * a)
         return a * s ** (a - 1.0) * np.sin(phase) - 2.0 * a * s ** (-a - 1.0) * np.cos(phase)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "exponent": self.exponent}
 
 
 @dataclass(frozen=True)
@@ -161,19 +193,11 @@ class DampingModel:
             return dbase
         return dbase * self.perturbation.value(t) + base * self.perturbation.derivative(t)
 
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind, "mu": self.mu, "kappa": self.kappa}
-        if self.perturbation is not None:
-            out["perturbation"] = self.perturbation.to_dict()
-        return out
-
     @staticmethod
     def from_dict(data: dict) -> "DampingModel":
-        kind = str(data.get("kind", "")).lower()
-        pert = data.get("perturbation")
-        if isinstance(pert, dict):
-            pert = Perturbation(str(pert["kind"]), float(pert.get("exponent", 1.0)))
-        return DampingModel(kind, float(data["mu"]), float(data.get("kappa", 0.0)), pert)
+        perturbation = functools.partial(_from_json, Perturbation, kind=str, exponent=float)
+        return _from_json(DampingModel, data, kind=lambda kind: str(kind).lower(), mu=float,
+                          kappa=float, perturbation=perturbation)
 
 
 @dataclass(frozen=True)
@@ -212,25 +236,10 @@ class ProblemSpec:
     def p_conjugate(self) -> float:
         return self.p / (self.p - 1.0)
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "alpha": self.alpha, "gamma": self.gamma,
-            "delta": self.delta, "p": self.p, "damping": self.damping.to_dict(),
-            "c_a": self.c_a, "c_f": self.c_f,
-        }
-
     @staticmethod
     def from_dict(data: dict) -> "ProblemSpec":
-        return ProblemSpec(
-            n=int(data["n"]),
-            alpha=float(data["alpha"]),
-            gamma=float(data["gamma"]),
-            delta=float(data["delta"]),
-            p=float(data["p"]),
-            damping=DampingModel.from_dict(data["damping"]),
-            c_a=float(data.get("c_a", 1.0)),
-            c_f=float(data.get("c_f", 1.0)),
-        )
+        return _from_json(ProblemSpec, data, n=_integer, alpha=float, gamma=float, delta=float,
+                          p=float, damping=DampingModel.from_dict, c_a=float, c_f=float)
 
 
 def eval_a(spec: ProblemSpec, t, aux) -> float:

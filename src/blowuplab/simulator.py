@@ -55,7 +55,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .auxcalc import AuxTable, build_aux_table
-from .coeffs import ProblemSpec, _require_finite, eval_a
+from .coeffs import ProblemSpec, _boolean, _from_json, _integer, _require_finite, eval_a
 from .functional import data_functional, sphere_area
 from .quadrature import gauss_kronrod_panel, integrate_adaptive
 
@@ -97,12 +97,9 @@ class GaussianData:
             return 0.0
         return self.width * math.sqrt(max(math.log(abs(self.amplitude) / 1e-14), 0.0))
 
-    def to_dict(self) -> dict:
-        return {"amplitude": self.amplitude, "width": self.width}
-
     @staticmethod
     def from_dict(d: dict) -> "GaussianData":
-        return GaussianData(float(d.get("amplitude", 0.0)), float(d.get("width", 1.0)))
+        return _from_json(GaussianData, d, amplitude=float, width=float)
 
 
 @dataclass(frozen=True)
@@ -149,30 +146,15 @@ class SimSpec:
     def dr(self) -> float:
         return self.r_max / self.J
 
-    def to_dict(self) -> dict:
-        return {
-            "problem": self.problem.to_dict(), "r_max": self.r_max, "J": self.J,
-            "T_max": self.T_max, "cfl": self.cfl, "dt": self.dt,
-            "blowup_threshold": self.blowup_threshold,
-            "data": {"u0": self.u0.to_dict(), "u1": self.u1.to_dict()},
-            "nonlinearity": self.nonlinearity,
-            "allow_boundary_reflections": self.allow_boundary_reflections,
-        }
-
     @staticmethod
     def from_dict(d: dict) -> "SimSpec":
-        data = d.get("data", {})
-        return SimSpec(
-            problem=ProblemSpec.from_dict(d["problem"]),
-            r_max=float(d["r_max"]), J=int(d["J"]), T_max=float(d["T_max"]),
-            cfl=float(d.get("cfl", 0.5)),
-            dt=(None if d.get("dt") is None else float(d["dt"])),
-            blowup_threshold=float(d.get("blowup_threshold", 1e6)),
-            u0=GaussianData.from_dict(data.get("u0", {})),
-            u1=GaussianData.from_dict(data.get("u1", {})),
-            nonlinearity=float(d.get("nonlinearity", 1.0)),
-            allow_boundary_reflections=bool(d.get("allow_boundary_reflections", False)),
-        )
+        """A SimSpec from its JSON layout, whose ``data`` block holds u0 and u1."""
+        spec = _from_json(SimSpec, d, problem=ProblemSpec.from_dict, r_max=float, J=_integer,
+                          T_max=float, cfl=float, dt=float, blowup_threshold=float,
+                          nonlinearity=float, allow_boundary_reflections=_boolean)
+        profiles = functools.partial(_from_json, dict, u0=GaussianData.from_dict,
+                                     u1=GaussianData.from_dict)
+        return replace(spec, **_from_json(dict, d, data=profiles).get("data", {}))
 
 
 @dataclass(frozen=True)

@@ -251,6 +251,59 @@ def test_malformed_json(tmp_path, capsys):
     assert code == EXIT_VALIDATION
 
 
+_SIM_CONFIG = {"problem": {"n": 1, "alpha": 0.0, "gamma": 0.0, "delta": 0.0, "p": 1.5,
+                           "damping": {"kind": "constant", "mu": 1.0}},
+               "r_max": 10.0, "J": 64, "T_max": 1.0}
+
+
+def _run_config(command, config, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out.csv"
+    return dispatch([command, "--config", str(cfg), "--out", str(out), "--quiet"]), out
+
+
+@pytest.mark.parametrize("command, config, named", [
+    ("exponents", None, "must hold a JSON object, got None"),
+    ("scan", [1, 2], "must hold a JSON object, got [1, 2]"),
+    ("aux", {"damping": "constant"}, "damping: expected a JSON object, got 'constant'"),
+    ("simulate", {**_SIM_CONFIG, "problem": "x"}, "problem: expected a JSON object, got 'x'"),
+    ("exponents", {"grid": 5}, "grid: expected a JSON list, got 5"),
+    ("exponents", {"grid": [1]}, "grid: expected a JSON object, got 1"),
+    ("sweep", {**_SIM_CONFIG, "p_list": 5}, "p_list: expected a JSON list, got 5"),
+    ("scan", {"R_list": 5}, "R_list: expected a JSON list, got 5"),
+    # int() and bool() would misread these as n = 2, J = 64 and True
+    ("simulate", {**_SIM_CONFIG, "problem": {**_SIM_CONFIG["problem"], "n": 2.5}},
+     "problem: n: 2.5 is not an integer"),
+    ("simulate", {**_SIM_CONFIG, "J": 64.9}, "J: 64.9 is not an integer"),
+    ("simulate", {**_SIM_CONFIG, "allow_boundary_reflections": "false"},
+     "allow_boundary_reflections: 'false' is not true or false"),
+])
+def test_malformed_config_is_a_validation_error(command, config, named, tmp_path, capsys):
+    code, out = _run_config(command, config, tmp_path)
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert named in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [
+    {**_SIM_CONFIG, "data": {"u0": {"amplitude": 0.5}}, "cfl": None},
+    {**_SIM_CONFIG, "data": {"u0": {"amplitude": 0.5}, "u1": None}},
+])
+def test_null_config_keys_keep_their_defaults(config, tmp_path, capsys):
+    """A null key runs as if it were absent."""
+    (tmp_path / "absent").mkdir()
+    absent = {**_SIM_CONFIG, "data": {"u0": {"amplitude": 0.5}}}
+    code, expected = _run_config("simulate", absent, tmp_path / "absent")
+    assert code == EXIT_OK
+    code, out = _run_config("simulate", config, tmp_path)
+    assert code == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    assert out.read_bytes() == expected.read_bytes()
+
+
 def test_unknown_command(capsys):
     code = dispatch(["frobnicate"])
     capsys.readouterr()

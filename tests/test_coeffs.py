@@ -179,12 +179,44 @@ def test_problem_spec_validation():
                 ProblemSpec(**{**good, key: bad})
 
 
-def test_json_round_trip():
-    spec = ProblemSpec(
+def test_from_dict_reads_every_key():
+    data = {
+        "n": 3, "alpha": 0.25, "gamma": 0.5, "delta": -0.5, "p": 2.5,
+        "damping": {"kind": "perturbed", "mu": 1.5, "kappa": 0.5,
+                    "perturbation": {"kind": "sin", "exponent": 0.3}},
+        "c_a": 2.0, "c_f": 0.5,
+    }
+    assert ProblemSpec.from_dict(data) == ProblemSpec(
         n=3, alpha=0.25, gamma=0.5, delta=-0.5, p=2.5,
         damping=DampingModel.perturbed_power(1.5, 0.5, Perturbation("sin", 0.3)),
         c_a=2.0, c_f=0.5,
     )
-    assert ProblemSpec.from_dict(spec.to_dict()) == spec
-    flat = DampingModel.power_law(2.0, -0.25)
-    assert DampingModel.from_dict(flat.to_dict()) == flat
+    flat = {"kind": "powerlaw", "mu": 2.0, "kappa": -0.25}
+    assert DampingModel.from_dict(flat) == DampingModel.power_law(2.0, -0.25)
+
+
+def test_from_dict_absent_and_null_keys_keep_defaults():
+    data = {"n": 2, "alpha": 0.0, "gamma": 0.0, "delta": 0.0, "p": 2.0,
+            "damping": None, "c_f": None}
+    assert ProblemSpec.from_dict(data) == ProblemSpec(n=2, alpha=0.0, gamma=0.0, delta=0.0, p=2.0)
+    logged = {"kind": "perturbed", "mu": 1.0, "kappa": 0.5,
+              "perturbation": {"kind": "log", "exponent": None}}
+    assert DampingModel.from_dict(logged) == DampingModel.perturbed_power(
+        1.0, 0.5, Perturbation("log", 1.0))
+    assert DampingModel.from_dict({"kind": "Constant", "mu": 2.0}) == DampingModel.constant(2.0)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"n": 2.5}, "n: 2.5 is not an integer"),
+    ({"n": True}, "n: True is not an integer"),
+    ({"p": None}, "missing 1 required positional argument: 'p'"),
+    ({"alpha": "fast"}, "alpha: could not convert"),
+    ({"damping": "constant"}, "damping: expected a JSON object, got 'constant'"),
+    ({"damping": {"kind": "perturbed", "mu": 1.0, "kappa": 0.5, "perturbation": ["log"]}},
+     "damping: perturbation: expected a JSON object"),
+    ({"damping": {"mu": 1.0}}, "damping: .*missing 1 required positional argument: 'kind'"),
+])
+def test_from_dict_names_the_malformed_key(change, message):
+    data = {"n": 1, "alpha": 0.0, "gamma": 0.0, "delta": 0.0, "p": 2.0, **change}
+    with pytest.raises(ValueError, match=message):
+        ProblemSpec.from_dict(data)

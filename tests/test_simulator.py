@@ -178,9 +178,44 @@ def test_gaussian_data_rejects_nonfinite(amplitude, width):
         GaussianData(amplitude, width)
 
 
-def test_sim_spec_round_trip():
-    spec = blowup_spec(1.5)
-    assert SimSpec.from_dict(spec.to_dict()) == spec
+def test_sim_spec_from_dict_reads_every_key():
+    data = {
+        "problem": {"n": 1, "alpha": 0.0, "gamma": 0.0, "delta": 0.0, "p": 1.5,
+                    "damping": {"kind": "constant", "mu": 1.0, "kappa": 0.0},
+                    "c_a": 1.0, "c_f": 1.0},
+        "r_max": 60.0, "J": 1200, "T_max": 50.0, "cfl": 0.5, "dt": None,
+        "blowup_threshold": 1000000.0,
+        "data": {"u0": {"amplitude": 0.0, "width": 1.0},
+                 "u1": {"amplitude": 5.0, "width": 1.0}},
+        "nonlinearity": 1.0, "allow_boundary_reflections": False,
+    }
+    assert SimSpec.from_dict(data) == blowup_spec(1.5)
+
+
+def test_sim_spec_from_dict_absent_and_null_keys_keep_defaults():
+    data = {
+        "problem": {"n": 1, "alpha": 0.0, "gamma": 0.0, "delta": 0.0, "p": 1.5},
+        "r_max": 60.0, "J": 1200.0, "T_max": 50.0, "cfl": None,
+        "data": {"u0": None, "u1": {"amplitude": 5.0}},
+    }
+    assert SimSpec.from_dict(data) == blowup_spec(1.5)
+    assert SimSpec.from_dict({**data, "data": None}) == replace(blowup_spec(1.5), u1=GaussianData())
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"J": 64.9}, "J: 64.9 is not an integer"),
+    ({"allow_boundary_reflections": "false"},
+     "allow_boundary_reflections: 'false' is not true or false"),
+    ({"data": 5}, "data: expected a JSON object, got 5"),
+    ({"data": {"u1": {"width": -1.0}}}, "data: u1: width must be positive"),
+    ({"problem": "x"}, "problem: expected a JSON object, got 'x'"),
+    ({"T_max": None}, "missing 1 required positional argument: 'T_max'"),
+])
+def test_sim_spec_from_dict_names_the_malformed_key(change, message):
+    data = {"problem": {"n": 1, "alpha": 0.0, "gamma": 0.0, "delta": 0.0, "p": 1.5},
+            "r_max": 60.0, "J": 1200, "T_max": 50.0, **change}
+    with pytest.raises(ValueError, match=message):
+        SimSpec.from_dict(data)
 
 
 # -- sweeps ---------------------------------------------------------------------------
