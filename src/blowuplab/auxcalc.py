@@ -450,11 +450,14 @@ class AuxTable:
     B_vals: np.ndarray
     log_beta_vals: np.ndarray
     g_vals: np.ndarray
-    bhat1: float
 
     @property
     def horizon(self) -> float:
         return float(self.grid[-1])
+
+    @property
+    def bhat1(self) -> float:
+        return 1.0 / float(self.g_vals[0])
 
     @functools.cached_property
     def B_unit_shift(self) -> float:
@@ -594,7 +597,6 @@ def build_aux_table(model: DampingModel, horizon: float) -> AuxTable:
         B_vals=B_vals,
         log_beta_vals=log_beta,
         g_vals=g_vals,
-        bhat1=1.0 / float(g_vals[0]),
     )
 
 

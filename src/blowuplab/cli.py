@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import auxcalc, exponents, functional, simulator
-from .coeffs import DampingModel, Perturbation, ProblemSpec, _from_json, _integer
+from .coeffs import DampingModel, ProblemSpec, _from_json, _integer, _number
 from .quadrature import QuadratureNonconvergence
 
 EXIT_OK = 0
@@ -75,32 +75,31 @@ def _list_of(read):
     return read_list
 
 
-def _damping_from_args(args, cfg: dict) -> DampingModel:
+# A flag's dest is its key in the config's JSON layout, so ``vars(args)`` is the
+# flags' block; a flag left out is None, which keeps the field's default.
+def _damping_from_args(args, cfg: dict) -> dict:
+    """The ``damping`` block: the config's without ``--damping``, else the flags'."""
     if args.damping is None and cfg.get("damping") is not None:
-        return _block(cfg, "damping", DampingModel.from_dict)
-    pert = Perturbation(args.perturbation, args.perturbation_exponent) if args.perturbation else None
-    return DampingModel(args.damping or "constant", args.mu, args.kappa, pert)
+        return cfg["damping"]
+    perturbation = {"kind": args.perturbation, "exponent": args.perturbation_exponent}
+    return {**vars(args), "kind": args.damping or "constant",
+            "perturbation": perturbation if args.perturbation else None}
 
 
-def _problem_from_args(args, cfg: dict) -> ProblemSpec:
-    return _block(cfg, "spec", ProblemSpec.from_dict) or ProblemSpec(
-        n=args.n, alpha=args.alpha, gamma=args.gamma, delta=args.delta,
-        p=args.p, damping=_damping_from_args(args, cfg),
-        c_a=args.c_a, c_f=args.c_f,
-    )
+def _problem_from_args(args, cfg: dict) -> dict:
+    """The ``spec`` block: the config's, else the flags' with the ``damping`` block."""
+    if cfg.get("spec") is not None:
+        return cfg["spec"]
+    return {**vars(args), "damping": _damping_from_args(args, cfg)}
 
 
 def _sim_spec_from_args(args, cfg: dict) -> simulator.SimSpec:
-    if "r_max" in cfg:
-        return simulator.SimSpec.from_dict(cfg)
-    return simulator.SimSpec(
-        problem=_problem_from_args(args, cfg),
-        r_max=args.r_max, J=args.J, T_max=args.T_max, cfl=args.cfl,
-        blowup_threshold=args.threshold,
-        u0=simulator.GaussianData(args.u0_amplitude, args.u0_width),
-        u1=simulator.GaussianData(args.u1_amplitude, args.u1_width),
-        allow_boundary_reflections=args.allow_boundary,
-    )
+    """The SimSpec of a config holding ``r_max``, else of the flags with the ``spec`` block."""
+    if "r_max" not in cfg:
+        cfg = {**vars(args), "problem": _problem_from_args(args, cfg),
+               "data": {"u0": {"amplitude": args.u0_amplitude, "width": args.u0_width},
+                        "u1": {"amplitude": args.u1_amplitude, "width": args.u1_width}}}
+    return simulator.SimSpec.from_dict(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +107,7 @@ def _sim_spec_from_args(args, cfg: dict) -> simulator.SimSpec:
 
 
 def _cmd_check(args, cfg: dict) -> int:
-    model = _damping_from_args(args, cfg)
+    model = _block({"damping": _damping_from_args(args, cfg)}, "damping", DampingModel.from_dict)
     report = auxcalc.check_hypothesis(model, args.horizon, margin=args.margin)
     rows = [
         ("liminf b'/b^2", report.liminf_est, "> -1", report.passes_liminf),
@@ -131,7 +130,7 @@ def _cmd_check(args, cfg: dict) -> int:
 
 
 def _cmd_aux(args, cfg: dict) -> int:
-    model = _damping_from_args(args, cfg)
+    model = _block({"damping": _damping_from_args(args, cfg)}, "damping", DampingModel.from_dict)
     table = auxcalc.build_aux_table(model, args.horizon)
     rows = [
         [t, B, beta, Gamma, g]
@@ -144,11 +143,11 @@ def _cmd_aux(args, cfg: dict) -> int:
 
 
 def _cmd_exponents(args, cfg: dict) -> int:
-    grid_point = functools.partial(_from_json, dict, n=_integer, alpha=float, gamma=float,
-                                   delta=float)
+    grid_point = functools.partial(_from_json, dict, n=_integer, alpha=_number, gamma=_number,
+                                   delta=_number)
     grid = _block(cfg, "grid", _list_of(grid_point))
     if grid is None:
-        grid = [{"n": args.n, "alpha": args.alpha, "gamma": args.gamma, "delta": args.delta}]
+        grid = [vars(args)]
     rows = []
     for point in grid:
         n = point["n"]
@@ -168,8 +167,8 @@ def _cmd_exponents(args, cfg: dict) -> int:
 
 
 def _cmd_scan(args, cfg: dict) -> int:
-    spec = _problem_from_args(args, cfg)
-    R_list = _block(cfg, "R_list", _list_of(float)) or [float(x) for x in args.R.split(",")]
+    spec = _block({"spec": _problem_from_args(args, cfg)}, "spec", ProblemSpec.from_dict)
+    R_list = _block(cfg, "R_list", _list_of(_number)) or [float(x) for x in args.R.split(",")]
     result = functional.scan_condition(spec, R_list)
     rows = []
     for label in ("2e0", "e0", "2e_space"):
@@ -211,7 +210,7 @@ def _cmd_simulate(args, cfg: dict) -> int:
 
 def _cmd_sweep(args, cfg: dict) -> int:
     spec = _sim_spec_from_args(args, cfg)
-    p_list = _block(cfg, "p_list", _list_of(float)) or [float(x) for x in args.p_list.split(",")]
+    p_list = _block(cfg, "p_list", _list_of(_number)) or [float(x) for x in args.p_list.split(",")]
     rows = [[r["p"], r["verdict"], r["t_star"]] for r in simulator.sweep_p(spec, p_list)]
     _write_csv(args.out, ["p", "verdict", "t_star"], _csv_lines(rows), args.quiet)
     return EXIT_OK
@@ -230,20 +229,24 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_damping(p: argparse.ArgumentParser) -> None:
     p.add_argument("--damping", choices=["constant", "powerlaw", "perturbed"])
     p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--kappa", type=float, default=0.0)
+    p.add_argument("--kappa", type=float)
     p.add_argument("--perturbation", choices=["log", "sin"])
-    p.add_argument("--perturbation-exponent", type=float, default=1.0)
+    p.add_argument("--perturbation-exponent", type=float)
 
 
-def _add_problem(p: argparse.ArgumentParser) -> None:
-    _add_damping(p)
+def _add_point(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--delta", type=float, default=0.0)
+
+
+def _add_problem(p: argparse.ArgumentParser) -> None:
+    _add_damping(p)
+    _add_point(p)
     p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--c-a", type=float, default=1.0, dest="c_a")
-    p.add_argument("--c-f", type=float, default=1.0, dest="c_f")
+    p.add_argument("--c-a", type=float, dest="c_a")
+    p.add_argument("--c-f", type=float, dest="c_f")
 
 
 def _add_sim(p: argparse.ArgumentParser) -> None:
@@ -251,13 +254,14 @@ def _add_sim(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r-max", type=float, default=60.0, dest="r_max")
     p.add_argument("--J", type=int, default=1200)
     p.add_argument("--T-max", type=float, default=50.0, dest="T_max")
-    p.add_argument("--cfl", type=float, default=0.5)
-    p.add_argument("--threshold", type=float, default=1e6)
-    p.add_argument("--u0-amplitude", type=float, default=0.0)
-    p.add_argument("--u0-width", type=float, default=1.0)
-    p.add_argument("--u1-amplitude", type=float, default=0.0)
-    p.add_argument("--u1-width", type=float, default=1.0)
-    p.add_argument("--allow-boundary", action="store_true", dest="allow_boundary")
+    p.add_argument("--cfl", type=float)
+    p.add_argument("--threshold", type=float, dest="blowup_threshold")
+    p.add_argument("--u0-amplitude", type=float)
+    p.add_argument("--u0-width", type=float)
+    p.add_argument("--u1-amplitude", type=float)
+    p.add_argument("--u1-width", type=float)
+    p.add_argument("--allow-boundary", action="store_const", const=True,
+                   dest="allow_boundary_reflections")
 
 
 @functools.cache
@@ -284,10 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exponents", help="critical exponent catalog")
     _add_common(p)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--delta", type=float, default=0.0)
+    _add_point(p)
     p.set_defaults(func=_cmd_exponents)
 
     p = sub.add_parser("scan", help="boundedness scan of the scale functionals")

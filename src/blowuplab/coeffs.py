@@ -34,9 +34,16 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite")
 
 
+def _number(value) -> float:
+    """A JSON number, not a bool or a string, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"could not convert {value!r}: expected a JSON number")
+    return float(value)
+
+
 def _integer(value) -> int:
-    """A JSON integer: an integral number, not a bool."""
-    if isinstance(value, bool) or not float(value).is_integer():
+    """A JSON integer: an integral number, not a bool or a string."""
+    if isinstance(value, bool) or not (isinstance(value, (int, float)) and value % 1 == 0):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 
@@ -91,8 +98,7 @@ class Perturbation:
     def __post_init__(self):
         if self.kind not in _PERTURBATION_KINDS:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
-        if not math.isfinite(self.exponent):
-            raise ValueError("perturbation exponent must be finite")
+        _require_finite(exponent=self.exponent)
         if self.kind == "sin" and self.exponent <= 0:
             raise ValueError("sin perturbation requires a positive exponent")
 
@@ -159,21 +165,17 @@ class DampingModel:
     @property
     def borderline(self) -> bool:
         """True when kappa = 1, where admissibility additionally needs mu > 1."""
-        return self.kind != "constant" and self.kappa == 1.0
+        return self.kappa == 1.0
 
     @property
     def analytically_admissible(self) -> bool:
         """Exact limit check: lim b'/b^2 > -1 and lim t b'/b < 1."""
-        if self.kind == "constant":
-            return True
-        if self.kappa == 1.0:
-            return self.mu > 1.0
-        return True
+        return not self.borderline or self.mu > 1.0
 
     @property
     def growth_exponent(self) -> float:
         """Exponent q with B(t) comparable to t**q for large t (q = 1 + kappa)."""
-        return 1.0 + (0.0 if self.kind == "constant" else self.kappa)
+        return 1.0 + self.kappa
 
     def b(self, t):
         if self.kind == "constant":
@@ -195,9 +197,9 @@ class DampingModel:
 
     @staticmethod
     def from_dict(data: dict) -> "DampingModel":
-        perturbation = functools.partial(_from_json, Perturbation, kind=str, exponent=float)
-        return _from_json(DampingModel, data, kind=lambda kind: str(kind).lower(), mu=float,
-                          kappa=float, perturbation=perturbation)
+        perturbation = functools.partial(_from_json, Perturbation, kind=str, exponent=_number)
+        return _from_json(DampingModel, data, kind=lambda kind: str(kind).lower(), mu=_number,
+                          kappa=_number, perturbation=perturbation)
 
 
 @dataclass(frozen=True)
@@ -238,8 +240,9 @@ class ProblemSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "ProblemSpec":
-        return _from_json(ProblemSpec, data, n=_integer, alpha=float, gamma=float, delta=float,
-                          p=float, damping=DampingModel.from_dict, c_a=float, c_f=float)
+        return _from_json(ProblemSpec, data, n=_integer, alpha=_number, gamma=_number,
+                          delta=_number, p=_number, damping=DampingModel.from_dict, c_a=_number,
+                          c_f=_number)
 
 
 def eval_a(spec: ProblemSpec, t, aux) -> float:

@@ -55,7 +55,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .auxcalc import AuxTable, build_aux_table
-from .coeffs import ProblemSpec, _boolean, _from_json, _integer, _require_finite, eval_a
+from .coeffs import ProblemSpec, _boolean, _from_json, _integer, _number, _require_finite, eval_a
 from .functional import data_functional, sphere_area
 from .quadrature import gauss_kronrod_panel, integrate_adaptive
 
@@ -96,10 +96,6 @@ class GaussianData:
         if self.amplitude == 0.0:
             return 0.0
         return self.width * math.sqrt(max(math.log(abs(self.amplitude) / 1e-14), 0.0))
-
-    @staticmethod
-    def from_dict(d: dict) -> "GaussianData":
-        return _from_json(GaussianData, d, amplitude=float, width=float)
 
 
 @dataclass(frozen=True)
@@ -149,11 +145,11 @@ class SimSpec:
     @staticmethod
     def from_dict(d: dict) -> "SimSpec":
         """A SimSpec from its JSON layout, whose ``data`` block holds u0 and u1."""
-        spec = _from_json(SimSpec, d, problem=ProblemSpec.from_dict, r_max=float, J=_integer,
-                          T_max=float, cfl=float, dt=float, blowup_threshold=float,
-                          nonlinearity=float, allow_boundary_reflections=_boolean)
-        profiles = functools.partial(_from_json, dict, u0=GaussianData.from_dict,
-                                     u1=GaussianData.from_dict)
+        spec = _from_json(SimSpec, d, problem=ProblemSpec.from_dict, r_max=_number, J=_integer,
+                          T_max=_number, cfl=_number, dt=_number, blowup_threshold=_number,
+                          nonlinearity=_number, allow_boundary_reflections=_boolean)
+        profile = functools.partial(_from_json, GaussianData, amplitude=_number, width=_number)
+        profiles = functools.partial(_from_json, dict, u0=profile, u1=profile)
         return replace(spec, **_from_json(dict, d, data=profiles).get("data", {}))
 
 

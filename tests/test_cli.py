@@ -278,6 +278,23 @@ def _run_config(command, config, tmp_path):
     ("simulate", {**_SIM_CONFIG, "J": 64.9}, "J: 64.9 is not an integer"),
     ("simulate", {**_SIM_CONFIG, "allow_boundary_reflections": "false"},
      "allow_boundary_reflections: 'false' is not true or false"),
+    # float() would misread these as mu = 1, n = 1 and p = 3
+    ("aux", {"damping": {"kind": "constant", "mu": True}},
+     "damping: mu: could not convert True: expected a JSON number"),
+    ("scan", {"spec": {"n": "1", "alpha": "0", "gamma": 0, "delta": 0, "p": "3"}},
+     "spec: n: '1' is not an integer"),
+    ("scan", {"spec": {"n": 1, "alpha": "0", "gamma": 0, "delta": 0, "p": 3}},
+     "spec: alpha: could not convert '0': expected a JSON number"),
+    ("scan", {"R_list": [8, "16", 32, 64]}, "R_list: could not convert '16'"),
+    ("sweep", {**_SIM_CONFIG, "p_list": [1.5, True]}, "p_list: could not convert True"),
+    ("exponents", {"grid": [{"n": 1, "delta": "0"}]}, "grid: delta: could not convert '0'"),
+    ("simulate", {**_SIM_CONFIG, "J": "64"}, "J: '64' is not an integer"),
+    ("simulate", {**_SIM_CONFIG, "T_max": "1"}, "T_max: could not convert '1'"),
+    ("simulate", {**_SIM_CONFIG, "data": {"u1": {"amplitude": "5"}}},
+     "data: u1: amplitude: could not convert '5'"),
+    ("aux", {"damping": {"kind": "perturbed", "mu": 1, "kappa": 0.5,
+                         "perturbation": {"kind": "log", "exponent": False}}},
+     "damping: perturbation: exponent: could not convert False"),
 ])
 def test_malformed_config_is_a_validation_error(command, config, named, tmp_path, capsys):
     code, out = _run_config(command, config, tmp_path)
@@ -302,6 +319,50 @@ def test_null_config_keys_keep_their_defaults(config, tmp_path, capsys):
     assert code == EXIT_OK
     assert "Traceback" not in capsys.readouterr().err
     assert out.read_bytes() == expected.read_bytes()
+
+
+_DAMPING_FLAGS = ["--damping", "perturbed", "--mu", "2", "--kappa", "0.5", "--perturbation", "log",
+                  "--perturbation-exponent", "2"]
+_DAMPING = {"kind": "perturbed", "mu": 2, "kappa": 0.5,
+            "perturbation": {"kind": "log", "exponent": 2}}
+_PROBLEM_FLAGS = [*_DAMPING_FLAGS, "--n", "2", "--alpha", "0.25", "--gamma", "0.5",
+                  "--delta", "0.5", "--p", "3", "--c-a", "1.5", "--c-f", "2"]
+_PROBLEM = {"n": 2, "alpha": 0.25, "gamma": 0.5, "delta": 0.5, "p": 3, "damping": _DAMPING,
+            "c_a": 1.5, "c_f": 2}
+_SIM_FLAGS = [*_PROBLEM_FLAGS, "--r-max", "20", "--J", "128", "--T-max", "2", "--cfl", "0.25",
+              "--threshold", "100", "--u0-amplitude", "0.5", "--u0-width", "2",
+              "--u1-amplitude", "20", "--u1-width", "0.5", "--allow-boundary"]
+_SIM = {"problem": _PROBLEM, "r_max": 20, "J": 128, "T_max": 2, "cfl": 0.25,
+        "blowup_threshold": 100, "allow_boundary_reflections": True,
+        "data": {"u0": {"amplitude": 0.5, "width": 2}, "u1": {"amplitude": 20, "width": 0.5}}}
+
+
+@pytest.mark.parametrize("command, both, flags, config", [
+    ("aux", ["--horizon", "20"], _DAMPING_FLAGS, {"damping": _DAMPING}),
+    ("scan", ["--R", "8,16,32,64"], _PROBLEM_FLAGS, {"spec": _PROBLEM}),
+    ("simulate", [], _SIM_FLAGS, _SIM),
+    ("sweep", ["--p-list", "1.5,3"], _SIM_FLAGS, _SIM),
+    # every flag with a field default left out, and the same keys left out of the config
+    ("aux", ["--horizon", "20"],
+     ["--damping", "perturbed", "--kappa", "0.5", "--perturbation", "sin"],
+     {"damping": {"kind": "perturbed", "mu": 1, "kappa": 0.5, "perturbation": {"kind": "sin"}}}),
+    ("scan", ["--R", "8,16,32,64"], ["--p", "3", "--damping", "powerlaw", "--mu", "2"],
+     {"spec": {"n": 1, "alpha": 0, "gamma": 0, "delta": 0, "p": 3,
+               "damping": {"kind": "powerlaw", "mu": 2}}}),
+    ("simulate", [], ["--p", "1.5", "--r-max", "10", "--J", "64", "--T-max", "1"],
+     {"problem": {"n": 1, "alpha": 0, "gamma": 0, "delta": 0, "p": 1.5},
+      "r_max": 10, "J": 64, "T_max": 1}),
+])
+def test_flags_and_config_read_alike(command, both, flags, config, tmp_path, capsys):
+    """A flag run and a config holding the same values write the same bytes."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    outputs = []
+    for argv in (flags, ["--config", str(cfg)]):
+        assert dispatch([command, *both, *argv]) == EXIT_OK
+        outputs.append(capsys.readouterr())
+    assert outputs[0].err == outputs[1].err == ""
+    assert outputs[0].out == outputs[1].out
 
 
 def test_unknown_command(capsys):
