@@ -3,7 +3,7 @@
 Computes, for a damping law b(t):
 
   B(t)      accumulated reciprocal damping, integral of 1/b on [0, t]
-  A(s)      inverse of B, by bracketed root finding on a monotone table
+  A(s)      inverse of B, by safeguarded Newton steps in a table cell
   beta(t)   exp(-integral of b on [0, t])
   Gamma(t)  integral of beta on [t, infinity)
   g(t)      Gamma(t) / beta(t), the multiplier that removes the zero-order
@@ -40,7 +40,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial import legendre
-from scipy.optimize import brentq
 
 from .coeffs import DampingModel
 from .quadrature import (
@@ -69,6 +68,7 @@ __all__ = [
 ]
 
 DEFAULT_QUAD_TOL = 1e-10
+DEFAULT_MARGIN = 0.05  # of check_hypothesis and ``check --margin``
 POINTS_PER_DECADE = 64
 T_MIN = 1e-3         # first positive node of a table's grid
 
@@ -513,7 +513,14 @@ class AuxTable:
         return self.beta_at(t) * self.g_at(t)
 
     def invert_B(self, s: float) -> float:
-        """A(s): the time t with B(t) = s, to |B(A(s)) - s| <= ``DEFAULT_QUAD_TOL``."""
+        """A(s): the time t with B(t) = s, by safeguarded Newton steps in its table cell.
+
+        B' = 1/b is exact, so a step is t <- t - (B(t) - s) b(t), from the cell's
+        right end.  Each residual's sign shrinks the cell's bracket, a step
+        leaving the bracket bisects it instead, and a step of at most
+        1e-14 max(1, t) ends the search; 100 steps without one raise
+        :class:`QuadratureNonconvergence`.
+        """
         if not math.isfinite(s):
             raise ValueError("s must be finite")
         if s < 0:
@@ -525,13 +532,18 @@ class AuxTable:
                 f"s = {s:g} beyond tabulated range B(horizon) = {self.B_vals[-1]:g}"
             )
         i = int(np.searchsorted(self.B_vals, s))
-        lo = float(self.grid[i - 1]) if i > 0 else 0.0
-        hi = float(self.grid[i])
-        if self.B_vals[i] == s:
-            return hi
-        root = brentq(lambda t: self.B_at(t) - s, lo, hi,
-                      xtol=1e-14 * max(1.0, hi), rtol=8.881784197001252e-16)
-        return float(root)
+        lo, hi = float(self.grid[i - 1]), float(self.grid[i])
+        t, residual = hi, float(self.B_vals[i]) - s
+        for _ in range(100):
+            if residual == 0:
+                return t
+            lo, hi = (lo, t) if residual > 0 else (t, hi)
+            step = t - residual * float(self.model.b(t))
+            step = step if lo <= step <= hi else 0.5 * (lo + hi)
+            if abs(step - t) <= 1e-14 * max(1.0, t):
+                return step
+            t, residual = step, self.B_at(step) - s
+        raise QuadratureNonconvergence(f"A({s:g}): no convergence in 100 Newton steps")
 
 
 def build_aux_table(model: DampingModel, horizon: float) -> AuxTable:
@@ -630,7 +642,8 @@ class HypothesisReport:
     horizon: float
 
 
-def check_hypothesis(model: DampingModel, horizon: float, margin: float = 0.05) -> HypothesisReport:
+def check_hypothesis(model: DampingModel, horizon: float,
+                     margin: float = DEFAULT_MARGIN) -> HypothesisReport:
     """Sample the admissibility ratios up to ``horizon`` and report verdicts.
 
     The liminf/limsup estimates are extrema over the last decade

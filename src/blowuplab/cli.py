@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from contextlib import nullcontext
 from typing import Iterable, Optional
 
@@ -61,9 +62,10 @@ def _load_config(path: Optional[str]) -> dict:
     return cfg
 
 
-def _block(cfg: dict, key: str, read):
-    """``read(cfg[key])``, or None when the key is absent or null; errors name the key."""
-    return _from_json(dict, cfg, **{key: read}).get(key)
+def _block(cfg: dict, key: str, read, default=None):
+    """``read(cfg[key])``, or ``default`` when the key is absent or null; errors name the key."""
+    value = _from_json(dict, cfg, **{key: read}).get(key)
+    return default if value is None else value
 
 
 def _list_of(read):
@@ -132,12 +134,7 @@ def _cmd_check(args, cfg: dict) -> int:
 def _cmd_aux(args, cfg: dict) -> int:
     model = _block({"damping": _damping_from_args(args, cfg)}, "damping", DampingModel.from_dict)
     table = auxcalc.build_aux_table(model, args.horizon)
-    rows = [
-        [t, B, beta, Gamma, g]
-        for t, B, beta, Gamma, g in zip(
-            table.grid, table.B_vals, table.beta_vals, table.Gamma_vals, table.g_vals
-        )
-    ]
+    rows = zip(table.grid, table.B_vals, table.beta_vals, table.Gamma_vals, table.g_vals)
     _write_csv(args.out, ["t", "B", "beta", "Gamma", "g"], _csv_lines(rows), args.quiet)
     return EXIT_OK
 
@@ -145,9 +142,7 @@ def _cmd_aux(args, cfg: dict) -> int:
 def _cmd_exponents(args, cfg: dict) -> int:
     grid_point = functools.partial(_from_json, dict, n=_integer, alpha=_number, gamma=_number,
                                    delta=_number)
-    grid = _block(cfg, "grid", _list_of(grid_point))
-    if grid is None:
-        grid = [vars(args)]
+    grid = _block(cfg, "grid", _list_of(grid_point), [vars(args)])
     rows = []
     for point in grid:
         n = point["n"]
@@ -168,7 +163,7 @@ def _cmd_exponents(args, cfg: dict) -> int:
 
 def _cmd_scan(args, cfg: dict) -> int:
     spec = _block({"spec": _problem_from_args(args, cfg)}, "spec", ProblemSpec.from_dict)
-    R_list = _block(cfg, "R_list", _list_of(_number)) or [float(x) for x in args.R.split(",")]
+    R_list = _block(cfg, "R_list", _list_of(_number), [float(x) for x in args.R.split(",")])
     result = functional.scan_condition(spec, R_list)
     rows = []
     for label in ("2e0", "e0", "2e_space"):
@@ -210,8 +205,11 @@ def _cmd_simulate(args, cfg: dict) -> int:
 
 def _cmd_sweep(args, cfg: dict) -> int:
     spec = _sim_spec_from_args(args, cfg)
-    p_list = _block(cfg, "p_list", _list_of(_number)) or [float(x) for x in args.p_list.split(",")]
-    rows = [[r["p"], r["verdict"], r["t_star"]] for r in simulator.sweep_p(spec, p_list)]
+    p_list = _block(cfg, "p_list", _list_of(_number), [float(x) for x in args.p_list.split(",")])
+    # a warning (data functional not positive) is a plain note, not a source line
+    with warnings.catch_warnings(record=True) as notes:
+        rows = [[r["p"], r["verdict"], r["t_star"]] for r in simulator.sweep_p(spec, p_list)]
+    sys.stderr.writelines(f"note: {note.message}\n" for note in notes)
     _write_csv(args.out, ["p", "verdict", "t_star"], _csv_lines(rows), args.quiet)
     return EXIT_OK
 
@@ -277,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_damping(p)
     p.add_argument("--horizon", type=float, default=1e6)
-    p.add_argument("--margin", type=float, default=0.05)
+    p.add_argument("--margin", type=float, default=auxcalc.DEFAULT_MARGIN)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("aux", help="dump the auxiliary-function table as CSV")

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .auxcalc import AuxTable
 
@@ -57,16 +56,17 @@ class BumpProfile:
 def _bridge_powers(u, sigma: int):
     """Value and first two u-derivatives of G(u)**sigma on the open bridge.
 
-    G(u) = expit(-z(u)) with z = 1/(1-u) - 1/u decreases smoothly from 1 at
-    u=0 to 0 at u=1.  All expressions are arranged as G**sigma times
-    polynomial factors, so nothing blows up where G underflows.
+    G(u) = 1/(1 + exp(z)) with z = 1/(1-u) - 1/u falls smoothly from 1 at u=0
+    to 0 at u=1, underflowing to 0 where exp(z) overflows.  Everything is
+    G**sigma times polynomial factors, so nothing blows up where G underflows.
     """
     u = np.asarray(u, dtype=float)
     one_m = 1.0 - u
     z = 1.0 / one_m - 1.0 / u
     dz = 1.0 / one_m**2 + 1.0 / u**2
     d2z = 2.0 / one_m**3 - 2.0 / u**3
-    G = expit(-z)
+    with np.errstate(over="ignore"):
+        G = 1.0 / (1.0 + np.exp(z))
     Gs = G**sigma
     p0 = Gs
     p1 = -sigma * Gs * (1.0 - G) * dz

@@ -86,6 +86,52 @@ def test_invert_B_round_trip(aux_powerlaw_half):
         assert abs(back - t) <= 1e-6 * (1.0 + t)
 
 
+@pytest.mark.parametrize("model, bisects", [
+    # b = sqrt(1+t) rises, so B is concave: a Newton step from a cell's right
+    # end overshoots to the left and can leave the cell
+    (DampingModel.power_law(1.0, -0.5), True),
+    (DampingModel.perturbed_power(1.0, 0.5, Perturbation("sin", 0.25)), False),
+])
+def test_invert_B_round_trips_inside_its_cell(model, bisects, monkeypatch):
+    """|B(A(s)) - s| <= 1e-13 max(1, s), with A(s) in the cell that brackets s."""
+    table = build_aux_table(model, 1e3)
+    read_B = auxcalc.AuxTable.B_at
+    evaluations = []
+
+    def recording_B_at(self, t):
+        value = read_B(self, t)
+        evaluations.append((t, value))
+        return value
+
+    monkeypatch.setattr(auxcalc.AuxTable, "B_at", recording_B_at)
+    bisections = 0
+    for i in range(1, len(table.grid), 7):
+        assert table.invert_B(float(table.B_vals[i])) == table.grid[i]
+        for fraction in (1e-9, 0.3, 0.999999):
+            s = float(table.B_vals[i - 1] + fraction * (table.B_vals[i] - table.B_vals[i - 1]))
+            evaluations.clear()
+            t = table.invert_B(s)
+            assert table.grid[i - 1] <= t <= table.grid[i]
+            assert abs(read_B(table, t) - s) <= 1e-13 * max(1.0, s), (i, fraction)
+            # a point that is not the Newton step from the point before it is a bisection
+            previous = (float(table.grid[i]), float(table.B_vals[i]))
+            for point in evaluations:
+                newton = previous[0] - (previous[1] - s) * float(model.b(previous[0]))
+                bisections += point[0] != newton
+                previous = point
+    assert (bisections > 0) == bisects
+
+
+def test_invert_B_raises_after_its_step_cap(aux_powerlaw_half, monkeypatch):
+    """Newton steps that keep crawling end in QuadratureNonconvergence, not a hang."""
+    s = 10.0
+    # every residual moves t up by 2e-14 max(1, t): inside the bracket, above the stop
+    monkeypatch.setattr(auxcalc.AuxTable, "B_at",
+                        lambda self, t: s - 2e-14 * max(1.0, t) / float(self.model.b(t)))
+    with pytest.raises(QuadratureNonconvergence, match="100 Newton steps"):
+        aux_powerlaw_half.invert_B(s)
+
+
 def test_invert_B_out_of_range(aux_powerlaw_half):
     with pytest.raises(TableRangeError):
         aux_powerlaw_half.invert_B(aux_powerlaw_half.B_vals[-1] * 1.01)

@@ -7,6 +7,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -222,6 +224,36 @@ def test_scan_csv(tmp_path, capsys):
     assert tags == {"2e0", "e0", "2e_space"}
 
 
+_BLOCK_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from blowuplab.cli import dispatch
+print(json.dumps([dispatch(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    """The runtime needs numpy alone: all six subcommands exit 0 with scipy blocked."""
+    sim = ["--J", "64", "--r-max", "10", "--T-max", "1", "--u1-amplitude", "5"]
+    runs = [
+        ["check", "--damping", "powerlaw", "--kappa", "0.5", "--horizon", "1e3"],
+        ["aux", "--damping", "powerlaw", "--kappa", "-0.5", "--horizon", "10"],
+        ["exponents", "--n", "2"],
+        ["scan", "--p", "3", "--R", "8,16,32,64"],
+        ["simulate", *sim],
+        ["sweep", *sim, "--p-list", "1.5,3"],
+    ]
+    argvs = [[*argv, "--out", str(tmp_path / f"{argv[0]}.csv"), "--quiet"] for argv in runs]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _BLOCK_SCIPY, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [EXIT_OK] * 6, proc.stderr
+    # check prints its report; the other five write their CSV
+    assert all((tmp_path / f"{argv[0]}.csv").exists() for argv in runs[1:])
+
+
 def test_validation_exit_code(capsys):
     code = dispatch(["exponents", "--n", "1", "--gamma", "-2"])
     err = capsys.readouterr().err
@@ -295,6 +327,8 @@ def _run_config(command, config, tmp_path):
     ("aux", {"damping": {"kind": "perturbed", "mu": 1, "kappa": 0.5,
                          "perturbation": {"kind": "log", "exponent": False}}},
      "damping: perturbation: exponent: could not convert False"),
+    # an empty list is read as given, not as the flags' default ladder
+    ("scan", {"R_list": []}, "need at least four scales R"),
 ])
 def test_malformed_config_is_a_validation_error(command, config, named, tmp_path, capsys):
     code, out = _run_config(command, config, tmp_path)
@@ -319,6 +353,23 @@ def test_null_config_keys_keep_their_defaults(config, tmp_path, capsys):
     assert code == EXIT_OK
     assert "Traceback" not in capsys.readouterr().err
     assert out.read_bytes() == expected.read_bytes()
+
+
+def test_sweep_empty_p_list_writes_the_header_only(tmp_path, capsys):
+    """``"p_list": []`` sweeps no power, as ``"grid": []`` tabulates no point."""
+    code, out = _run_config("sweep", {**_SIM_CONFIG, "p_list": []}, tmp_path)
+    capsys.readouterr()
+    assert code == EXIT_OK
+    assert out.read_text() == "p,verdict,t_star\n"
+
+
+def test_sweep_on_zero_data_prints_a_plain_note(tmp_path, capsys):
+    """The non-positive data functional is one stderr line, without a source location."""
+    code, out = _run_config("sweep", {**_SIM_CONFIG, "p_list": [1.5]}, tmp_path)
+    err = capsys.readouterr().err
+    assert code == EXIT_OK
+    assert err.startswith("note: data functional = 0 is not positive;")
+    assert err.count("\n") == 1 and ".py:" not in err
 
 
 _DAMPING_FLAGS = ["--damping", "perturbed", "--mu", "2", "--kappa", "0.5", "--perturbation", "log",
