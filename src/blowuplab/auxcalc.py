@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -97,7 +98,7 @@ _CHUNK = 1024        # panels per batched evaluation of b; bounds a round's tran
 # panels one cell may take: about ten times the heaviest cell seen (107
 # panels, in the tests, the benchmark at seeds 0-2 and 200 random aux
 # tables), far below the 2**48 leaves of a cell that never settles; such a
-# cell fails after about 50 kB of tree nodes
+# cell fails after about 43 kB of tree nodes, at 42 bytes a node
 _CELL_PANELS = 1 << 10
 _OFFSETS = 1.0 + _KRONROD_NODES  # Kronrod nodes on [0, 2]
 _TAIL_CELLS = 800    # outward cells of a tail march before it gives up
@@ -187,10 +188,10 @@ def _phi_cells(bfun, t0, t1, tol: float):
     The panels, splits and prunes are those of a depth-first recursion over
     each cell, but all the cells of a call are walked together, in one walk
     of one batched panel evaluation per round (see :func:`_walk`).  The walk
-    keeps every panel of the call, about 50 bytes each.  A cell that takes
+    keeps every panel of the call, 42 bytes each.  A cell that takes
     more than ``_CELL_PANELS`` panels raises ``QuadratureNonconvergence``,
     in any batch exactly as alone, so a cell that never settles fails after
-    about 50 kB of its own nodes; so does a cell with a piece whose panel
+    about 43 kB of its own nodes; so does a cell with a piece whose panel
     still does not stand after ``_DEPTH`` halvings, where the rounding of t
     floors its error estimate above tol (far horizons against 1/b).  A
     non-finite panel raises ``FloatingPointError``.
@@ -201,95 +202,91 @@ def _phi_cells(bfun, t0, t1, tol: float):
     q, err, ib, gap, E = _exp_panels(bfun, t0, t1)
     open_ = np.flatnonzero(~_settled(q, err, ib, gap, tol))
     if open_.size:
-        q[open_] = _walk(bfun, _Tree(a=t0[open_], b=t1[open_], E=E[open_], Q=q[open_]), tol)
+        q[open_] = _walk(bfun, t0[open_], t1[open_], E[open_], q[open_], tol)
     return q.reshape(shape), E.reshape(shape)
 
 
 class _Tree:
-    """Split trees of the cells of one walk, one array entry per node.
+    """Split trees of the cells of one walk, one ``array.array`` column a field.
 
-    A node holds its cell [a, b], its own E = exp(-int_a^b b), its q (the
-    panel's, then its subtree's once composed), the links to its parent and
-    halves (-1 for none), its root, its remaining depth and whether its q is
-    final.  The roots are the first nodes.  Nodes are never dropped: the
-    tree holds every panel of its walk.
+    A node holds the right end b of its cell, its own E = exp(-int b) over
+    the cell, its q (the panel's, then its subtree's once composed), the
+    links to its parent and halves (-1 for none), its root, its remaining
+    depth and whether its q is final: 42 bytes of doubles, C ints and signed
+    chars, which :meth:`add` appends.  The roots are the first nodes.  Nodes
+    are never dropped: the tree holds every panel of its walk.
     """
 
-    _COLUMNS = (("a", float), ("b", float), ("E", float), ("Q", float), ("up", np.int32),
-                ("left", np.int32), ("right", np.int32), ("root", np.int32),
-                ("depth", np.int8), ("finished", bool))
+    def __init__(self):
+        self.b, self.E, self.Q = array("d"), array("d"), array("d")
+        self.up, self.left, self.right, self.root = array("i"), array("i"), array("i"), array("i")
+        self.depth, self.finished = array("b"), array("b")
 
-    def __init__(self, a, b, E, Q):
-        self.size = 0
-        for name, dtype in self._COLUMNS:
-            setattr(self, name, np.empty(0, dtype))
-        self._resize(max(4096, 4 * a.size))  # nodes held before the first resize
-        self.add(a, b, E, Q, up=-1, root=np.arange(a.size), depth=_DEPTH, finished=False)
-
-    def add(self, a, b, E, Q, up, root, depth, finished):
-        """Append nodes; returns their indices."""
-        if self.size + a.size > self.a.size:
-            self._resize(2 * (self.size + a.size))
-        start, self.size = self.size, self.size + a.size
-        new = slice(start, self.size)
-        self.a[new], self.b[new], self.E[new], self.Q[new] = a, b, E, Q
-        self.up[new], self.left[new], self.right[new], self.root[new] = up, -1, -1, root
-        self.depth[new], self.finished[new] = depth, finished
-        return np.arange(start, self.size)
-
-    def _resize(self, capacity: int):
-        for name, _ in self._COLUMNS:
-            old = getattr(self, name)
-            setattr(self, name, np.empty(capacity, old.dtype))
-            getattr(self, name)[:self.size] = old[:self.size]
+    def add(self, b, E, Q, up, root, depth, finished):
+        """Append nodes without halves, from arrays; returns the index of the first."""
+        start, no_half = len(self.b), array("i", [-1]) * len(b)
+        for column, values in ((self.b, b), (self.E, E), (self.Q, Q), (self.up, up),
+                               (self.left, no_half), (self.right, no_half), (self.root, root),
+                               (self.depth, depth), (self.finished, finished)):
+            column.frombytes(np.asarray(values, column.typecode).tobytes())
+        return start
 
 
-def _walk(bfun, tree: _Tree, tol: float):
-    """The composed q of the root cells, whose own panels do not stand.
+def _walk(bfun, a, b, E, Q, tol: float):
+    """The composed q of the root cells [a, b], whose own panels (E, Q) do not stand.
 
     Each round evaluates, in one batched call, the left halves of all the
     nodes whose panels did not stand in the round before and the right
     halves that fell due.  A right half falls due as soon as its left
     sibling's panel shows that the prune test must fail
     (E_left * width_right > 2 tol width_left, while q_left <= width_left),
-    and otherwise once the left subtree's q is composed and the test fails.  A right half that the exact test prunes
-    after all is dropped, so the result never depends on the schedule.
+    and otherwise once the left subtree's q is composed and the test fails.
+    A right half that the exact test prunes after all is dropped, so the
+    result never depends on the schedule.
     """
-    roots = tree.size
-    panels = np.ones(roots, np.int64)
-    # nodes to split and nodes whose right half is due; an early right half
-    # is evaluated in the round of its left sibling's first half, before
-    # that subtree can compose
-    split, due = np.arange(roots), np.arange(0)
-    while split.size or due.size:
-        a = np.concatenate((tree.a[split], tree.b[tree.left[due]]))
-        b = np.concatenate((0.5 * (tree.a[split] + tree.b[split]), tree.b[due]))
-        parents = np.concatenate((split, due))
-        root = tree.root[parents]
-        panels += np.bincount(root, minlength=roots)
+    # a round's parents with their roots and depths: first the nl nodes to
+    # split, with their cells [lo, hi], then the nodes whose right half
+    # [lo, hi] is due; an early right half is evaluated in the round of its
+    # left sibling's first half, before that subtree can compose
+    nodes, lo, hi, depth, nl = np.arange(a.size), a, b, np.full(a.size, _DEPTH), a.size
+    root, panels, tree = nodes, np.ones(a.size, np.int64), _Tree()
+    tree.add(b, E, Q, np.full(a.size, -1), root, depth, np.zeros(a.size, bool))
+    while nodes.size:
+        t1 = np.concatenate((0.5 * (lo[:nl] + hi[:nl]), hi[nl:]))
+        panels += np.bincount(root, minlength=a.size)
         if panels.max() > _CELL_PANELS:
             i = int(np.argmax(panels))
             raise QuadratureNonconvergence(
-                f"exponential cell [{tree.a[i]:g}, {tree.b[i]:g}] did not resolve "
+                f"exponential cell [{a[i]:g}, {b[i]:g}] did not resolve "
                 f"within {_CELL_PANELS} panels")
-        q, err, ib, gap, E = _exp_panels(bfun, a, b)
-        depth = tree.depth[parents] - 1
+        q, err, ib, gap, E = _exp_panels(bfun, lo, t1)
         settled = _settled(q, err, ib, gap, tol)
-        stuck = ~settled & (depth <= 0)
+        stuck = ~settled & (depth <= 1)
         if stuck.any():
             i = root[np.argmax(stuck)]
             raise QuadratureNonconvergence(
-                f"exponential cell [{tree.a[i]:g}, {tree.b[i]:g}] did not resolve "
+                f"exponential cell [{a[i]:g}, {b[i]:g}] did not resolve "
                 f"within {_DEPTH} halvings")
-        kids = tree.add(a, b, E, q, parents, root, depth, settled)
-        nl = split.size
-        tree.left[split], tree.right[due] = kids[:nl], kids[nl:]
+        start = tree.add(t1, E, q, nodes, root, depth - 1, settled)
+        for kid, parent in enumerate(nodes.tolist(), start):
+            (tree.left if kid < start + nl else tree.right)[parent] = kid
         # left halves, still splitting, whose sibling cannot be pruned
-        width_l, width_r = b[:nl] - a[:nl], tree.b[split] - b[:nl]
+        width_l, width_r = t1[:nl] - lo[:nl], hi[:nl] - t1[:nl]
         early = ~settled[:nl] & (E[:nl] * width_r > tol * np.maximum(2.0 * width_l, 1e-300))
-        due = np.concatenate((split[early], _compose(tree, kids[settled], tol)))
-        split = kids[~settled]
-    return tree.Q[:roots]
+        due = _compose(tree, start + np.flatnonzero(settled), tol)
+        # the new nodes that split, then the right halves now due: the early
+        # ones from this round's rows, the composed ones from the tree
+        split = ~settled
+        nodes = np.concatenate((start + np.flatnonzero(split), nodes[:nl][early],
+                                np.array(due, int)))
+        lo = np.concatenate((lo[split], t1[:nl][early], [tree.b[tree.left[p]] for p in due]))
+        hi = np.concatenate((t1[split], hi[:nl][early], [tree.b[p] for p in due]))
+        root = np.concatenate((root[split], root[:nl][early],
+                               np.array([tree.root[p] for p in due], int)))
+        depth = np.concatenate((depth[split] - 1, depth[:nl][early],
+                                np.array([tree.depth[p] for p in due], int)))
+        nl = np.count_nonzero(split)
+    return tree.Q[:a.size]
 
 
 def _compose(tree: _Tree, nodes, tol: float):
@@ -321,7 +318,7 @@ def _compose(tree: _Tree, nodes, tol: float):
                 break
             finished[parent] = True
             node = parent
-    return np.array(due, dtype=np.intp)
+    return due
 
 
 def _tail_ends(model: DampingModel, start: float):
@@ -515,8 +512,10 @@ class AuxTable:
     def invert_B(self, s: float) -> float:
         """A(s): the time t with B(t) = s, by safeguarded Newton steps in its table cell.
 
-        B' = 1/b is exact, so a step is t <- t - (B(t) - s) b(t), from the cell's
-        right end.  Each residual's sign shrinks the cell's bracket, a step
+        B' = 1/b is exact, so a step is t <- t - (B(t) - s) b(t).  The steps
+        start from the cell's left end where b rises (B concave) and from its
+        right end otherwise, the side from which they approach A(s) without
+        overshooting.  Each residual's sign shrinks the cell's bracket, a step
         leaving the bracket bisects it instead, and a step of at most
         1e-14 max(1, t) ends the search; 100 steps without one raise
         :class:`QuadratureNonconvergence`.
@@ -533,7 +532,8 @@ class AuxTable:
             )
         i = int(np.searchsorted(self.B_vals, s))
         lo, hi = float(self.grid[i - 1]), float(self.grid[i])
-        t, residual = hi, float(self.B_vals[i]) - s
+        j = i - 1 if self.B_vals[i] != s and self.model.db(hi) > 0 else i
+        t, residual = float(self.grid[j]), float(self.B_vals[j]) - s
         for _ in range(100):
             if residual == 0:
                 return t

@@ -86,14 +86,17 @@ def test_invert_B_round_trip(aux_powerlaw_half):
         assert abs(back - t) <= 1e-6 * (1.0 + t)
 
 
-@pytest.mark.parametrize("model, bisects", [
-    # b = sqrt(1+t) rises, so B is concave: a Newton step from a cell's right
-    # end overshoots to the left and can leave the cell
+@pytest.mark.parametrize("model, starts_left", [
+    # b = sqrt(1+t) rises, so B is concave: Newton steps from a cell's right
+    # end would overshoot to the left and could leave the cell, so they start
+    # from its left end
     (DampingModel.power_law(1.0, -0.5), True),
+    # b falls at the right end of every cell tested: B is convex there
     (DampingModel.perturbed_power(1.0, 0.5, Perturbation("sin", 0.25)), False),
 ])
-def test_invert_B_round_trips_inside_its_cell(model, bisects, monkeypatch):
-    """|B(A(s)) - s| <= 1e-13 max(1, s), with A(s) in the cell that brackets s."""
+def test_invert_B_round_trips_inside_its_cell(model, starts_left, monkeypatch):
+    """|B(A(s)) - s| <= 1e-13 max(1, s), with A(s) in the cell that brackets s,
+    by Newton steps alone from the end where they cannot overshoot."""
     table = build_aux_table(model, 1e3)
     read_B = auxcalc.AuxTable.B_at
     evaluations = []
@@ -114,12 +117,13 @@ def test_invert_B_round_trips_inside_its_cell(model, bisects, monkeypatch):
             assert table.grid[i - 1] <= t <= table.grid[i]
             assert abs(read_B(table, t) - s) <= 1e-13 * max(1.0, s), (i, fraction)
             # a point that is not the Newton step from the point before it is a bisection
-            previous = (float(table.grid[i]), float(table.B_vals[i]))
+            j = i - 1 if starts_left else i
+            previous = (float(table.grid[j]), float(table.B_vals[j]))
             for point in evaluations:
                 newton = previous[0] - (previous[1] - s) * float(model.b(previous[0]))
                 bisections += point[0] != newton
                 previous = point
-    assert (bisections > 0) == bisects
+    assert bisections == 0
 
 
 def test_invert_B_raises_after_its_step_cap(aux_powerlaw_half, monkeypatch):
@@ -472,12 +476,20 @@ def test_walk_rounds_and_chunks_leave_results_unchanged(monkeypatch):
 
 def test_unresolvable_cells_stop_at_the_panel_limit():
     """Seeded noise for b never settles a panel, so the cell would split
-    toward 2**48 leaves; the walk stops at the panel limit."""
+    toward 2**48 leaves; the walk stops at the panel limit and names the
+    root cell that failed."""
     rng = np.random.default_rng(0)
     noise = lambda t: rng.uniform(1.0, 2.0, np.shape(t))
     limit = auxcalc._CELL_PANELS
-    with pytest.raises(QuadratureNonconvergence, match=f"did not resolve within {limit} panels"):
+    with pytest.raises(QuadratureNonconvergence,
+                       match=rf"cell \[0, 1\] did not resolve within {limit} panels"):
         auxcalc._phi_cells(noise, np.array([0.0, 1e-3, 1.0]), np.array([1.0, 1e-3, 2.0]), 1e-11)
+    # b = 10 on [0, 1] (10 e-folds) splits that cell, which resolves; the
+    # noise cell walked after it is the one named
+    steep_then_noise = lambda t: np.where(t < 1.0, 10.0, noise(t))
+    with pytest.raises(QuadratureNonconvergence,
+                       match=rf"cell \[1, 2\] did not resolve within {limit} panels"):
+        auxcalc._phi_cells(steep_then_noise, np.array([0.0, 1.0]), np.array([1.0, 2.0]), 1e-11)
 
 
 @pytest.mark.parametrize("model, horizon", [
@@ -499,7 +511,8 @@ def test_g_tail_stops_at_the_depth_limit():
     drifting (it returned 0.0619 at 1e18)."""
     model = DampingModel.constant(1.0)
     assert abs(auxcalc._g_tail(model, 1e15, 1e-10) - 1.0) < 1e-14
-    with pytest.raises(QuadratureNonconvergence, match="did not resolve within 48 halvings"):
+    with pytest.raises(QuadratureNonconvergence,
+                       match=r"cell \[1e\+18, 1\.35e\+18\] did not resolve within 48 halvings"):
         auxcalc._g_tail(model, 1e18, 1e-10)
 
 

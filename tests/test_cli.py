@@ -500,16 +500,18 @@ def test_aux_rejects_horizons_below_one(capsys):
 
 def test_far_horizon_is_a_numerical_failure(capsys):
     """For b = 1 at horizon 1e18 the rounding of t floors the panel errors
-    above tol; the cell stops at the depth limit instead of giving g."""
+    above tol; a table cell stops at the depth limit instead of giving g,
+    and the message names it."""
     captured = _assert_clean_exit(["aux", "--horizon", "1e18"], EXIT_NUMERICAL, capsys)
-    assert "48 halvings" in captured.err
+    assert "cell [1.83795e+16, 1.90533e+16] did not resolve within 48 halvings" in captured.err
 
 
 def test_far_horizon_fails_in_the_tail(capsys):
     """At horizon 1e16 (b = 1) the table's cells stand, but the tail's first
-    cell, resolved in the table's walk, stops at the depth limit."""
+    cell, resolved in the table's walk as its last root, stops at the depth
+    limit, and the message names that cell."""
     captured = _assert_clean_exit(["aux", "--horizon", "1e16"], EXIT_NUMERICAL, capsys)
-    assert "48 halvings" in captured.err
+    assert "cell [1e+16, 1.35e+16] did not resolve within 48 halvings" in captured.err
 
 
 def _assert_clean_exit(argv, expected, capsys):
