@@ -44,12 +44,11 @@ from numpy.polynomial import legendre
 
 from .coeffs import DampingModel
 from .quadrature import (
-    _GAUSS_WEIGHTS,
     _KRONROD_NODES,
-    _KRONROD_WEIGHTS,
     QuadratureNonconvergence,
     gauss_kronrod_panel,
     integrate_adaptive,
+    kronrod_sums,
 )
 
 __all__ = [
@@ -143,11 +142,8 @@ def _exp_panels(bfun, t0, t1):
             # depend on its batch
             cum = half[:, None] * np.vecdot(vals[:, None, :], _INTEGRATE_TO_NODES)
             weights_at_nodes = np.exp(-cum)
-            ib = half * np.vecdot(vals, _KRONROD_WEIGHTS)
-            ib_g7 = half * np.vecdot(vals, _GAUSS_WEIGHTS)
-            k15 = half * np.vecdot(weights_at_nodes, _KRONROD_WEIGHTS)
-            g7 = half * np.vecdot(weights_at_nodes, _GAUSS_WEIGHTS)
-            out[:, s:s + _CHUNK] = k15, np.abs(k15 - g7), ib, np.abs(ib - ib_g7)
+            out[:, s:s + _CHUNK] = (*kronrod_sums(weights_at_nodes, half),
+                                    *kronrod_sums(vals, half))
     q, err, ib, gap = out
     if not (np.isfinite(q).all() and np.isfinite(ib).all()):
         i = int(np.argmin(np.isfinite(q) & np.isfinite(ib)))

@@ -67,6 +67,8 @@ def p_crit_damped(n: int, alpha: float, gamma: float, delta: float) -> ExponentR
     p_crit = 1.0 + 2.0 * (1.0 + gamma) / (n * (1.0 - alpha)) + delta / n
     p_min = 1.0 + max(positive_part(gamma + alpha) / (1.0 - alpha),
                       positive_part(delta) / n)
+    if not (math.isfinite(p_min) and math.isfinite(p_crit)):
+        raise FloatingPointError(f"p_min = {p_min:g} and p_crit = {p_crit:g} must be finite")
     return ExponentReport(p_min, p_crit, p_min < p_crit, "damped-wave")
 
 

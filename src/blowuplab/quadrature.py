@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "QuadratureNonconvergence",
     "gauss_kronrod_panel",
+    "kronrod_sums",
     "integrate_adaptive",
     "gauss_legendre_nodes",
 ]
@@ -54,6 +55,12 @@ _GAUSS_WEIGHTS = np.array([
 ])
 
 
+def kronrod_sums(y, half):
+    """(K15, |K15 - G7|) of panels of half-widths ``half`` from their values ``y`` at the nodes."""
+    k15 = half * np.vecdot(y, _KRONROD_WEIGHTS)
+    return k15, abs(k15 - half * np.vecdot(y, _GAUSS_WEIGHTS))
+
+
 def gauss_kronrod_panel(f: Callable, a, b):
     """K15 panels on [a, b]. Returns (integral, |K15 - G7|).
 
@@ -68,10 +75,7 @@ def gauss_kronrod_panel(f: Callable, a, b):
     # an overflowing integrand yields inf or nan here, for the caller's
     # finiteness checks to report
     with np.errstate(all="ignore"):
-        y = np.asarray(f(x), dtype=float)
-        k15 = half * np.vecdot(y, _KRONROD_WEIGHTS)
-        g7 = half * np.vecdot(y, _GAUSS_WEIGHTS)
-        return k15, abs(k15 - g7)
+        return kronrod_sums(np.asarray(f(x), dtype=float), half)
 
 
 def _sharpened(diff):

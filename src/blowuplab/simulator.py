@@ -92,10 +92,8 @@ class GaussianData:
         return self.amplitude * np.exp(-((np.asarray(r, float) / self.width) ** 2))
 
     def effective_radius(self) -> float:
-        """Radius beyond which the profile falls below 1e-14."""
-        if self.amplitude == 0.0:
-            return 0.0
-        return self.width * math.sqrt(max(math.log(abs(self.amplitude) / 1e-14), 0.0))
+        """Radius beyond which the profile falls below 1e-14 of its peak."""
+        return self.width * math.sqrt(math.log(1e14)) if self.amplitude != 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -409,8 +407,14 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
     """Integrate ``spec`` once per power p, all rows in one leapfrog batch.
 
     The rows share the grid, dt (the CFL limit does not depend on p) and
-    the coefficient arrays.  A row leaves the batch at its threshold
-    crossing or overflow.  ``with_energy`` records the energy trace of a
+    the coefficient arrays.  The march only records each row's sup-norm
+    and, with the guard on and W = J+1, its guard cells' max; a row leaves
+    the batch when its sup is not below the threshold (NaN included).  One
+    pass afterwards decides each row from these traces up to its last step:
+    a non-finite last sup is an overflow (t* at the step before), a finite
+    crossing a blow-up (t* by ``detect_blowup``), and an edge value above
+    1e-10 of the running peak sup marks a row without t* as
+    boundary-contaminated.  ``with_energy`` records the energy trace of a
     single-row batch; otherwise the outcomes carry an empty one.
 
     The batch is marched on the columns [0, W) only.  W stays at least 3
@@ -447,7 +451,7 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
 
     sup_hist = np.empty((rows, steps + 1))
     sup_hist[:, 0] = np.max(np.abs(u0))
-    peak = sup_hist[:, 0].copy()
+    edge_hist = np.zeros((rows, steps + 1))      # the guard cells' max, once W = J+1
     energy_hist = np.empty(steps + 1 if with_energy else 0)
     if with_energy:
         energy_hist[0] = st.energies(u0[None], v0[None], a_arr[:1], rpow)[0]
@@ -469,9 +473,6 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
 
     active = np.arange(rows)
     last = np.full(rows, steps)
-    overflow = np.zeros(rows, bool)
-    contaminated = np.zeros(rows, bool)
-    t_star: list[Optional[float]] = [None] * rows    # set exactly for blow-up rows
     final = np.zeros((rows, J + 1))                  # +0.0 past the window
 
     end = _support_end(u, u_prev)
@@ -493,11 +494,8 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
         absu = np.abs(u)
         sup = absu.max(axis=1)
         sup_hist[active, m] = sup
-        if guard:
-            np.maximum(peak, sup, out=peak)
-            if width == J + 1:
-                edge = absu[:, -guard - 1:-1].max(axis=1)
-                contaminated[active] |= edge > 1e-10 * np.maximum(peak, 1e-300)
+        if guard and width == J + 1:
+            edge_hist[active, m] = absu[:, -guard - 1:-1].max(axis=1)
         if with_energy:
             if filled + 1 == len(u_rows):
                 flush()
@@ -506,16 +504,9 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
 
         below = sup < threshold       # False when crossed, or not a number
         if not below.all():
-            for i in np.flatnonzero(~below):
-                row = active[i]
-                last[row] = m
-                final[row, :width] = u[i]
-                if np.isfinite(sup[i]):
-                    t_star[row] = detect_blowup(ts[: m + 1], sup_hist[row, : m + 1], threshold)
-                else:
-                    overflow[row] = True
-                    t_star[row] = float(ts[m - 1])
-            active, u, u_prev, peak = active[below], u[below], u_prev[below], peak[below]
+            last[active[~below]] = m
+            final[active[~below], :width] = u[~below]
+            active, u, u_prev = active[below], u[below], u_prev[below]
             if not len(active):
                 break
             absu = absu[below]
@@ -529,22 +520,21 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
         flush()
     final[active, :width] = u
 
-    return [
-        SimOutcome(
-            verdict=("blowup" if t_star[i] is not None
-                     else "boundary_contaminated" if contaminated[i] else "survived"),
-            t_star=t_star[i],
-            hard_overflow=bool(overflow[i]),
-            times=ts[: last[i] + 1].copy(),
-            sup_norms=sup_hist[i, : last[i] + 1].copy(),
-            energies=energy_hist[: last[i] + 1].copy(),
-            dt=dt,
-            dr=dr,
-            r=r,
-            final_u=final[i],
-        )
-        for i in range(rows)
-    ]
+    outcomes = []
+    for i, m in enumerate(last.tolist()):
+        sups = sup_hist[i, : m + 1]
+        overflow = not np.isfinite(sups[-1])
+        t_star = (float(ts[m - 1]) if overflow else None if sups[-1] < threshold
+                  else detect_blowup(ts[: m + 1], sups, threshold))
+        peak = np.maximum(np.maximum.accumulate(sups), 1e-300)
+        contaminated = (edge_hist[i, : m + 1] > 1e-10 * peak).any()
+        outcomes.append(SimOutcome(
+            verdict=("blowup" if t_star is not None
+                     else "boundary_contaminated" if contaminated else "survived"),
+            t_star=t_star, hard_overflow=overflow, times=ts[: m + 1].copy(),
+            sup_norms=sups.copy(), energies=energy_hist[: m + 1].copy(),
+            dt=dt, dr=dr, r=r, final_u=final[i]))
+    return outcomes
 
 
 def run(spec: SimSpec, aux: Optional[AuxTable] = None) -> SimOutcome:
@@ -585,11 +575,8 @@ def sweep_p(
     powers = [replace(spec.problem, p=float(p)).p for p in p_list]
     if not powers:
         return []
-    outcomes = _march(spec, aux, powers, with_energy=False)
-    return [
-        {"p": p, "verdict": oc.verdict, "t_star": oc.t_star}
-        for p, oc in zip(powers, outcomes)
-    ]
+    return [{"p": p, "verdict": oc.verdict, "t_star": oc.t_star}
+            for p, oc in zip(powers, _march(spec, aux, powers, with_energy=False))]
 
 
 # ---------------------------------------------------------------------------

@@ -261,18 +261,35 @@ def test_validation_exit_code(capsys):
     assert "gamma must exceed -1" in err
 
 
-def test_numerical_exit_code(tmp_path, capsys):
-    cfg = tmp_path / "sim.json"
-    cfg.write_text(json.dumps({
-        "problem": {"n": 1, "alpha": 0.0, "gamma": 0.0, "delta": 0.0, "p": 1.5,
-                    "damping": {"kind": "constant", "mu": 1.0}},
-        "r_max": 10.0, "J": 64, "T_max": 1.0, "dt": 1.0,
-        "allow_boundary_reflections": True,
-    }))
-    code = dispatch(["simulate", "--config", str(cfg), "--quiet"])
+@pytest.mark.parametrize("config, flags, message", [
+    ({"problem": {"n": 1, "alpha": 0.0, "gamma": 0.0, "delta": 0.0, "p": 1.5,
+                  "damping": {"kind": "constant", "mu": 1.0}},
+      "r_max": 10.0, "J": 64, "T_max": 1.0, "dt": 1.0, "allow_boundary_reflections": True},
+     [], "stability"),
+    # B(t)**gamma leaves the floating-point range at the horizon
+    (None, ["--gamma", "400", "--u1-amplitude", "0.1", "--r-max", "20", "--J", "64",
+            "--T-max", "5"], "the forcing factor is not finite at t = 5"),
+], ids=["dt-above-cfl", "forcing-overflow"])
+def test_numerical_exit_code(config, flags, message, tmp_path, capsys):
+    if config is not None:
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps(config))
+        flags = ["--config", str(cfg)]
+    code = dispatch(["simulate", *flags, "--quiet"])
     err = capsys.readouterr().err
     assert code == EXIT_NUMERICAL
-    assert "stability" in err
+    assert message in err
+
+
+@pytest.mark.parametrize("amplitude", ["1e-13", "1"])
+def test_data_radius_is_relative_to_the_amplitude(amplitude, capsys):
+    """The boundary-reach check takes the data's radius at 1e-14 of its peak,
+    as the contamination verdict compares the edge with the running peak."""
+    code = dispatch(["simulate", "--p", "3", "--u1-amplitude", amplitude, "--r-max", "5",
+                     "--J", "64", "--T-max", "0.5", "--quiet"])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert "needs r_max >= 6.56832" in err
 
 
 def test_malformed_json(tmp_path, capsys):
@@ -649,6 +666,8 @@ _CHECK = st.tuples(st.floats(1.0, 308.0).map(lambda e: repr(10.0**e)), _real(-0.
 @example(argv=["check", "--mu", "1e300", "--horizon", "1e300"])
 @example(argv=["check", "--damping", "powerlaw", "--kappa", "0.5", "--mu", "1e-300",
                "--horizon", "1e100"])
+# p_crit overflows
+@example(argv=["exponents", "--n", "1", "--gamma", "1e308"])
 def test_analysis_arguments_end_cleanly(argv):
     """Any scan, exponents or check arguments: exit 0, 2 or 3 within 5 s, no
     traceback, and no nan or inf in the CSV."""

@@ -255,6 +255,10 @@ def test_sweep_rows_equal_single_runs():
         (SimSpec(problem=unit_problem(3.0), r_max=60.0, J=300, T_max=30.0,
                  u1=GaussianData(5.0, 1.0), blowup_threshold=1e300),
          [1.3, 2.0, 3.0, 5.0], ["blowup"] * 4, [True] * 4),
+        # weak damping on a short domain: the slowest row reaches the guard cells
+        (SimSpec(problem=replace(unit_problem(2.0), damping=DampingModel.constant(0.01)),
+                 r_max=10.0, J=24, T_max=5.0, u1=GaussianData(5.0, 0.5)),
+         [1.2, 1.5, 2.0, 3.0, 5.0], ["boundary_contaminated"] + ["blowup"] * 4, [False] * 5),
     ]
     for spec, p_list, verdicts, overflows in cases:
         aux = build_aux_table(spec.problem.damping, max(2.0, spec.T_max) * 1.01)
