@@ -28,10 +28,10 @@ The Dirichlet column gets no L term, so it keeps its +0.0.  W stays at
 least 3 columns past the support, the support is measured again before
 it could reach column W-2, and W grows by a block when it runs short;
 every column outside the window is exactly what a full-width march
-would hold.  Energies are computed in chunks: the full-width rows of
-u are buffered and turned into energies in one 2-D pass, with every row
-summed over all J pairs, zeros included, because numpy's pairwise sum
-groups its terms by the length of the row.
+would hold.  The full-width fields of a block of steps are buffered and
+turned into sup-norms, guard-cell maxima and energies in one 2-D pass;
+every energy row is summed over all J pairs, zeros included, because
+numpy's pairwise sum groups its terms by the length of the row.
 
 The source term skips pow on the wave's numerical front, where numpy's
 pow is slow.  Below cut(p) = 2^(-1076/p) the exact |u|^p is under a
@@ -125,6 +125,8 @@ class SimSpec:
             raise ValueError("r_max must be positive")
         if self.J < 16:
             raise ValueError("need at least 16 radial cells")
+        if self.J > _MAX_CELLS:
+            raise ValueError(f"J = {self.J} is more than the limit of {_MAX_CELLS:g} radial cells")
         if self.T_max <= 0:
             raise ValueError("T_max must be positive")
         if not 0 < self.cfl <= 1:
@@ -185,12 +187,14 @@ def detect_blowup(times: Sequence[float], sups: Sequence[float], threshold: floa
     return float(t0 + (threshold - s0) / (s1 - s0) * (t1 - t0))
 
 
-# elements in the row buffer of the chunked energy pass (256 kB)
+# elements in the block buffer of a march (256 kB)
 _ENERGY_BUDGET = 2**15
 # columns by which the support window grows at a time
 _WINDOW_BLOCK = 64
 # most steps a run may take (the benchmark's longest run takes about 2e4)
 _MAX_STEPS = 10**7
+# most radial cells a grid may have (8 MB a field row; the benchmark's finest has 2400)
+_MAX_CELLS = 10**6
 
 # steps whose K15 panels of 1/b are evaluated together (15 nodes per step)
 _PANEL_CHUNK = 4096
@@ -267,7 +271,7 @@ class _Stencil:
         self.up = np.concatenate(([2.0 * n * inv], inv + radial))
         self.fspace = (np.arange(J + 1) * dr) ** delta if delta != 0.0 else None
 
-    def source(self, absu: np.ndarray, powers: Sequence[float],
+    def source(self, u: np.ndarray, powers: Sequence[float],
                scale: float) -> Optional[np.ndarray]:
         """scale * r^delta * |u|^p, one power per row.
 
@@ -278,10 +282,12 @@ class _Stencil:
         is the +0.0 that pow returns there, and numpy's pow is slow on such
         entries.  The mask ``~(mag < cut)`` sends nan and inf through pow,
         and the full-row multiply by the scale still turns the skipped
-        zeros into -0.0 where the scale is negative.
+        zeros into -0.0 where the scale is negative.  |u| is formed here,
+        only when the scale is nonzero.
         """
         if scale == 0.0:
             return None
+        absu = np.abs(u)
         src = np.zeros_like(absu)
         for row, mag, p in zip(src, absu, powers):
             np.power(mag, p, out=row, where=~(mag < _underflow_cut(p)))
@@ -407,21 +413,29 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
     """Integrate ``spec`` once per power p, all rows in one leapfrog batch.
 
     The rows share the grid, dt (the CFL limit does not depend on p) and
-    the coefficient arrays.  The march only records each row's sup-norm
-    and, with the guard on and W = J+1, its guard cells' max; a row leaves
-    the batch when its sup is not below the threshold (NaN included).  One
-    pass afterwards decides each row from these traces up to its last step:
-    a non-finite last sup is an overflow (t* at the step before), a finite
-    crossing a blow-up (t* by ``detect_blowup``), and an edge value above
-    1e-10 of the running peak sup marks a row without t* as
-    boundary-contaminated.  ``with_energy`` records the energy trace of a
-    single-row batch; otherwise the outcomes carry an empty one.
+    the coefficient arrays.  The march only records.  Each step writes the
+    full-width fields of the active rows into a block buffer of about
+    ``_ENERGY_BUDGET`` values.  When the block is full, at the last step and
+    before a window rescan, one pass over the block takes each row's
+    sup-norms, with the guard on and W = J+1 its guard cells' max, and for
+    ``with_energy`` (a single-row batch) its energies; otherwise the
+    outcomes carry an empty energy trace.  A row whose sup is not below the
+    threshold (NaN included) at some step of the block ends at the first
+    such step, with its field from the buffer, and leaves the batch; the
+    steps it took after that are dropped, as rows do not interact.  One
+    pass afterwards decides each row from these traces up to its last
+    step: a non-finite last sup is an overflow (t* at the step before), a
+    finite crossing a blow-up (t* by ``detect_blowup``), and an edge value
+    above 1e-10 of the running peak sup marks a row without t* as
+    boundary-contaminated.
 
     The batch is marched on the columns [0, W) only.  W stays at least 3
     columns past the last nonzero column of u and u_prev (or at J+1): the
     stencil spreads the support by at most one column a step, so the
     support is measured again, and W grown by a block, before it can
-    reach column W-2.
+    reach column W-2.  A block ends before each rescan, so W follows the
+    rows left in the batch, as with a threshold test at every step, and
+    all steps of a block share one W.
     """
     prob = spec.problem
     dt, steps = _time_step(spec, aux)
@@ -445,7 +459,7 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
     v0 = spec.u1(r)
     v0[-1] = 0.0
     u_prev = np.tile(u0, (rows, 1))
-    forcing = st.source(np.abs(u_prev), powers, fscale[0])
+    forcing = st.source(u_prev, powers, fscale[0])
     u = st.start(u_prev, v0, a_arr[0], b_arr[0], forcing, dt)
     u[:, -1] = 0.0
 
@@ -455,21 +469,11 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
     energy_hist = np.empty(steps + 1 if with_energy else 0)
     if with_energy:
         energy_hist[0] = st.energies(u0[None], v0[None], a_arr[:1], rpow)[0]
-        # full-width rows of u, +0.0 past the window: row 0 holds step done-1,
-        # rows 1..filled the steps from done on, whose energies wait for a flush
-        u_rows = np.zeros((max(2, _ENERGY_BUDGET // (J + 1)), J + 1))
-        u_rows[0] = u0
-        done, filled = 1, 0
-
-        def flush():
-            nonlocal done, filled
-            u_now = u_rows[1:filled + 1]
-            vel = u_now - u_rows[:filled]
-            vel /= dt
-            energy_hist[done:done + filled] = st.energies(
-                u_now, vel, a_arr[done:done + filled], rpow)
-            u_rows[0] = u_rows[filled]
-            done, filled = done + filled, 0
+    # full-width fields of the active rows, +0.0 past the window: slots
+    # 1..filled hold the steps from done on, slot 0 step done-1 for the energies
+    block = np.zeros((max(2, _ENERGY_BUDGET // (rows * (J + 1))), rows, J + 1))
+    block[0] = u0
+    done, filled = 1, 0
 
     active = np.arange(rows)
     last = np.full(rows, steps)
@@ -491,33 +495,42 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
                 width += grow
                 st = _Stencil(width - 1, dr, prob.n, prob.delta)
             rescan = m + width - 1 - end if width < J + 1 else 0
-        absu = np.abs(u)
-        sup = absu.max(axis=1)
-        sup_hist[active, m] = sup
-        if guard and width == J + 1:
-            edge_hist[active, m] = absu[:, -guard - 1:-1].max(axis=1)
-        if with_energy:
-            if filled + 1 == len(u_rows):
-                flush()
-            filled += 1
-            u_rows[filled, :width] = u[0]
+        filled += 1
+        block[filled, :len(active), :width] = u
 
-        below = sup < threshold       # False when crossed, or not a number
-        if not below.all():
-            last[active[~below]] = m
-            final[active[~below], :width] = u[~below]
-            active, u, u_prev = active[below], u[below], u_prev[below]
-            if not len(active):
-                break
-            absu = absu[below]
-            powers = [p for p, kept in zip(powers, below) if kept]
+        # a block also ends before a rescan, which must see only the rows left,
+        # so that all its steps share one window
+        if filled + 1 == len(block) or m in (steps, rescan - 1):
+            fields = block[1:filled + 1, :len(active)]
+            sups = np.abs(fields[:, :, :width]).max(axis=2)
+            sup_hist[active, done:done + filled] = sups.T
+            if guard and width == J + 1:
+                edge = np.abs(fields[:, :, -guard - 1:-1]).max(axis=2)
+                edge_hist[active, done:done + filled] = edge.T
+            if with_energy:
+                vel = fields[:, 0] - block[:filled, 0]
+                vel /= dt
+                energy_hist[done:done + filled] = st.energies(
+                    fields[:, 0], vel, a_arr[done:done + filled], rpow)
+                block[0] = block[filled]
+            below = sups < threshold      # False when crossed, or not a number
+            if not below.all():
+                kept = below.all(axis=0)
+                crossed = ~kept
+                # a row ends at its first crossing; its later steps are dropped
+                first = below.argmin(axis=0)[crossed]
+                last[active[crossed]] = done + first
+                final[active[crossed]] = fields[first, crossed]
+                active, u, u_prev = active[kept], u[kept], u_prev[kept]
+                if not len(active):
+                    break
+                powers = [p for p, k in zip(powers, kept) if k]
+            done, filled = done + filled, 0
         if m == steps:
             break
 
-        forcing = st.source(absu, powers, fscale[m])
+        forcing = st.source(u, powers, fscale[m])
         u_prev, u = u, st.step(u, u_prev, forcing, _step_scalars(a_arr.item(m), b_arr.item(m), dt))
-    if with_energy:
-        flush()
     final[active, :width] = u
 
     outcomes = []

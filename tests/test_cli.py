@@ -192,6 +192,15 @@ def test_step_count_is_bounded(command, capsys):
     assert "dt = 2.5e-08" in err and "2e+09 steps" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_grid_size_is_bounded(command, capsys):
+    """A grid of 2e6 cells is rejected, even for a horizon of one step."""
+    code = dispatch([command, "--J", "2000000", "--T-max", "1e-9", "--quiet"])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert "J = 2000000 is more than the limit of 1e+06 radial cells" in err
+
+
 def test_sweep_csv(tmp_path, capsys):
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps({
@@ -683,3 +692,46 @@ def test_analysis_arguments_end_cleanly(argv):
     assert elapsed < 5.0, argv
     assert "Traceback" not in err.getvalue(), argv
     assert "nan" not in written and "inf" not in written, argv
+
+
+# the config keys of the README, and the fields of their blocks
+_CONFIG_KEYS = ["damping", "spec", "grid", "R_list", "p_list", "problem", "r_max", "J", "T_max",
+                "cfl", "dt", "blowup_threshold", "nonlinearity", "allow_boundary_reflections",
+                "data"]
+_BLOCK_KEYS = ["kind", "mu", "kappa", "perturbation", "exponent", "n", "alpha", "gamma",
+               "delta", "p", "c_a", "c_f", "damping", "u0", "u1", "amplitude", "width"]
+# any JSON value: numbers out to +-1e308, bools, strings (the damping kinds among
+# them), null, and lists and objects of those, nested, the objects keyed by block fields
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-10, 2000), st.floats(-1e308, 1e308),
+              st.sampled_from(["constant", "powerlaw", "perturbed", "log", "sin"]),
+              st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.sampled_from(_BLOCK_KEYS), inner, max_size=6)),
+    max_leaves=12)
+
+
+@pytest.mark.parametrize("command", ["aux", "check", "exponents", "scan", "simulate", "sweep"])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(config=st.fixed_dictionaries({}, optional={key: _JSON for key in _CONFIG_KEYS}))
+# a grid of 1e12 cells that takes one step: exit 2 before any array is allocated
+@example(config={"problem": {"n": 1, "alpha": 0, "gamma": 0, "delta": 0, "p": 2}, "r_max": 10,
+                 "J": 1e12, "T_max": 1e-300, "allow_boundary_reflections": True})
+def test_any_config_ends_cleanly(command, config):
+    """Any JSON value under any README config key: exit 0, 2 or 3 within 5 s, no
+    traceback, and no nan or inf in the CSV."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path, cfg = Path(tmp, "out.csv"), Path(tmp, "config.json")
+        cfg.write_text(json.dumps(config))
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = dispatch([command, "--config", str(cfg), "--out", str(path), "--quiet"])
+        elapsed = time.perf_counter() - start
+        written = path.read_text() if path.exists() else ""
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL), config
+    assert elapsed < 5.0, config
+    assert "Traceback" not in err.getvalue(), config
+    assert "nan" not in written and "inf" not in written, config

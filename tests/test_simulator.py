@@ -296,11 +296,12 @@ def _reference_laplacian(u, dr, n):
     return lap
 
 
-def _reference_traces(spec, dt, steps):
+def _reference_traces(spec, dt, steps, fields=None):
     """Sup norms, energies and final field from the per-step array formulas.
 
     Energy is np.gradient + np.trapezoid on every step; a and the forcing
-    time factor are the constants c_a and c_f.
+    time factor are the constants c_a and c_f.  A ``fields`` list receives
+    the field of every step.
     """
     prob = spec.problem
     n, dr = prob.n, spec.dr
@@ -327,7 +328,11 @@ def _reference_traces(spec, dt, steps):
          + 0.5 * dt**2 * source(u_prev))
     u[-1] = 0.0
     sups, energies = [float(np.max(np.abs(u_prev)))], [energy(v0, u_prev)]
+    if fields is not None:
+        fields.append(u_prev)
     for m in range(1, steps + 1):
+        if fields is not None:
+            fields.append(u)
         sups.append(float(np.max(np.abs(u))))
         energies.append(energy((u - u_prev) / dt, u))
         if m == steps:
@@ -401,7 +406,7 @@ def test_reference_specs_reach_the_window_edges():
     """The bitwise specs above reach the cases the support window must get right."""
     spec = REFERENCE_SPECS["overflow-mid-chunk"]
     out = run(spec)
-    chunk = max(2, _ENERGY_BUDGET // (spec.J + 1)) - 1    # energies per flush
+    chunk = _block_steps(1, spec.J)
     steps = len(out.times) - 1
     assert out.hard_overflow and steps > chunk and steps % chunk != 0
     assert not np.isfinite(out.energies[-1])
@@ -437,6 +442,112 @@ def test_reference_specs_reach_the_window_edges():
         spec = REFERENCE_SPECS[name]
         mag = np.abs(run(spec).final_u)
         assert np.any((mag > 0.0) & (mag < _underflow_cut(spec.problem.p)))
+
+
+# -- blocks of buffered steps ----------------------------------------------------------
+
+def _block_steps(rows, J):
+    """Steps that ``_march`` buffers in one full block of a batch of ``rows`` rows."""
+    return max(2, _ENERGY_BUDGET // (rows * (J + 1))) - 1
+
+
+def _rows_equal_single_runs(spec, aux, p_list):
+    """Check each row of a ``_march`` batch against its single run; return the single runs."""
+    singles = [run(replace(spec, problem=replace(spec.problem, p=p)), aux) for p in p_list]
+    for batch, single in zip(_march(spec, aux, p_list, with_energy=False), singles):
+        assert (batch.verdict, batch.t_star, batch.hard_overflow) == (
+            single.verdict, single.t_star, single.hard_overflow)
+        assert np.array_equal(batch.times, single.times)
+        assert np.array_equal(batch.sup_norms, single.sup_norms, equal_nan=True)
+        assert np.array_equal(batch.final_u.view(np.int64), single.final_u.view(np.int64))
+    return singles
+
+
+def _reference_whole_step(fields, J):
+    """First step marched at W = J+1 by the window rule of ``_march``, from one run's fields."""
+    def support_end(*rows):
+        cols = np.flatnonzero(np.any([row != 0.0 for row in rows], axis=0))
+        return int(cols[-1]) + 1 if len(cols) else 0
+
+    end = support_end(fields[1], fields[0])
+    width = min(J + 1, end + 2 + _WINDOW_BLOCK)
+    if width == J + 1:
+        return 1
+    rescan = width - end
+    for m in range(rescan, len(fields)):
+        if m == rescan:
+            end = support_end(fields[m], fields[m - 1])
+            if end + 2 + _WINDOW_BLOCK // 2 > width:
+                width = min(J + 1, end + 2 + _WINDOW_BLOCK)
+            if width == J + 1:
+                return m
+            rescan = m + width - 1 - end
+    return None
+
+
+# a blow-up with no exact zeros in the data: the window is whole from the start,
+# so every block of buffered steps has its full length
+BLOCK_SPEC = SimSpec(problem=unit_problem(2.0), r_max=10.0, J=400, T_max=30.0,
+                     u0=GaussianData(0.5, 10.0), u1=GaussianData(1.0, 10.0),
+                     allow_boundary_reflections=True)
+
+
+@pytest.mark.parametrize("slot", ["first", "middle", "last"])
+def test_crossing_at_each_slot_of_a_block(slot):
+    """A run that crosses its threshold at the first, a middle or the last step of a block."""
+    spec = BLOCK_SPEC
+    r = np.arange(spec.J + 1) * spec.dr
+    assert np.all(spec.u0(r)[:-1] != 0.0)
+    block = _block_steps(1, spec.J)
+    target = {"first": 2 * block + 1, "middle": 2 * block + block // 2, "last": 3 * block}[slot]
+    full = run(replace(spec, blowup_threshold=1e300))
+    assert np.all(np.diff(full.sup_norms[:target + 1]) > 0)
+    out = run(replace(spec, blowup_threshold=full.sup_norms[target]))
+    assert out.verdict == "blowup" and len(out.times) - 1 == target
+    with np.errstate(over="ignore", invalid="ignore"):
+        sups, energies, final = _reference_traces(spec, out.dt, target)
+    assert np.array_equal(out.sup_norms, sups)
+    assert np.array_equal(out.energies, energies)
+    assert np.array_equal(out.final_u.view(np.int64), final.view(np.int64))
+
+
+def test_rows_crossing_in_one_block_equal_single_runs():
+    """Two rows cross at different steps of one block and the row between them survives."""
+    spec = replace(BLOCK_SPEC, T_max=5.0)
+    p_list = [2.1, 1.3, 2.0]
+    aux = build_aux_table(spec.problem.damping, max(2.0, spec.T_max) * 1.01)
+    singles = _rows_equal_single_runs(spec, aux, p_list)
+    assert [oc.verdict for oc in singles] == ["blowup", "survived", "blowup"]
+    first, _, second = (len(oc.times) - 1 for oc in singles)
+    block = _block_steps(len(p_list), spec.J)
+    assert first < second and (first - 1) // block == (second - 1) // block
+
+
+def test_window_whole_inside_a_block_with_guard():
+    """With the guard on, the edge trace starts where the window becomes whole, inside a
+    block; each row's verdict follows from the per-step reference fields."""
+    spec = SimSpec(problem=replace(unit_problem(2.0), damping=DampingModel.constant(0.002)),
+                   r_max=9.5, J=200, T_max=8.6, u1=GaussianData(4.0, 0.08))
+    p_list = [1.5, 2.0, 3.0, 5.0]
+    aux = build_aux_table(spec.problem.damping, max(2.0, spec.T_max) * 1.01)
+    singles = _rows_equal_single_runs(spec, aux, p_list)
+    assert [oc.verdict for oc in singles] == ["blowup"] * 3 + ["boundary_contaminated"]
+    guard = min(5, spec.J // 4)
+    for p, oc in zip(p_list, singles):
+        fields = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            sups, _, final = _reference_traces(replace(spec, problem=replace(spec.problem, p=p)),
+                                               oc.dt, len(oc.times) - 1, fields)
+        assert np.array_equal(oc.sup_norms, sups)
+        assert np.array_equal(oc.final_u.view(np.int64), final.view(np.int64))
+        whole = _reference_whole_step(fields, spec.J)
+        assert 1 < whole < len(fields) - 1
+        assert all((whole - 1) % _block_steps(rows, spec.J) for rows in (1, len(p_list)))
+        edge = np.array([np.max(np.abs(f[-guard - 1:-1])) if m >= whole else 0.0
+                         for m, f in enumerate(fields)])
+        peak = np.maximum(np.maximum.accumulate(sups), 1e-300)
+        contaminated = oc.t_star is None and bool(np.any(edge > 1e-10 * peak))
+        assert (oc.verdict == "boundary_contaminated") == contaminated
 
 
 # -- the three-row Laplacian -------------------------------------------------------------
