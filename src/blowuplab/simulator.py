@@ -10,12 +10,19 @@ nonexistence, not a proof, and says nothing about the mechanism.
 
 One kernel, ``_march``, advances a (rows, J+1) batch of fields that share
 the grid, the time step and the coefficients: a single run is one row, a
-p-sweep is one row per power, and each row equals its single run bit for
-bit.
+p-sweep is one row per power (at most ``_SWEEP_ROWS`` a batch), and each
+row equals its single run bit for bit.  A single run steps on 1-D rows
+and a batch on 2-D ones, through the same code: the step is elementwise,
+so the shape does not change a bit.
 
 One step is u+ = ((2c u - (1-bh)c u-) + dt^2 a c L u) + dt^2 c f, with
 bh = b dt/2 and c = 1/(1+bh), and L the three-row radial Laplacian of
-``_Stencil``.
+``_Stencil``.  The four scalars of every step are formed once per march,
+as arrays; numpy's elementwise operations round as the float ones do.
+For each window, ``_Stencil.bind`` holds the shifted views of the two
+field buffers, which take turns as u and u-, and the step's work
+buffers, so that a step is ten ufunc calls (two more with a source)
+with no slicing and no temporary.
 
 The kernel marches only a support window, the columns [0, W).  Past the
 last nonzero column of u and u_prev, every term of the step is +-0.0
@@ -41,7 +48,8 @@ numpy's SIMD pow states no error bound that far down, and for p beyond
 about 1e15 the rounding of the cut itself can cost the margin, so each
 power's cut is kept only after a probe of the same ufunc returns +0.0 on
 the largest double below it, a spread down to 5e-324 and 0; otherwise
-nothing is skipped.  nan and inf always go through pow.
+nothing is skipped.  nan and inf always go through pow.  ``_march`` takes
+each power's cut once.
 """
 
 from __future__ import annotations
@@ -195,6 +203,8 @@ _WINDOW_BLOCK = 64
 _MAX_STEPS = 10**7
 # most radial cells a grid may have (8 MB a field row; the benchmark's finest has 2400)
 _MAX_CELLS = 10**6
+# most powers of a sweep marched in one batch, so that its memory does not grow with p_list
+_SWEEP_ROWS = 64
 
 # steps whose K15 panels of 1/b are evaluated together (15 nodes per step)
 _PANEL_CHUNK = 4096
@@ -217,14 +227,17 @@ def _coefficient_arrays(prob: ProblemSpec, aux: AuxTable, steps: int, dt: float)
     return ts, a, b, ftime
 
 
-def _step_scalars(a: float, b: float, dt: float) -> tuple[float, float, float, float]:
-    """2c, (1 - bh) c, dt^2 a c and dt^2 c of the leapfrog step: bh = b dt/2, c = 1/(1 + bh)."""
+def _step_scalars(a, b, dt: float):
+    """2c, (1 - bh) c, dt^2 a c and dt^2 c of the leapfrog step: bh = b dt/2, c = 1/(1 + bh).
+
+    ``a`` and ``b`` are floats or arrays of every step's a and b: numpy's
+    elementwise operations round as the float ones do.
+    """
     bh = 0.5 * dt * b
     c = 1.0 / (1.0 + bh)
     return 2.0 * c, (1.0 - bh) * c, dt**2 * a * c, dt**2 * c
 
 
-@functools.lru_cache(maxsize=1024)
 def _underflow_cut(p: float) -> float:
     """Magnitude below which ``np.power(x, p)`` is +0.0, or 0.0 for no cut.
 
@@ -243,10 +256,12 @@ def _underflow_cut(p: float) -> float:
 
 
 class _Stencil:
-    """Grid constants of the leapfrog step on a (rows, J+1) batch.
+    """Grid constants and work buffers of the leapfrog step.
 
     ``_march`` builds one for the width of its support window, so J+1 is
-    that width there.
+    that width there.  The fields are (rows, J+1) batches, or (J+1,) rows
+    for a single run, which steps on 1-D views; ``bind`` sizes the work
+    buffers to them.
 
     The radial Laplacian u_rr + (n-1)/r u_r is held as three coefficient
     rows on the columns 0..J-1: L u_j = (di_j u_j + up_j u_{j+1}) +
@@ -271,26 +286,44 @@ class _Stencil:
         self.up = np.concatenate(([2.0 * n * inv], inv + radial))
         self.fspace = (np.arange(J + 1) * dr) ** delta if delta != 0.0 else None
 
-    def source(self, u: np.ndarray, powers: Sequence[float],
+    def bind(self, *fields: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+        """Each field with its views [..., :-1], [..., 1:] and [..., :-2], for ``step``.
+
+        Also sizes the step's work buffers to the shape of the fields, so
+        that a step takes no slice and makes no temporary.  The step's
+        three products take turns in one buffer of the fields' size, each
+        as a contiguous array on its front, so that a batch's products are
+        contiguous too.
+        """
+        lap = np.empty(fields[0].shape[:-1] + (len(self.di),))
+        lap_hi = lap[..., 1:]
+        work = np.empty_like(fields[0])
+        front = work.reshape(-1)
+        self._work = (lap, lap_hi, self.lo[1:], work, front[:lap.size].reshape(lap.shape),
+                      front[:lap_hi.size].reshape(lap_hi.shape))
+        return [(f, f[..., :-1], f[..., 1:], f[..., :-2]) for f in fields]
+
+    def source(self, u: np.ndarray, powers: Sequence[float], cuts: Sequence[float],
                scale: float) -> Optional[np.ndarray]:
         """scale * r^delta * |u|^p, one power per row.
 
         None when ``scale`` is 0: the source is then exactly zero for a
         finite field.  Each power stays a scalar, as in a single run: numpy
         takes a scalar 2 or 0.5 as a square or a square root, not as pow.
-        pow runs only where |u| >= ``_underflow_cut(p)``; every other entry
-        is the +0.0 that pow returns there, and numpy's pow is slow on such
-        entries.  The mask ``~(mag < cut)`` sends nan and inf through pow,
-        and the full-row multiply by the scale still turns the skipped
-        zeros into -0.0 where the scale is negative.  |u| is formed here,
-        only when the scale is nonzero.
+        pow runs only where |u| >= cut, the power's ``_underflow_cut`` in
+        ``cuts``; every other entry is the +0.0 that pow returns there, and
+        numpy's pow is slow on such entries.  The mask ``~(mag < cut)``
+        sends nan and inf through pow, and the full-row multiply by the
+        scale still turns the skipped zeros into -0.0 where the scale is
+        negative.  |u| is formed here, only when the scale is nonzero.
         """
         if scale == 0.0:
             return None
         absu = np.abs(u)
         src = np.zeros_like(absu)
-        for row, mag, p in zip(src, absu, powers):
-            np.power(mag, p, out=row, where=~(mag < _underflow_cut(p)))
+        width = u.shape[-1]
+        for row, mag, p, cut in zip(src.reshape(-1, width), absu.reshape(-1, width), powers, cuts):
+            np.power(mag, p, out=row, where=~(mag < cut))
         src *= scale if self.fspace is None else scale * self.fspace
         return src
 
@@ -301,52 +334,64 @@ class _Stencil:
         dt^2/2, bh = b0 dt/2, on a copy of ``v0`` in place of u_prev.
         """
         bh = 0.5 * dt * b0
-        return self.step(u0, np.tile(v0, (len(u0), 1)), forcing,
-                         (1.0, -(1.0 - bh) * dt, 0.5 * dt**2 * a0, 0.5 * dt**2))
+        u, v = self.bind(u0, np.tile(v0, u0.shape[:-1] + (1,)))
+        return self.step(u, v, forcing, (1.0, -(1.0 - bh) * dt, 0.5 * dt**2 * a0, 0.5 * dt**2))
 
     def step(self, u, u_prev, forcing, k) -> np.ndarray:
         """((k_u u - k_prev u_prev) + k_lap L u) + k_src forcing, written into ``u_prev``.
 
+        ``u`` and ``u_prev`` are fields with their views, from ``bind``.
         ``k`` is (k_u, k_prev, k_lap, k_src); the leapfrog step takes
-        ``_step_scalars``.  ``u_prev`` and ``forcing`` are consumed;
-        ``forcing`` None means no source term.  Column J gets no L u term:
-        it keeps +0.0 in ``_march`` (see the module docstring), and
-        ``_run_manufactured`` sets its boundary value.
+        ``_step_scalars``.  The field of ``u_prev`` is returned, and
+        ``forcing`` is consumed; ``forcing`` None means no source term.
+        Column J gets no L u term: it keeps +0.0 in ``_march`` (see the
+        module docstring), and ``_run_manufactured`` sets its boundary value.
         """
         k_u, k_prev, k_lap, k_src = k
-        lap = u[:, :-1] * self.di
-        lap += u[:, 1:] * self.up
-        lap[:, 1:] += u[:, :-2] * self.lo[1:]
+        u, u_lo, u_hi, u_lo2 = u
+        new, new_lo = u_prev[:2]
+        lap, lap_hi, lo, work, work_lo, work_lo2 = self._work
+        np.multiply(u_lo, self.di, out=lap)
+        np.multiply(u_hi, self.up, out=work_lo)
+        lap += work_lo
+        np.multiply(u_lo2, lo, out=work_lo2)
+        lap_hi += work_lo2
         lap *= k_lap
-        u_prev *= -k_prev
-        u_prev += u * k_u
-        u_prev[:, :-1] += lap
+        new *= -k_prev
+        np.multiply(u, k_u, out=work)
+        new += work
+        new_lo += lap
         if forcing is not None:
             forcing *= k_src
-            u_prev += forcing
-        return u_prev
+            new += forcing
+        return new
 
-    def energies(self, u, v, a, rpow: np.ndarray) -> np.ndarray:
+    def energies(self, u, v, a, rpow: np.ndarray, u_r: np.ndarray) -> np.ndarray:
         """Discrete kinetic + elastic energy of each full-width row of ``u``.
 
-        ``v`` holds the velocity rows and ``a`` the wave speed of each row.
-        The arithmetic of ``np.gradient(u, dr)`` and ``np.trapezoid(dens *
-        rpow, dx=dr)`` for dens = v^2/2 + a u_r^2/2, row by row: each row
-        sums its J pairs with numpy's pairwise sum, as a one-row
-        ``.sum()`` does.  ``rpow`` is r^(n-1) on the grid.
+        ``v`` holds the velocity rows and is consumed, ``a`` holds the wave
+        speed of each row, and ``u_r``, of the shape of ``u``, is a work
+        buffer.  The arithmetic of ``np.gradient(u, dr)`` and
+        ``np.trapezoid(dens * rpow, dx=dr)`` for dens = v^2/2 + a u_r^2/2,
+        row by row: each row sums its J pairs with numpy's pairwise sum, as
+        a one-row ``.sum()`` does.  ``rpow`` is r^(n-1) on the grid.
         """
-        u_r = np.empty_like(u)
-        u_r[:, 0] = (u[:, 1] - u[:, 0]) / self.dr
-        u_r[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2.0 * self.dr)
-        u_r[:, -1] = (u[:, -1] - u[:, -2]) / self.dr
-        dens = v * v
+        dr = self.dr
+        np.subtract(u[:, 1], u[:, 0], out=u_r[:, 0])
+        u_r[:, 0] /= dr
+        np.subtract(u[:, 2:], u[:, :-2], out=u_r[:, 1:-1])
+        u_r[:, 1:-1] /= 2.0 * dr
+        np.subtract(u[:, -1], u[:, -2], out=u_r[:, -1])
+        u_r[:, -1] /= dr
+        dens = v
+        dens *= v
         dens *= 0.5
         u_r *= u_r
         u_r *= (0.5 * a)[:, None]
         dens += u_r
         dens *= rpow
-        pairs = dens[:, 1:] + dens[:, :-1]
-        pairs *= self.dr
+        pairs = np.add(dens[:, 1:], dens[:, :-1], out=u_r[:, :-1])
+        pairs *= dr
         pairs /= 2.0
         return self.area * pairs.sum(axis=1)
 
@@ -400,9 +445,10 @@ def _time_step(spec: SimSpec, aux: AuxTable) -> tuple[float, int]:
 
 def _support_end(*fields: np.ndarray) -> int:
     """One past the last column where a row of any of ``fields`` is nonzero."""
-    nonzero = np.zeros(fields[0].shape[1], bool)
+    width = fields[0].shape[-1]
+    nonzero = np.zeros(width, bool)
     for f in fields:
-        nonzero |= (f != 0.0).any(axis=0)
+        nonzero |= (f != 0.0).reshape(-1, width).any(axis=0)
     cols = np.flatnonzero(nonzero)
     return int(cols[-1]) + 1 if len(cols) else 0
 
@@ -412,10 +458,11 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
            with_energy: bool) -> list[SimOutcome]:
     """Integrate ``spec`` once per power p, all rows in one leapfrog batch.
 
-    The rows share the grid, dt (the CFL limit does not depend on p) and
-    the coefficient arrays.  The march only records.  Each step writes the
-    full-width fields of the active rows into a block buffer of about
-    ``_ENERGY_BUDGET`` values.  When the block is full, at the last step and
+    The rows share the grid, dt (the CFL limit does not depend on p), the
+    coefficient arrays and the step scalars, which are formed once, as are
+    the powers' underflow cuts.  A single row steps on 1-D views.  The
+    march only records.  Each step writes the full-width fields of the
+    active rows into a block buffer of about ``_ENERGY_BUDGET`` values.  When the block is full, at the last step and
     before a window rescan, one pass over the block takes each row's
     sup-norms, with the guard on and W = J+1 its guard cells' max, and for
     ``with_energy`` (a single-row batch) its energies; otherwise the
@@ -446,6 +493,8 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
         bad = np.flatnonzero(~np.isfinite(values))
         if len(bad):
             raise FloatingPointError(f"{name} is not finite at t = {ts[bad[0]]:g}")
+    k_u, k_prev, k_lap, k_src = _step_scalars(a_arr, b_arr, dt)
+    cuts = [_underflow_cut(p) for p in powers]
 
     dr, J, rows = spec.dr, spec.J, len(powers)
     st = _Stencil(J, dr, prob.n, prob.delta)
@@ -458,21 +507,22 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
     u0[-1] = 0.0
     v0 = spec.u1(r)
     v0[-1] = 0.0
-    u_prev = np.tile(u0, (rows, 1))
-    forcing = st.source(u_prev, powers, fscale[0])
+    u_prev = np.tile(u0, (rows, 1)) if rows > 1 else u0.copy()    # one row steps on 1-D views
+    forcing = st.source(u_prev, powers, cuts, fscale[0])
     u = st.start(u_prev, v0, a_arr[0], b_arr[0], forcing, dt)
-    u[:, -1] = 0.0
+    u[..., -1] = 0.0
 
     sup_hist = np.empty((rows, steps + 1))
     sup_hist[:, 0] = np.max(np.abs(u0))
     edge_hist = np.zeros((rows, steps + 1))      # the guard cells' max, once W = J+1
-    energy_hist = np.empty(steps + 1 if with_energy else 0)
-    if with_energy:
-        energy_hist[0] = st.energies(u0[None], v0[None], a_arr[:1], rpow)[0]
     # full-width fields of the active rows, +0.0 past the window: slots
     # 1..filled hold the steps from done on, slot 0 step done-1 for the energies
     block = np.zeros((max(2, _ENERGY_BUDGET // (rows * (J + 1))), rows, J + 1))
     block[0] = u0
+    energy_hist = np.empty(steps + 1 if with_energy else 0)
+    if with_energy:
+        vel, grad = np.empty((2, len(block) - 1, J + 1))   # the energies' work buffers
+        energy_hist[0] = st.energies(u0[None], v0[None], a_arr[:1], rpow, grad[:1])[0]
     done, filled = 1, 0
 
     active = np.arange(rows)
@@ -481,22 +531,25 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
 
     end = _support_end(u, u_prev)
     width = min(J + 1, end + 2 + _WINDOW_BLOCK)
-    u, u_prev = u[:, :width].copy(), u_prev[:, :width].copy()
     st = _Stencil(width - 1, dr, prob.n, prob.delta)
+    u, u_prev = st.bind(u[..., :width].copy(), u_prev[..., :width].copy())
+    slots = block[:, :len(active), :width]      # the window of the active rows
     rescan = width - end if width < J + 1 else 0     # 0: the window is whole
 
     for m in range(1, steps + 1):
         if m == rescan:
             # from this step on the support could reach column width - 2
-            end = _support_end(u, u_prev)
+            end = _support_end(u[0], u_prev[0])
             if end + 2 + _WINDOW_BLOCK // 2 > width:
                 grow = min(J + 1, end + 2 + _WINDOW_BLOCK) - width
-                u, u_prev = (np.pad(f, ((0, 0), (0, grow))) for f in (u, u_prev))  # +0.0
+                pad = [(0, 0)] * (u[0].ndim - 1) + [(0, grow)]
                 width += grow
                 st = _Stencil(width - 1, dr, prob.n, prob.delta)
+                u, u_prev = st.bind(np.pad(u[0], pad), np.pad(u_prev[0], pad))    # +0.0
+                slots = block[:, :len(active), :width]
             rescan = m + width - 1 - end if width < J + 1 else 0
         filled += 1
-        block[filled, :len(active), :width] = u
+        slots[filled] = u[0]
 
         # a block also ends before a rescan, which must see only the rows left,
         # so that all its steps share one window
@@ -508,10 +561,10 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
                 edge = np.abs(fields[:, :, -guard - 1:-1]).max(axis=2)
                 edge_hist[active, done:done + filled] = edge.T
             if with_energy:
-                vel = fields[:, 0] - block[:filled, 0]
-                vel /= dt
+                v = np.subtract(fields[:, 0], block[:filled, 0], out=vel[:filled])
+                v /= dt
                 energy_hist[done:done + filled] = st.energies(
-                    fields[:, 0], vel, a_arr[done:done + filled], rpow)
+                    fields[:, 0], v, a_arr[done:done + filled], rpow, grad[:filled])
                 block[0] = block[filled]
             below = sups < threshold      # False when crossed, or not a number
             if not below.all():
@@ -521,17 +574,20 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
                 first = below.argmin(axis=0)[crossed]
                 last[active[crossed]] = done + first
                 final[active[crossed]] = fields[first, crossed]
-                active, u, u_prev = active[kept], u[kept], u_prev[kept]
-                if not len(active):
+                active = active[kept]
+                if not len(active):     # a single run always ends here
                     break
-                powers = [p for p, k in zip(powers, kept) if k]
+                u, u_prev = st.bind(u[0][kept], u_prev[0][kept])
+                slots = block[:, :len(active), :width]
+                powers, cuts = ([x for x, k in zip(xs, kept) if k] for xs in (powers, cuts))
             done, filled = done + filled, 0
         if m == steps:
+            final[active, :width] = u[0]
             break
 
-        forcing = st.source(u, powers, fscale[m])
-        u_prev, u = u, st.step(u, u_prev, forcing, _step_scalars(a_arr.item(m), b_arr.item(m), dt))
-    final[active, :width] = u
+        forcing = st.source(u[0], powers, cuts, fscale[m])
+        st.step(u, u_prev, forcing, (k_u[m], k_prev[m], k_lap[m], k_src[m]))
+        u_prev, u = u, u_prev
 
     outcomes = []
     for i, m in enumerate(last.tolist()):
@@ -564,10 +620,11 @@ def sweep_p(
 ) -> list[dict]:
     """Run the same problem across powers p; rows (p, verdict, t_star).
 
-    All powers march in one batch; each row equals the single ``run`` of
-    its power.  Warns (but proceeds) when the data functional is not
-    positive: the sign condition is the hypothesis under which
-    nonexistence is asserted.
+    The powers march in batches of at most ``_SWEEP_ROWS``, and only the
+    rows of a batch are kept, so memory does not grow with ``p_list``;
+    each row equals the single ``run`` of its power.  Warns (but
+    proceeds) when the data functional is not positive: the sign
+    condition is the hypothesis under which nonexistence is asserted.
     """
     if aux is None:
         aux = build_aux_table(spec.problem.damping, max(2.0, spec.T_max) * 1.01)
@@ -586,10 +643,12 @@ def sweep_p(
 
     # each power passes the same validation as a single run's ProblemSpec
     powers = [replace(spec.problem, p=float(p)).p for p in p_list]
-    if not powers:
-        return []
-    return [{"p": p, "verdict": oc.verdict, "t_star": oc.t_star}
-            for p, oc in zip(powers, _march(spec, aux, powers, with_energy=False))]
+    rows = []
+    for lo in range(0, len(powers), _SWEEP_ROWS):
+        batch = powers[lo:lo + _SWEEP_ROWS]
+        rows += [{"p": p, "verdict": oc.verdict, "t_star": oc.t_star}
+                 for p, oc in zip(batch, _march(spec, aux, batch, with_energy=False))]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +697,7 @@ def _run_manufactured(prob: ProblemSpec, aux: AuxTable, J: int,
     u_exact, u_t_exact, lap_exact = _manufactured_fields(n)
     ts, a_arr, b_arr, _ = _coefficient_arrays(prob, aux, steps, dt)
 
+    k_u, k_prev, k_lap, k_src = _step_scalars(a_arr, b_arr, dt)
     st = _Stencil(J, dr, n)
     r = np.arange(J + 1) * dr
     rpow = r ** (n - 1)
@@ -647,13 +707,15 @@ def _run_manufactured(prob: ProblemSpec, aux: AuxTable, J: int,
         return (u_exact(t, r) - a_arr[m] * lap_exact(t, r)
                 + b_arr[m] * u_t_exact(t, r))
 
-    u_prev = u_exact(0.0, r)[None]
+    u_prev = u_exact(0.0, r)
     u = st.start(u_prev, u_t_exact(0.0, r), a_arr[0], b_arr[0], source(0), dt)
-    u[:, -1] = u_exact(dt, r[-1])
+    u[-1] = u_exact(dt, r[-1])
 
+    u, u_prev = st.bind(u, u_prev)
     for m in range(1, steps):
-        u_prev, u = u, st.step(u, u_prev, source(m), _step_scalars(a_arr.item(m), b_arr.item(m), dt))
-        u[:, -1] = u_exact(ts[m + 1], r[-1])
+        st.step(u, u_prev, source(m), (k_u[m], k_prev[m], k_lap[m], k_src[m]))
+        u_prev, u = u, u_prev
+        u[0][-1] = u_exact(ts[m + 1], r[-1])
 
     if return_field:
         return u[0]

@@ -1,6 +1,7 @@
 """Radial solver: blow-up detection, decay, scheme verification."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -15,9 +16,11 @@ from blowuplab.simulator import (
     GaussianData,
     SimSpec,
     _ENERGY_BUDGET,
+    _SWEEP_ROWS,
     _WINDOW_BLOCK,
     _Stencil,
     _march,
+    _step_scalars,
     _underflow_cut,
     convergence_test,
     detect_blowup,
@@ -273,7 +276,63 @@ def test_sweep_rows_equal_single_runs():
             assert batch.hard_overflow == single.hard_overflow
             assert np.array_equal(batch.times, single.times)
             assert np.array_equal(batch.sup_norms, single.sup_norms, equal_nan=True)
-            assert np.array_equal(batch.final_u, single.final_u, equal_nan=True)
+            # bit patterns: a single run steps on 1-D views, a batch on 2-D ones
+            assert np.array_equal(batch.final_u.view(np.int64), single.final_u.view(np.int64))
+
+
+# a short run whose powers from 1.1 to about 2 cross the threshold and the rest survive
+MANY_POWERS_SPEC = SimSpec(problem=unit_problem(2.0), r_max=20.0, J=200, T_max=1.0,
+                           u1=GaussianData(1.0, 1.0), blowup_threshold=0.5)
+
+
+def test_underflow_cut_runs_once_per_power(monkeypatch):
+    """A sweep probes each power's cut once, however many powers it has."""
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return _underflow_cut(p)
+
+    monkeypatch.setattr("blowuplab.simulator._underflow_cut", counted)
+    powers = list(np.linspace(1.1, 6.0, 1500))
+    spec = replace(MANY_POWERS_SPEC, J=64)
+    rows = sweep_p(spec, powers)
+    assert [row["p"] for row in rows] == powers
+    assert sorted(calls) == powers
+
+
+def test_sweep_memory_does_not_grow_with_the_powers():
+    """A long p_list marches in batches of _SWEEP_ROWS; its rows equal single runs."""
+    spec = MANY_POWERS_SPEC
+    aux = build_aux_table(spec.problem.damping, max(2.0, spec.T_max) * 1.01)
+    peaks, sweeps = [], []
+    for count in (_SWEEP_ROWS, 2000):
+        tracemalloc.start()
+        try:
+            sweeps.append(sweep_p(spec, list(np.linspace(1.1, 6.0, count)), aux))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+    rows = sweeps[1]
+    assert {row["verdict"] for row in rows} == {"blowup", "survived"}
+    for i in (0, _SWEEP_ROWS - 1, _SWEEP_ROWS, 1000, len(rows) - 1):
+        single = run(replace(spec, problem=replace(spec.problem, p=rows[i]["p"])), aux)
+        assert rows[i] == {"p": rows[i]["p"], "verdict": single.verdict, "t_star": single.t_star}
+
+
+def test_step_scalars_per_march_equal_per_step_calls():
+    """The four scalars of every step, formed on arrays, equal the float calls bit for bit."""
+    rng = np.random.default_rng(3)
+    for dt in rng.uniform(1e-4, 0.5, 4):
+        a = 10.0 ** rng.uniform(-3, 3, 500)
+        # b dt/2 from about 1e-300 (b very small) to 1e3 (a negative u_prev coefficient)
+        b = 10.0 ** rng.uniform(-300, 3, 500) / dt
+        b[:3] = [0.0, 5e-324, 4.0 / dt]
+        columns = np.array(_step_scalars(a, b, dt))
+        assert np.any(columns[1] < 0.0)
+        expected = np.array([_step_scalars(float(x), float(y), dt) for x, y in zip(a, b)]).T
+        assert np.array_equal(columns.view(np.int64), expected.view(np.int64))
 
 
 # -- one-row array reference (alpha = gamma = 0) ------------------------------------------
@@ -554,7 +613,7 @@ def test_window_whole_inside_a_block_with_guard():
 
 def _apply_laplacian(st, u):
     """L u of each row through ``step``: the scalars (0, 0, 1, 0) leave k_lap L u alone."""
-    return st.step(u, np.zeros_like(u), None, (0.0, 0.0, 1.0, 0.0))
+    return st.step(*st.bind(u, np.zeros_like(u)), None, (0.0, 0.0, 1.0, 0.0))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -630,7 +689,7 @@ def test_source_matches_pow_bitwise(scale, delta):
     st = _Stencil(J, 0.05, 2, delta)
     absu = np.array([_mixed_magnitudes(p, J + 1, rng) for p in powers])
     with np.errstate(all="ignore"):
-        src = st.source(absu, powers, scale)
+        src = st.source(absu, powers, [_underflow_cut(p) for p in powers], scale)
         factor = scale if st.fspace is None else scale * st.fspace
         for row, mag, p in zip(src, absu, powers):
             assert np.array_equal(row.view(np.int64), (factor * np.power(mag, p)).view(np.int64))
