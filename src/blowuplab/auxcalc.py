@@ -550,11 +550,11 @@ def build_aux_table(model: DampingModel, horizon: float) -> AuxTable:
     g is filled right to left by the exact cell recurrence
     g(t_i) = q_i + E_i * g(t_{i+1}), seeded by the stabilized tail value at
     the horizon, so per-cell quadrature errors are the only error source.
-    The increments of B and log beta take one batched K15 panel per cell,
-    refined by :func:`integrate_adaptive` only where that panel misses its
-    tolerance; the cells' (q_i, E_i) and those of the first cell of the
-    tail march are one :func:`_phi_cells` call.  A table failing its checks
-    raises :class:`TabulationError`.
+    The increments of B and log beta are one :func:`integrate_adaptive`
+    call each over all the cells, under one tolerance: a cell's first K15
+    panel stands where it meets it.  The cells' (q_i, E_i) and those of
+    the first cell of the tail march are one :func:`_phi_cells` call.  A
+    table failing its checks raises :class:`TabulationError`.
     """
     if not math.isfinite(horizon):
         raise ValueError("horizon must be finite")
@@ -573,10 +573,7 @@ def build_aux_table(model: DampingModel, horizon: float) -> AuxTable:
     tol = DEFAULT_QUAD_TOL
     adaptive = dict(abs_tol=tol * 1e-3, rel_tol=tol * 0.1)
     dB = integrate_adaptive(lambda x: 1.0 / bfun(x), lo, hi, **adaptive)
-    # a first panel of b within tol stands as it is
-    dI, gap = gauss_kronrod_panel(bfun, lo, hi)
-    refine = gap > tol * np.maximum(1.0, np.abs(dI))
-    dI[refine] = integrate_adaptive(bfun, lo[refine], hi[refine], **adaptive)
+    dI = integrate_adaptive(bfun, lo, hi, **adaptive)
     # the first cell of the tail march from the horizon rides along
     tail_end = next(_tail_ends(model, horizon))
     q_cells, E_cells = _phi_cells(bfun, np.append(lo, horizon), np.append(hi, tail_end), tol * 0.1)

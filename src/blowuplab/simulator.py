@@ -10,19 +10,19 @@ nonexistence, not a proof, and says nothing about the mechanism.
 
 One kernel, ``_march``, advances a (rows, J+1) batch of fields that share
 the grid, the time step and the coefficients: a single run is one row, a
-p-sweep is one row per power (at most ``_SWEEP_ROWS`` a batch), and each
-row equals its single run bit for bit.  A single run steps on 1-D rows
-and a batch on 2-D ones, through the same code: the step is elementwise,
-so the shape does not change a bit.
+p-sweep is one row per power (at most ``_SWEEP_ROWS`` a batch, fewer on
+long runs), and each row equals its single run bit for bit.  A single
+run steps on 1-D rows and a batch on 2-D ones, through the same code:
+the step is elementwise, so the shape does not change a bit.
 
 One step is u+ = ((2c u - (1-bh)c u-) + dt^2 a c L u) + dt^2 c f, with
 bh = b dt/2 and c = 1/(1+bh), and L the three-row radial Laplacian of
-``_Stencil``.  The four scalars of every step are formed once per march,
-as arrays; numpy's elementwise operations round as the float ones do.
-For each window, ``_Stencil.bind`` holds the shifted views of the two
-field buffers, which take turns as u and u-, and the step's work
-buffers, so that a step is ten ufunc calls (two more with a source)
-with no slicing and no temporary.
+``_Stencil``, one per march.  The four scalars of every step are formed
+once per march, as arrays; numpy's elementwise operations round as the
+float ones do.  For each window, ``_Stencil.bind`` holds its coefficient
+rows, the shifted views of the two field buffers, which take turns as u
+and u-, and the step's work buffers, so that a step is ten ufunc calls
+(two more with a source) with no slicing and no temporary.
 
 The kernel marches only a support window, the columns [0, W).  Past the
 last nonzero column of u and u_prev, every term of the step is +-0.0
@@ -31,14 +31,16 @@ round-to-nearest a sum of zeros is -0.0 only if every term is -0.0, and
 the terms 2c u_j and dt^2 a c di_j u_j have opposite signs (c > 0,
 dt^2 a c > 0, di_j < 0), whatever the sign of (1-bh)c.  So the update
 is +0.0 there, and one step spreads the support by at most one column.
-The Dirichlet column gets no L term, so it keeps its +0.0.  W stays at
-least 3 columns past the support, the support is measured again before
-it could reach column W-2, and W grows by a block when it runs short;
-every column outside the window is exactly what a full-width march
-would hold.  The full-width fields of a block of steps are buffered and
-turned into sup-norms, guard-cell maxima and energies in one 2-D pass;
-every energy row is summed over all J pairs, zeros included, because
-numpy's pairwise sum groups its terms by the length of the row.
+The Dirichlet column gets no L term, so it keeps its +0.0.  The march
+starts on the data's support plus two columns, the last set to the +0.0
+a full-width start holds there.  The support is measured at step 1 and
+again before it could reach column W-2, and W grows by a block when it
+runs short, so every column outside the window is exactly what a
+full-width march would hold.  The full-width fields of a block of steps
+are buffered and turned into sup-norms, guard-cell maxima and energies
+in one 2-D pass; every energy row is summed over all J pairs, zeros
+included, because numpy's pairwise sum groups its terms by the length
+of the row.
 
 The source term skips pow on the wave's numerical front, where numpy's
 pow is slow.  Below cut(p) = 2^(-1076/p) the exact |u|^p is under a
@@ -179,10 +181,14 @@ class SimOutcome:
 
 
 def detect_blowup(times: Sequence[float], sups: Sequence[float], threshold: float) -> Optional[float]:
-    """First threshold crossing of a sampled trace, linearly interpolated."""
+    """First threshold crossing of a sampled trace, linearly interpolated.
+
+    A sample not below the threshold crosses it, NaN included; a
+    non-finite one (an overflow) gives the time of the sample before it.
+    """
     times = np.asarray(times, float)
     sups = np.asarray(sups, float)
-    above = np.nonzero(sups >= threshold)[0]
+    above = np.flatnonzero(~(sups < threshold))
     if len(above) == 0:
         return None
     i = int(above[0])
@@ -190,8 +196,8 @@ def detect_blowup(times: Sequence[float], sups: Sequence[float], threshold: floa
         return float(times[0])
     t0, t1 = times[i - 1], times[i]
     s0, s1 = sups[i - 1], sups[i]
-    if not np.isfinite(s1) or s1 == s0:
-        return float(t1)
+    if not np.isfinite(s1):
+        return float(t0)
     return float(t0 + (threshold - s0) / (s1 - s0) * (t1 - t0))
 
 
@@ -205,6 +211,8 @@ _MAX_STEPS = 10**7
 _MAX_CELLS = 10**6
 # most powers of a sweep marched in one batch, so that its memory does not grow with p_list
 _SWEEP_ROWS = 64
+# most rows x (steps + 1) of a sweep batch: a sup-norm and an edge sample each, 16 MB in all
+_HISTORY_BUDGET = 2**20
 
 # steps whose K15 panels of 1/b are evaluated together (15 nodes per step)
 _PANEL_CHUNK = 4096
@@ -258,10 +266,9 @@ def _underflow_cut(p: float) -> float:
 class _Stencil:
     """Grid constants and work buffers of the leapfrog step.
 
-    ``_march`` builds one for the width of its support window, so J+1 is
-    that width there.  The fields are (rows, J+1) batches, or (J+1,) rows
-    for a single run, which steps on 1-D views; ``bind`` sizes the work
-    buffers to them.
+    ``_march`` builds one on the full grid.  ``bind`` takes the rows of
+    the columns 0..W-2 for fields of width W <= J+1, (rows, W) batches or
+    (W,) rows for a single run, and sizes the work buffers to them.
 
     The radial Laplacian u_rr + (n-1)/r u_r is held as three coefficient
     rows on the columns 0..J-1: L u_j = (di_j u_j + up_j u_{j+1}) +
@@ -289,17 +296,18 @@ class _Stencil:
     def bind(self, *fields: np.ndarray) -> list[tuple[np.ndarray, ...]]:
         """Each field with its views [..., :-1], [..., 1:] and [..., :-2], for ``step``.
 
-        Also sizes the step's work buffers to the shape of the fields, so
-        that a step takes no slice and makes no temporary.  The step's
-        three products take turns in one buffer of the fields' size, each
-        as a contiguous array on its front, so that a batch's products are
-        contiguous too.
+        Also takes the coefficient rows of their width and sizes the step's
+        work buffers to them, so that a step takes no slice and makes no
+        temporary.  The step's three products take turns in one buffer of
+        the fields' size, each as a contiguous array on its front.
         """
-        lap = np.empty(fields[0].shape[:-1] + (len(self.di),))
+        width = fields[0].shape[-1]
+        lap = np.empty(fields[0].shape[:-1] + (width - 1,))
         lap_hi = lap[..., 1:]
         work = np.empty_like(fields[0])
         front = work.reshape(-1)
-        self._work = (lap, lap_hi, self.lo[1:], work, front[:lap.size].reshape(lap.shape),
+        self._work = (self.di[:width - 1], self.up[:width - 1], self.lo[1:width - 1], lap, lap_hi,
+                      work, front[:lap.size].reshape(lap.shape),
                       front[:lap_hi.size].reshape(lap_hi.shape))
         return [(f, f[..., :-1], f[..., 1:], f[..., :-2]) for f in fields]
 
@@ -324,7 +332,7 @@ class _Stencil:
         width = u.shape[-1]
         for row, mag, p, cut in zip(src.reshape(-1, width), absu.reshape(-1, width), powers, cuts):
             np.power(mag, p, out=row, where=~(mag < cut))
-        src *= scale if self.fspace is None else scale * self.fspace
+        src *= scale if self.fspace is None else scale * self.fspace[:width]
         return src
 
     def start(self, u0, v0, a0, b0, forcing, dt: float) -> np.ndarray:
@@ -344,15 +352,15 @@ class _Stencil:
         ``k`` is (k_u, k_prev, k_lap, k_src); the leapfrog step takes
         ``_step_scalars``.  The field of ``u_prev`` is returned, and
         ``forcing`` is consumed; ``forcing`` None means no source term.
-        Column J gets no L u term: it keeps +0.0 in ``_march`` (see the
+        The last column gets no L u term: ``_march`` keeps it +0.0 (see the
         module docstring), and ``_run_manufactured`` sets its boundary value.
         """
         k_u, k_prev, k_lap, k_src = k
         u, u_lo, u_hi, u_lo2 = u
         new, new_lo = u_prev[:2]
-        lap, lap_hi, lo, work, work_lo, work_lo2 = self._work
-        np.multiply(u_lo, self.di, out=lap)
-        np.multiply(u_hi, self.up, out=work_lo)
+        di, up, lo, lap, lap_hi, work, work_lo, work_lo2 = self._work
+        np.multiply(u_lo, di, out=lap)
+        np.multiply(u_hi, up, out=work_lo)
         lap += work_lo
         np.multiply(u_lo2, lo, out=work_lo2)
         lap_hi += work_lo2
@@ -458,31 +466,22 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
            with_energy: bool) -> list[SimOutcome]:
     """Integrate ``spec`` once per power p, all rows in one leapfrog batch.
 
-    The rows share the grid, dt (the CFL limit does not depend on p), the
-    coefficient arrays and the step scalars, which are formed once, as are
-    the powers' underflow cuts.  A single row steps on 1-D views.  The
-    march only records.  Each step writes the full-width fields of the
-    active rows into a block buffer of about ``_ENERGY_BUDGET`` values.  When the block is full, at the last step and
+    The rows share the grid, its one ``_Stencil``, dt (the CFL limit does
+    not depend on p), the coefficient arrays and the step scalars, which
+    are formed once, as are the powers' underflow cuts.  The march only
+    records: when a block of buffered steps is full, at the last step and
     before a window rescan, one pass over the block takes each row's
     sup-norms, with the guard on and W = J+1 its guard cells' max, and for
     ``with_energy`` (a single-row batch) its energies; otherwise the
     outcomes carry an empty energy trace.  A row whose sup is not below the
     threshold (NaN included) at some step of the block ends at the first
-    such step, with its field from the buffer, and leaves the batch; the
-    steps it took after that are dropped, as rows do not interact.  One
-    pass afterwards decides each row from these traces up to its last
-    step: a non-finite last sup is an overflow (t* at the step before), a
-    finite crossing a blow-up (t* by ``detect_blowup``), and an edge value
-    above 1e-10 of the running peak sup marks a row without t* as
-    boundary-contaminated.
-
-    The batch is marched on the columns [0, W) only.  W stays at least 3
-    columns past the last nonzero column of u and u_prev (or at J+1): the
-    stencil spreads the support by at most one column a step, so the
-    support is measured again, and W grown by a block, before it can
-    reach column W-2.  A block ends before each rescan, so W follows the
-    rows left in the batch, as with a threshold test at every step, and
-    all steps of a block share one W.
+    such step, with its field from the buffer, and leaves the batch; its
+    later steps are dropped, as rows do not interact.  The outcomes hold
+    views of the traces up to each row's last step; t* is their
+    ``detect_blowup``, and an edge value above 1e-10 of the running peak
+    sup marks a row without t* as boundary-contaminated.  A block ends
+    before each rescan of the window (see the module docstring), so W
+    follows the rows left in the batch and all steps of a block share it.
     """
     prob = spec.problem
     dt, steps = _time_step(spec, aux)
@@ -507,9 +506,10 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
     u0[-1] = 0.0
     v0 = spec.u1(r)
     v0[-1] = 0.0
-    u_prev = np.tile(u0, (rows, 1)) if rows > 1 else u0.copy()    # one row steps on 1-D views
+    width = min(J + 1, _support_end(u0, v0) + 2)     # the data, the start's spread, a +0.0 column
+    u_prev = np.tile(u0[:width], (rows, 1)) if rows > 1 else u0[:width].copy()    # 1-D for one row
     forcing = st.source(u_prev, powers, cuts, fscale[0])
-    u = st.start(u_prev, v0, a_arr[0], b_arr[0], forcing, dt)
+    u = st.start(u_prev, v0[:width], a_arr[0], b_arr[0], forcing, dt)
     u[..., -1] = 0.0
 
     sup_hist = np.empty((rows, steps + 1))
@@ -529,12 +529,9 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
     last = np.full(rows, steps)
     final = np.zeros((rows, J + 1))                  # +0.0 past the window
 
-    end = _support_end(u, u_prev)
-    width = min(J + 1, end + 2 + _WINDOW_BLOCK)
-    st = _Stencil(width - 1, dr, prob.n, prob.delta)
-    u, u_prev = st.bind(u[..., :width].copy(), u_prev[..., :width].copy())
+    u, u_prev = st.bind(u, u_prev)
     slots = block[:, :len(active), :width]      # the window of the active rows
-    rescan = width - end if width < J + 1 else 0     # 0: the window is whole
+    rescan = 1      # step 1 sizes the window as every later rescan does; 0: the window is whole
 
     for m in range(1, steps + 1):
         if m == rescan:
@@ -544,7 +541,6 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
                 grow = min(J + 1, end + 2 + _WINDOW_BLOCK) - width
                 pad = [(0, 0)] * (u[0].ndim - 1) + [(0, grow)]
                 width += grow
-                st = _Stencil(width - 1, dr, prob.n, prob.delta)
                 u, u_prev = st.bind(np.pad(u[0], pad), np.pad(u_prev[0], pad))    # +0.0
                 slots = block[:, :len(active), :width]
             rescan = m + width - 1 - end if width < J + 1 else 0
@@ -592,17 +588,14 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
     outcomes = []
     for i, m in enumerate(last.tolist()):
         sups = sup_hist[i, : m + 1]
-        overflow = not np.isfinite(sups[-1])
-        t_star = (float(ts[m - 1]) if overflow else None if sups[-1] < threshold
-                  else detect_blowup(ts[: m + 1], sups, threshold))
+        t_star = detect_blowup(ts[: m + 1], sups, threshold)
         peak = np.maximum(np.maximum.accumulate(sups), 1e-300)
         contaminated = (edge_hist[i, : m + 1] > 1e-10 * peak).any()
         outcomes.append(SimOutcome(
             verdict=("blowup" if t_star is not None
                      else "boundary_contaminated" if contaminated else "survived"),
-            t_star=t_star, hard_overflow=overflow, times=ts[: m + 1].copy(),
-            sup_norms=sups.copy(), energies=energy_hist[: m + 1].copy(),
-            dt=dt, dr=dr, r=r, final_u=final[i]))
+            t_star=t_star, hard_overflow=not np.isfinite(sups[-1]), times=ts[: m + 1],
+            sup_norms=sups, energies=energy_hist[: m + 1], dt=dt, dr=dr, r=r, final_u=final[i]))
     return outcomes
 
 
@@ -620,11 +613,12 @@ def sweep_p(
 ) -> list[dict]:
     """Run the same problem across powers p; rows (p, verdict, t_star).
 
-    The powers march in batches of at most ``_SWEEP_ROWS``, and only the
-    rows of a batch are kept, so memory does not grow with ``p_list``;
-    each row equals the single ``run`` of its power.  Warns (but
-    proceeds) when the data functional is not positive: the sign
-    condition is the hypothesis under which nonexistence is asserted.
+    The powers march in batches of at most ``_SWEEP_ROWS`` rows and
+    ``_HISTORY_BUDGET`` rows x (steps + 1), and only the rows of a batch
+    are kept, so memory grows with neither; each row equals the single
+    ``run`` of its power.  Warns (but proceeds) when the data functional
+    is not positive: the sign condition is the hypothesis under which
+    nonexistence is asserted.
     """
     if aux is None:
         aux = build_aux_table(spec.problem.damping, max(2.0, spec.T_max) * 1.01)
@@ -643,9 +637,11 @@ def sweep_p(
 
     # each power passes the same validation as a single run's ProblemSpec
     powers = [replace(spec.problem, p=float(p)).p for p in p_list]
+    steps = _time_step(spec, aux)[1] if powers else 0
+    size = max(1, min(_SWEEP_ROWS, _HISTORY_BUDGET // (steps + 1)))
     rows = []
-    for lo in range(0, len(powers), _SWEEP_ROWS):
-        batch = powers[lo:lo + _SWEEP_ROWS]
+    for lo in range(0, len(powers), size):
+        batch = powers[lo:lo + size]
         rows += [{"p": p, "verdict": oc.verdict, "t_star": oc.t_star}
                  for p, oc in zip(batch, _march(spec, aux, batch, with_energy=False))]
     return rows

@@ -72,6 +72,10 @@ def test_invert_B_simple():
     assert abs(aux2.invert_B(1.5) - 3.0) < 1e-10
 
 
+def test_invert_B_at_zero_is_zero():
+    assert build_aux_table(DampingModel.constant(2.0), 20.0).invert_B(0.0) == 0.0
+
+
 def test_invert_B_power_law(aux_powerlaw_half):
     # closed-form inverse (1 + 1.5 s)^(2/3) - 1 gives 3 at s = 14/3
     got = aux_powerlaw_half.invert_B(14.0 / 3.0)

@@ -301,6 +301,36 @@ def test_data_radius_is_relative_to_the_amplitude(amplitude, capsys):
     assert "needs r_max >= 6.56832" in err
 
 
+@pytest.mark.parametrize("r_max, code", [(10, EXIT_VALIDATION), (40, EXIT_OK)])
+def test_boundary_reach_with_a_decaying_speed(r_max, code, tmp_path, capsys):
+    """For alpha != 0 the front is the integral of sqrt(a): a = (t + 1)^(-1/2) for b = 1, so
+    the reach is (4/3)(21^(3/4) - 1) + sqrt(ln 1e14) + 5 dr at T = 20, width 1, dr = 0.05."""
+    reach = 4.0 / 3.0 * (21.0**0.75 - 1.0) + math.sqrt(math.log(1e14)) + 5 * 0.05
+    assert f"{reach:g}" == "17.6742"
+    got = dispatch(["simulate", "--alpha", "0.5", "--u1-amplitude", "1", "--u1-width", "1",
+                    "--r-max", str(r_max), "--J", str(20 * r_max), "--T-max", "20",
+                    "--out", str(tmp_path / "reach.csv"), "--quiet"])
+    err = capsys.readouterr().err
+    assert got == code
+    assert ("needs r_max >= 17.6742" in err) == (code == EXIT_VALIDATION)
+
+
+def test_check_notes_drifting_tail_extrema(capsys):
+    """Power-law damping at a short horizon still drifts between decades; b = 1 does not."""
+    for kappa, drifting in (("0.5", True), ("0", False)):
+        code = dispatch(["check", "--damping", "powerlaw", "--kappa", kappa, "--horizon", "100"])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert ("note: tail extrema still drifting; verdict inconclusive" in out) == drifting
+
+
+def test_written_path_is_printed_unless_quiet(tmp_path, capsys):
+    out = tmp_path / "aux.csv"
+    for quiet in ([], ["--quiet"]):
+        assert dispatch(["aux", "--horizon", "10", "--out", str(out), *quiet]) == EXIT_OK
+        assert (capsys.readouterr().out == f"wrote {out}\n") == (not quiet)
+
+
 def test_malformed_json(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")

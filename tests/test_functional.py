@@ -8,6 +8,8 @@ import pytest
 from blowuplab.auxcalc import build_aux_table, compute_B
 from blowuplab.coeffs import DampingModel, ProblemSpec
 from blowuplab.functional import (
+    BOUNDED_TOL,
+    GROWING_TOL,
     G_alpha,
     H_alpha,
     ManufacturedSolution,
@@ -224,6 +226,16 @@ def test_scan_condition_classifies(aux_const1_scan):
         assert abs(res.fitted["e0"] - slope) <= 0.05
         assert abs(res.predicted["2e_space"] - slope) < 1e-12
         assert res.time2_better
+
+
+def test_scan_between_the_tolerances_is_inconclusive(aux_const1_scan):
+    """p = 3.1 for b = 1, n = 1: the first-order slopes are 3/p' - 2 = 0.032, between
+    BOUNDED_TOL and GROWING_TOL, and no index grows."""
+    res = scan_condition(unit_problem(3.1), [8.0, 16.0, 32.0, 64.0], aux=aux_const1_scan)
+    assert res.verdicts == {"2e0": "bounded", "e0": "inconclusive", "2e_space": "inconclusive"}
+    assert res.overall == "inconclusive"
+    for label in ("e0", "2e_space"):
+        assert BOUNDED_TOL < res.fitted[label] < GROWING_TOL
 
 
 def test_scan_rows_sorted_and_finite(aux_const1_scan):

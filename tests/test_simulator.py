@@ -16,6 +16,7 @@ from blowuplab.simulator import (
     GaussianData,
     SimSpec,
     _ENERGY_BUDGET,
+    _HISTORY_BUDGET,
     _SWEEP_ROWS,
     _WINDOW_BLOCK,
     _Stencil,
@@ -58,6 +59,34 @@ def test_detect_blowup_threshold_below_first_sample():
     times = np.array([1.0, 2.0, 3.0])
     trace = np.array([5.0, 6.0, 7.0])
     assert detect_blowup(times, trace, 2.0) == 1.0
+
+
+@pytest.mark.parametrize("sups, t_star", [
+    ([1e5, 5e5, 1.5e6], 1.5),           # interpolated between the samples around the crossing
+    ([1.0, math.nan, 1e7], 0.0),        # NaN crosses; a non-finite sample gives the time before
+    ([1.0, 5.0, math.inf], 1.0),        # an overflow: the time before it, as the march reports
+    ([math.inf, 1.0, 1.0], 0.0),        # at the first sample, its own time
+    ([math.nan, 1.0, 1.0], 0.0),
+    ([1.0, 1e6, 1.0], 1.0),             # a sample at the threshold crosses it
+])
+def test_detect_blowup_crossing_rule(sups, t_star):
+    assert detect_blowup([0.0, 1.0, 2.0], sups, 1e6) == t_star
+
+
+def test_verdict_takes_the_crossing_rule_for_an_overflow():
+    """An overflowing run's t* is the crossing rule's on its own trace: the step before."""
+    spec = REFERENCE_SPECS["overflow-mid-chunk"]
+    out = run(spec)
+    assert out.hard_overflow and out.verdict == "blowup"
+    assert out.t_star == out.times[-2] == detect_blowup(out.times, out.sup_norms,
+                                                        spec.blowup_threshold)
+
+
+def test_data_above_the_threshold_cross_it_at_t0():
+    spec = SimSpec(problem=unit_problem(2.0), r_max=30.0, J=200, T_max=5.0,
+                   u0=GaussianData(2.0, 1.0), blowup_threshold=1.0)
+    out = run(spec)
+    assert out.verdict == "blowup" and out.t_star == 0.0
 
 
 # -- basic orbits -----------------------------------------------------------------
@@ -319,6 +348,44 @@ def test_sweep_memory_does_not_grow_with_the_powers():
     for i in (0, _SWEEP_ROWS - 1, _SWEEP_ROWS, 1000, len(rows) - 1):
         single = run(replace(spec, problem=replace(spec.problem, p=rows[i]["p"])), aux)
         assert rows[i] == {"p": rows[i]["p"], "verdict": single.verdict, "t_star": single.t_star}
+
+
+def test_sweep_history_stays_within_budget_at_long_step_counts():
+    """At a long step count a sweep marches few powers a batch, so that the sup-norm and
+    edge traces of a batch, 16 bytes a row and step, stay within _HISTORY_BUDGET."""
+    spec = SimSpec(problem=unit_problem(2.0), r_max=16.0, J=16, T_max=5e4,
+                   u0=GaussianData(10.0, 2.0), allow_boundary_reflections=True)
+    aux = build_aux_table(spec.problem.damping, max(2.0, spec.T_max) * 1.01)
+    steps = round(spec.T_max / (spec.cfl * spec.dr))
+    assert _HISTORY_BUDGET // (steps + 1) < _SWEEP_ROWS // 4
+    peaks, sweeps = [], []
+    for count in (1, _SWEEP_ROWS):
+        tracemalloc.start()
+        try:
+            sweeps.append(sweep_p(spec, list(np.linspace(1.5, 4.0, count)), aux))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 16 * _HISTORY_BUDGET
+    assert {row["verdict"] for row in sweeps[1]} == {"blowup"}
+
+
+def test_one_stencil_per_march(monkeypatch):
+    """A march builds its stencil once, however often its window grows."""
+    built = []
+
+    class Counted(_Stencil):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr("blowuplab.simulator._Stencil", Counted)
+    spec = REFERENCE_SPECS["sharp-front"]
+    out = run(spec)
+    r = np.arange(spec.J + 1) * spec.dr
+    # the window grew by more than two blocks past the data
+    assert np.count_nonzero(out.final_u) > np.count_nonzero(spec.u1(r)) + 2 * _WINDOW_BLOCK
+    assert len(built) == 1
 
 
 def test_step_scalars_per_march_equal_per_step_calls():
