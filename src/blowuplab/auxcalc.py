@@ -16,12 +16,17 @@ Gamma and g are evaluated through the factored form
 
 which is O(1/b) in size, so everything is computed to *relative* accuracy
 even where beta underflows.  The improper tail is closed with the
-first-order estimate (1/b)/(1 + b'/b^2) at a far point T, which is exact
-for pure power-law damping and whose contribution is damped by
-exp(-int_t^T b); T is pushed out until the estimate stabilizes.  The
-finite stretches are adaptive exponential cells (:func:`_phi_cells`),
-resolved many at once: a table's cells in one call, an array read's bridges
-in one call, each call one walk over the split trees of all its cells.  A
+quasi-stationary estimate g^ = (1/b)/(1 + b'/b^2) at a far point T, which
+is exact for constant and kappa = 1 power-law damping and whose
+contribution is damped by exp(-int_t^T b); T is pushed out until the
+estimate stabilizes.  The finite stretches are exponential cells
+(:func:`_phi_cells`), resolved many at once: a table's cells in one call,
+an array read's bridges in one call.  A cell of at least 3 e-folds over
+which b is steady closes in one step, q = g^(t0) - E g^(t1), with a
+relative error of at most max|rho|, rho = (2 eps^2 - b''/b^3)/(1 + eps)^2
+and eps = b'/b^2, the ratio the paper's hypothesis bounds
+(:func:`_closure`); every other open cell is adaptive, and one walk
+resolves the split trees of all of them.  A
 panel evaluates b once, at its 15 Kronrod nodes, and takes int b up to
 each node from those values by a spectral integration matrix; it stands
 only if the K15-G7 gaps of both its integral and of int b are small.  It
@@ -101,6 +106,7 @@ _CHUNK = 1024        # panels per batched evaluation of b; bounds a round's tran
 _CELL_PANELS = 1 << 10
 _OFFSETS = 1.0 + _KRONROD_NODES  # Kronrod nodes on [0, 2]
 _TAIL_CELLS = 800    # outward cells of a tail march before it gives up
+_STEADY_MARGIN = 0.5  # least 1 + b'/b^2 in a closed cell: g^ stays within 2 ulps
 
 
 def _spectral_integration_matrix(nodes):
@@ -166,13 +172,44 @@ def _settled(q, err, ib, gap, tol: float):
     return (ib <= 3.0) & (err <= tol * np.maximum(np.abs(q), 1e-300)) & (gap <= tol)
 
 
-def _phi_cells(bfun, t0, t1, tol: float):
+def _closure(model: DampingModel, t0, t1, E, gap, tol: float):
+    """The quasi-stationary closure of the cells [t0, t1]: (closes, q).
+
+    With g^ = (1/b)/(1 + eps), eps = b'/b^2, the derivative of
+    -g^ exp(-int_{t0}^{tau} b) is exp(-int_{t0}^{tau} b) (1 - rho), with
+    rho = (2 eps^2 - b''/b^3)/(1 + eps)^2, so q^ = g^(t0) - E g^(t1) misses
+    q = int_{t0}^{t1} exp(-int_{t0}^{tau} b) dtau by at most max|rho| q, and
+    q^ = q for constant b.  A cell closes where rho is finite and
+    1 + eps >= ``_STEADY_MARGIN`` at its two ends and its 15 Kronrod
+    nodes, and where max|rho| q^ + E gap g^(t1) <= tol q^: the second term
+    bounds what the K15-G7 gap of int b leaves uncertain in E.
+    """
+    half = 0.5 * (t1 - t0)
+    t = np.column_stack((t0, t0[:, None] + half[:, None] * _OFFSETS, t1))
+    with np.errstate(all="ignore"):
+        b = np.asarray(model.b(t), dtype=float)
+        eps = np.asarray(model.db(t), dtype=float) / b / b   # b**2 can leave the range
+        curvature = np.asarray(model.d2b(t), dtype=float) / b / b / b
+        rho = (2.0 * eps * eps - curvature) / (1.0 + eps) ** 2
+        g0, g1 = (1.0 / (b[:, i] * (1.0 + eps[:, i])) for i in (0, -1))
+        q = g0 - E * g1
+        bound = np.max(np.abs(rho), axis=1) * q + E * gap * g1
+        closes = (np.isfinite(rho).all(axis=1) & (1.0 + eps >= _STEADY_MARGIN).all(axis=1)
+                  & (q > 0.0) & (bound <= tol * q))
+    return closes, q
+
+
+def _phi_cells(model: DampingModel, t0, t1, tol: float):
     """Adaptive exponential cells [t0, t1], elementwise over arrays.
 
     Returns the arrays (q, E), of the shape of ``t0``, with
     q = int_{t0}^{t1} exp(-int_{t0}^{tau} b) dtau and E = exp(-int_{t0}^{t1} b).
-    A cell whose K15 panel does not stand (see :func:`_settled`) is halved,
-    and q composes exactly: q = q_left + E_left * q_right.
+    A cell whose K15 panel stands (see :func:`_settled`) keeps it.  A cell
+    whose panel does not stand and holds at least 3 e-folds of damping
+    closes in one step where b is steady over it (:func:`_closure`): its q
+    is g^(t0) - E g^(t1), off by at most max|rho| q, rho of order
+    (b'/b^2)^2 and b''/b^3, the ratios the paper's hypothesis bounds.  Every
+    other cell is halved, and q composes exactly: q = q_left + E_left * q_right.
     The exponentially dead right half is pruned when
     E_left * width_right <= tol * q_left, through the bound
     q_right <= width_right.  E is the cell's own panel value: the damping
@@ -189,16 +226,23 @@ def _phi_cells(bfun, t0, t1, tol: float):
     in any batch exactly as alone, so a cell that never settles fails after
     about 43 kB of its own nodes; so does a cell with a piece whose panel
     still does not stand after ``_DEPTH`` halvings, where the rounding of t
-    floors its error estimate above tol (far horizons against 1/b).  A
-    non-finite panel raises ``FloatingPointError``.
+    floors its error estimate above tol (far horizons against 1/b, in a b
+    the closure refuses).  A non-finite panel raises ``FloatingPointError``.
     """
     shape = np.shape(t0)
     t0 = np.ravel(np.asarray(t0, dtype=float))
     t1 = np.ravel(np.asarray(t1, dtype=float))
-    q, err, ib, gap, E = _exp_panels(bfun, t0, t1)
-    open_ = np.flatnonzero(~_settled(q, err, ib, gap, tol))
-    if open_.size:
-        q[open_] = _walk(bfun, t0[open_], t1[open_], E[open_], q[open_], tol)
+    q, err, ib, gap, E = _exp_panels(model.b, t0, t1)
+    open_ = ~_settled(q, err, ib, gap, tol)
+    candidates = np.flatnonzero(open_ & (ib >= 3.0))
+    if candidates.size:
+        closes, q_closed = _closure(model, t0[candidates], t1[candidates], E[candidates],
+                                     gap[candidates], tol)
+        q[candidates[closes]] = q_closed[closes]
+        open_[candidates[closes]] = False
+    walked = np.flatnonzero(open_)
+    if walked.size:
+        q[walked] = _walk(model.b, t0[walked], t1[walked], E[walked], q[walked], tol)
     return q.reshape(shape), E.reshape(shape)
 
 
@@ -338,16 +382,17 @@ def _g_tail(model: DampingModel, start: float, tol: float, first=None) -> float:
     closing with the quasi-stationary estimate (1/b)/(1 + b'/b^2); stops
     once the running total is stable to ``tol`` over several consecutive
     extensions.  ``first`` is the (q, E) of the first cell when the caller
-    has resolved it, with :func:`_phi_cells` at ``tol * 0.1``.
+    has resolved it, with :func:`_phi_cells` at ``tol * 0.1``.  A cell over
+    which b is steady closes with that same estimate (:func:`_closure`), so
+    for b = 1 the march returns g = 1 exactly from any start, 1e18 included.
     """
-    bfun = model.b
     accumulated = 0.0
     damping_factor = 1.0
     T = start
     estimate = None
     stable = 0
     for T_next in _tail_ends(model, start):
-        q, E = first if first is not None else _phi_cells(bfun, T, T_next, tol * 0.1)
+        q, E = first if first is not None else _phi_cells(model, T, T_next, tol * 0.1)
         first = None
         accumulated += damping_factor * float(q)
         damping_factor *= float(E)
@@ -496,7 +541,7 @@ class AuxTable:
 
     def g_at(self, t):
         t, i = self._locate(t)
-        q, E = _phi_cells(self.model.b, t, self.grid[i], DEFAULT_QUAD_TOL)
+        q, E = _phi_cells(self.model, t, self.grid[i], DEFAULT_QUAD_TOL)
         return _like_query(q + E * self.g_vals[i])
 
     def dg_at(self, t):
@@ -576,7 +621,7 @@ def build_aux_table(model: DampingModel, horizon: float) -> AuxTable:
     dI = integrate_adaptive(bfun, lo, hi, **adaptive)
     # the first cell of the tail march from the horizon rides along
     tail_end = next(_tail_ends(model, horizon))
-    q_cells, E_cells = _phi_cells(bfun, np.append(lo, horizon), np.append(hi, tail_end), tol * 0.1)
+    q_cells, E_cells = _phi_cells(model, np.append(lo, horizon), np.append(hi, tail_end), tol * 0.1)
 
     with np.errstate(over="ignore"):
         B_vals = np.concatenate(([0.0], np.cumsum(dB)))

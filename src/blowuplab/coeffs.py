@@ -1,9 +1,9 @@
 """Coefficient families for the damped wave problem.
 
-Damping laws b(t) carry exact analytic first derivatives; the propagation
-speed a(t) and forcing weight f(t, x) are representative equality versions
-of the one-sided growth bounds they must satisfy, built on the accumulated
-reciprocal damping B(t) supplied by an auxiliary table.
+Damping laws b(t) carry exact analytic first and second derivatives; the
+propagation speed a(t) and forcing weight f(t, x) are representative
+equality versions of the one-sided growth bounds they must satisfy, built
+on the accumulated reciprocal damping B(t) supplied by an auxiliary table.
 """
 
 from __future__ import annotations
@@ -118,10 +118,21 @@ class Perturbation:
         phase = s ** (-2.0 * a)
         return a * s ** (a - 1.0) * np.sin(phase) - 2.0 * a * s ** (-a - 1.0) * np.cos(phase)
 
+    def second_derivative(self, t):
+        if self.kind == "log":
+            g = self.exponent
+            L = np.log(np.e + t)
+            return g * L ** (g - 2.0) * (g - 1.0 - L) / (np.e + t) ** 2
+        s = 1.0 + np.asarray(t, dtype=float)
+        a = self.exponent
+        phase = s ** (-2.0 * a)
+        sin_factor = a * (a - 1.0) * s ** (a - 2.0) - 4.0 * a * a * s ** (-3.0 * a - 2.0)
+        return sin_factor * np.sin(phase) + 2.0 * a * s ** (-a - 2.0) * np.cos(phase)
+
 
 @dataclass(frozen=True)
 class DampingModel:
-    """Positive C^1 damping coefficient b(t) with an exact derivative.
+    """Positive C^2 damping coefficient b(t) with exact first and second derivatives.
 
     ``constant``: b = mu.  ``powerlaw``: b = mu / (1+t)**kappa with
     kappa in (-1, 1].  ``perturbed``: power law times a catalog
@@ -194,6 +205,20 @@ class DampingModel:
         if self.kind == "powerlaw":
             return dbase
         return dbase * self.perturbation.value(t) + base * self.perturbation.derivative(t)
+
+    def d2b(self, t):
+        t = np.asarray(t, dtype=float)
+        if self.kind == "constant":
+            return np.zeros_like(t)
+        k = self.kappa
+        d2base = self.mu * k * (k + 1.0) * (1.0 + t) ** (-k - 2.0)
+        if self.kind == "powerlaw":
+            return d2base
+        v = self.perturbation
+        base = self.mu * (1.0 + t) ** (-k)
+        dbase = -self.mu * k * (1.0 + t) ** (-k - 1.0)
+        return (d2base * v.value(t) + 2.0 * dbase * v.derivative(t)
+                + base * v.second_derivative(t))
 
     @staticmethod
     def from_dict(data: dict) -> "DampingModel":

@@ -355,6 +355,8 @@ def test_failed_table_checks_are_numerical_failures(monkeypatch):
         def db(self, t):
             return np.zeros_like(np.asarray(t, dtype=float))
 
+        d2b = db
+
     with pytest.raises(TabulationError, match="monotonicity"):
         build_aux_table(NegativeNearZero(), 10.0)
     monkeypatch.setattr(auxcalc, "_g_tail", lambda model, start, tol, first: -1.0)
@@ -382,19 +384,60 @@ def _reference_panel(bfun, t0, t1):
     return k15, abs(k15 - g7), ib, abs(ib - ib_g7)
 
 
-def _reference_cell(bfun, t0, t1, tol, panels, depth=48):
-    """The depth-first cell recursion: (q, E), counting panels in ``panels``."""
-    panels[0] += 1
-    q, err, ib, gap = _reference_panel(bfun, t0, t1)
+def _reference_closure(model, t0, t1, E, gap, tol):
+    """The closed q of the cell [t0, t1], or None where the closure refuses it.
+
+    b, b' and b'' are evaluated at the cell's ends and 15 Kronrod nodes;
+    with eps = b'/b^2 and rho = (2 eps^2 - b''/b^3)/(1 + eps)^2 at each,
+    the cell closes to q = g(t0) - E g(t1), g = 1/(b (1 + eps)), when every
+    rho is finite, every 1 + eps >= 1/2 and
+    max|rho| q + E gap g(t1) <= tol q."""
+    half = 0.5 * (t1 - t0)
+    t = np.concatenate(([t0], t0 + half * (1.0 + _KRONROD_NODES), [t1]))
+    with np.errstate(all="ignore"):
+        b, db, d2b = (np.asarray(f(t), dtype=float) for f in (model.b, model.db, model.d2b))
+        rho, ghat = [], []
+        for i in range(17):
+            eps = db[i] / b[i] / b[i]
+            if not 1.0 + eps >= 0.5:
+                return None
+            rho.append((2.0 * eps * eps - d2b[i] / b[i] / b[i] / b[i]) / (1.0 + eps) ** 2)
+            ghat.append(1.0 / (b[i] * (1.0 + eps)))
+        q = ghat[0] - E * ghat[-1]
+        if not (all(math.isfinite(r) for r in rho) and q > 0.0
+                and max(abs(r) for r in rho) * q + E * gap * ghat[-1] <= tol * q):
+            return None
+    return q
+
+
+def _reference_cell(model, t0, t1, tol, points, depth=48, root=True):
+    """The depth-first cell recursion, the closure tried at its root: (q, E).
+
+    Counts the points b is evaluated at in ``points``: 15 a panel, 17 a
+    closure test."""
+    points[0] += 15
+    q, err, ib, gap = _reference_panel(model.b, t0, t1)
     E = math.exp(-ib)
     if (ib <= 3.0 and err <= tol * max(abs(q), 1e-300) and gap <= tol) or depth <= 0:
         return q, E
+    if root and ib >= 3.0:
+        points[0] += 17
+        closed = _reference_closure(model, t0, t1, E, gap, tol)
+        if closed is not None:
+            return closed, E
     mid = 0.5 * (t0 + t1)
-    q_l, e_l = _reference_cell(bfun, t0, mid, tol, panels, depth - 1)
+    q_l, e_l = _reference_cell(model, t0, mid, tol, points, depth - 1, root=False)
     if e_l * (t1 - mid) <= tol * max(q_l, 1e-300):
         return q_l, E
-    q_r, _ = _reference_cell(bfun, mid, t1, tol, panels, depth - 1)
+    q_r, _ = _reference_cell(model, mid, t1, tol, points, depth - 1, root=False)
     return q_l + e_l * q_r, E
+
+
+def _law(bfun):
+    """A bare damping function as a model whose b' and b'' are NaN: no
+    cell of it closes, every open one walks."""
+    nan = lambda t: np.full(np.shape(t), np.nan)
+    return SimpleNamespace(b=bfun, db=nan, d2b=nan)
 
 
 class _CountingDamping:
@@ -407,6 +450,12 @@ class _CountingDamping:
         self.points += np.size(t)
         return self.model.b(t)
 
+    def db(self, t):
+        return self.model.db(t)
+
+    def d2b(self, t):
+        return self.model.d2b(t)
+
 
 @pytest.mark.parametrize("model, horizon", [
     (DampingModel.constant(1.0), 1e4),
@@ -416,10 +465,12 @@ class _CountingDamping:
     (DampingModel.perturbed_power(1.0, -0.3, Perturbation("sin", 0.5)), 1e3),
 ], ids=["constant", "kappa=0.5", "kappa=-0.5", "kappa=1", "perturbed"])
 def test_phi_cells_make_the_recursions_panels(model, horizon):
-    """Batched cells evaluate the recursion's panels and agree in q and E.
+    """Batched cells evaluate the recursion's panels and closure tests and
+    agree in q and E.
 
-    Each panel evaluates b at its 15 Kronrod nodes; the cells are a
-    table's cells and the bridging cells of 64 reads.
+    Each panel evaluates b at its 15 Kronrod nodes, each closure test at a
+    cell's ends and nodes; the cells are a table's cells and the bridging
+    cells of 64 reads.
     """
     aux = build_aux_table(model, horizon)
     t = np.geomspace(1e-4, horizon, 64)
@@ -427,11 +478,11 @@ def test_phi_cells_make_the_recursions_panels(model, horizon):
              (t, aux.grid[np.searchsorted(aux.grid, t)], auxcalc.DEFAULT_QUAD_TOL)]
     for t0, t1, tol in cells:
         counting = _CountingDamping(model)
-        q, E = auxcalc._phi_cells(counting.b, t0, t1, tol)
-        panels = [0]
-        ref = np.array([_reference_cell(model.b, float(a), float(b), tol, panels)
+        q, E = auxcalc._phi_cells(counting, t0, t1, tol)
+        points = [0]
+        ref = np.array([_reference_cell(model, float(a), float(b), tol, points)
                         for a, b in zip(t0, t1)])
-        assert counting.points == 15 * panels[0]
+        assert counting.points == points[0]
         assert np.array_equal(q, ref[:, 0]) and np.array_equal(E, ref[:, 1])
 
 
@@ -454,8 +505,8 @@ def test_unresolved_damping_splits_a_cell_whose_q_stands():
     q, err, ib, gap, _ = auxcalc._exp_panels(noisy, t0, t1)
     assert err[0] <= tol * q[0] and ib[0] <= 3.0 and gap[0] > tol
     rng = np.random.default_rng(0)
-    counting = _CountingDamping(SimpleNamespace(b=noisy))
-    auxcalc._phi_cells(counting.b, t0, t1, tol)
+    counting = _CountingDamping(_law(noisy))
+    auxcalc._phi_cells(counting, t0, t1, tol)
     assert counting.points > 15
 
 
@@ -487,10 +538,11 @@ def test_unresolvable_cells_stop_at_the_panel_limit():
     limit = auxcalc._CELL_PANELS
     with pytest.raises(QuadratureNonconvergence,
                        match=rf"cell \[0, 1\] did not resolve within {limit} panels"):
-        auxcalc._phi_cells(noise, np.array([0.0, 1e-3, 1.0]), np.array([1.0, 1e-3, 2.0]), 1e-11)
-    # b = 10 on [0, 1] (10 e-folds) splits that cell, which resolves; the
-    # noise cell walked after it is the one named
-    steep_then_noise = lambda t: np.where(t < 1.0, 10.0, noise(t))
+        auxcalc._phi_cells(_law(noise), np.array([0.0, 1e-3, 1.0]), np.array([1.0, 1e-3, 2.0]),
+                           1e-11)
+    # b = 10 on [0, 1] (10 e-folds, and not closed: its b' is NaN) splits
+    # that cell, which resolves; the noise cell walked after it is the one named
+    steep_then_noise = _law(lambda t: np.where(t < 1.0, 10.0, noise(t)))
     with pytest.raises(QuadratureNonconvergence,
                        match=rf"cell \[1, 2\] did not resolve within {limit} panels"):
         auxcalc._phi_cells(steep_then_noise, np.array([0.0, 1.0]), np.array([1.0, 2.0]), 1e-11)
@@ -509,42 +561,117 @@ def test_table_tail_equals_the_march_alone(model, horizon):
     assert table.g_vals[-1] == auxcalc._g_tail(model, horizon, auxcalc.DEFAULT_QUAD_TOL)
 
 
-def test_g_tail_stops_at_the_depth_limit():
-    """For b = 1, where g = 1, the tail holds to 1e15; from 1e16 on, pieces
-    of its cells do not stand after 48 halvings, and it raises instead of
-    drifting (it returned 0.0619 at 1e18)."""
+def test_g_tail_closes_constant_damping_at_far_horizons():
+    """For b = 1, where g = 1, every cell of the tail closes: g^ = 1 and
+    q = 1 - E, so g = 1 exactly, also at 1e18, where the rounding of t
+    keeps halved pieces from standing (the walk returned 0.0619 there, and
+    later stopped at the depth limit)."""
     model = DampingModel.constant(1.0)
     assert abs(auxcalc._g_tail(model, 1e15, 1e-10) - 1.0) < 1e-14
+    assert auxcalc._g_tail(model, 1e18, 1e-10) == 1.0
+
+
+def test_g_tail_stops_at_the_depth_limit():
+    """b = 1 + sin(t)/2 is not steady (rho of order 1), so the closure
+    refuses its cells; at 1e18 pieces of the first one do not stand after
+    48 halvings, and the tail raises instead of drifting."""
+    law = SimpleNamespace(b=lambda t: 1.0 + 0.5 * np.sin(t), db=lambda t: 0.5 * np.cos(t),
+                          d2b=lambda t: -0.5 * np.sin(t))
+    assert 0.5 < auxcalc._g_tail(law, 1e3, 1e-10) < 2.0
     with pytest.raises(QuadratureNonconvergence,
                        match=r"cell \[1e\+18, 1\.35e\+18\] did not resolve within 48 halvings"):
-        auxcalc._g_tail(model, 1e18, 1e-10)
+        auxcalc._g_tail(law, 1e18, 1e-10)
 
 
 def test_cells_resolve_together_exactly_when_alone(monkeypatch):
     """The panel limit holds per cell, not per batch: a table's heaviest
     cells walked together, with many times the largest one's panel count
     between them, resolve under that count, bit for bit as each alone, and
-    fail one panel below it, as that cell alone does."""
+    fail one panel below it, as that cell alone does.  For b = sqrt(1 + t)
+    at 1e3 the closure refuses the last cells (rho is near 7.5e-10 there,
+    above the tolerance), so they walk."""
     model = DampingModel.power_law(1.0, -0.5)
-    aux = build_aux_table(model, 1e5)
+    aux = build_aux_table(model, 1e3)
     t0, t1, tol = aux.grid[-9:-1], aux.grid[-8:], auxcalc.DEFAULT_QUAD_TOL * 0.1
-    panels = []
-    for a, b in zip(t0, t1):
-        counting = _CountingDamping(model)
-        auxcalc._phi_cells(counting.b, a, b, tol)
-        panels.append(counting.points // 15)
+    sizes, exp_panels = [], auxcalc._exp_panels
+    with monkeypatch.context() as patch:
+        patch.setattr(auxcalc, "_exp_panels",
+                      lambda bfun, a, b: sizes.append(a.size) or exp_panels(bfun, a, b))
+        panels = []
+        for a, b in zip(t0, t1):
+            sizes.clear()
+            auxcalc._phi_cells(model, a, b, tol)
+            panels.append(sum(sizes))
     heaviest = int(np.argmax(panels))
     assert panels[heaviest] > 50 and sum(panels) > 4 * panels[heaviest]
     monkeypatch.setattr(auxcalc, "_CELL_PANELS", panels[heaviest])
-    q, E = auxcalc._phi_cells(model.b, t0, t1, tol)
-    alone = np.array([auxcalc._phi_cells(model.b, a, b, tol) for a, b in zip(t0, t1)])
+    q, E = auxcalc._phi_cells(model, t0, t1, tol)
+    alone = np.array([auxcalc._phi_cells(model, a, b, tol) for a, b in zip(t0, t1)])
     assert np.array_equal(q, alone[:, 0]) and np.array_equal(E, alone[:, 1])
-    t = np.geomspace(1e-3, 1e5, 97)
+    t = np.geomspace(1e-3, 1e3, 97)
     assert np.array_equal(aux.g_at(t), [aux.g_at(x) for x in t])
     monkeypatch.setattr(auxcalc, "_CELL_PANELS", panels[heaviest] - 1)
     for a, b in ((t0, t1), (t0[heaviest], t1[heaviest])):
         with pytest.raises(QuadratureNonconvergence, match="did not resolve"):
-            auxcalc._phi_cells(model.b, a, b, tol)
+            auxcalc._phi_cells(model, a, b, tol)
+
+
+# -- the closure of steady cells --------------------------------------------------
+
+def _rho(model, t):
+    """rho = (2 eps^2 - b''/b^3)/(1 + eps)^2, eps = b'/b^2: the closure's relative error."""
+    b = model.b(t)
+    eps = model.db(t) / b / b
+    return (2.0 * eps * eps - model.d2b(t) / b**3) / (1.0 + eps) ** 2
+
+
+def _cell(t0):
+    """The table cell of 1/64 decade from t0, as arrays (t0, t1)."""
+    t0 = np.array([t0])
+    t1 = t0 * 10.0 ** (1.0 / auxcalc.POINTS_PER_DECADE)
+    return t0, t1
+
+
+@pytest.mark.parametrize("mu", [2.0, 3.0, 0.1])
+def test_closed_constant_cell_is_exact(mu):
+    """For constant b, rho = 0 and g^ = 1/mu: a cell of 20 e-folds closes
+    to 1/mu - E/mu."""
+    model = DampingModel.constant(mu)
+    q, E = auxcalc._phi_cells(model, np.array([10.0]), np.array([10.0 + 20.0 / mu]), 1e-11)
+    assert E[0] == pytest.approx(math.exp(-20.0), rel=1e-13)
+    assert q[0] == pytest.approx(1.0 / mu - E[0] / mu, rel=2e-16, abs=0.0)
+
+
+@pytest.mark.parametrize("model, t0", [
+    (DampingModel.power_law(1.0, -0.5), 1e3),
+    (DampingModel.power_law(1.0, -0.9), 1e3),
+    (DampingModel.perturbed_power(1.0, -0.3, Perturbation("sin", 0.5)), 1e4),
+], ids=["kappa=-0.5", "kappa=-0.9", "perturbed"])
+def test_closed_cell_misses_the_walk_by_rho(model, t0):
+    """A closed cell's relative error against a 1e-14 walk is rho(t0) to a
+    factor of 2: the bound max|rho| q is tight for slowly varying b."""
+    t0, t1 = _cell(t0)
+    _, _, _, gap, E = auxcalc._exp_panels(model.b, t0, t1)
+    closes, q = auxcalc._closure(model, t0, t1, E, gap, 1.0)
+    walked, _ = auxcalc._phi_cells(_law(model.b), t0, t1, 1e-14)
+    assert closes[0]
+    ratio = abs(q[0] - walked[0]) / walked[0] / abs(_rho(model, t0[0]))
+    assert 0.5 <= ratio <= 2.0
+
+
+def test_closure_refuses_cells_where_rho_exceeds_the_tolerance():
+    """For b = (1 + t)^(-1/2) at 1e4 the cell holds 3.6 e-folds and
+    rho = -2.5e-5: the closure refuses it, and it walks, bit for bit as a
+    law that never closes."""
+    model = DampingModel.power_law(1.0, 0.5)
+    t0, t1 = _cell(1e4)
+    q_panel, _, ib, gap, E = auxcalc._exp_panels(model.b, t0, t1)
+    assert ib[0] >= 3.0 and abs(_rho(model, t0[0]) + 2.5e-5) < 1e-6
+    for tol in (1e-11, 1e-10):
+        closes, _ = auxcalc._closure(model, t0, t1, E, gap, tol)
+        assert not closes[0]
+        assert np.array_equal(auxcalc._phi_cells(model, t0, t1, tol),
+                              auxcalc._phi_cells(_law(model.b), t0, t1, tol))
 
 
 # -- hypothesis checker ---------------------------------------------------------

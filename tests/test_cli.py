@@ -14,10 +14,14 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from blowuplab import auxcalc
 from blowuplab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, dispatch
+from blowuplab.coeffs import DampingModel, Perturbation
+from blowuplab.exponents import p_crit_damped
 
 
 def read_csv(path):
@@ -554,20 +558,86 @@ def test_aux_rejects_horizons_below_one(capsys):
     assert "horizon 0.5 is below 1" in captured.err
 
 
-def test_far_horizon_is_a_numerical_failure(capsys):
-    """For b = 1 at horizon 1e18 the rounding of t floors the panel errors
-    above tol; a table cell stops at the depth limit instead of giving g,
-    and the message names it."""
-    captured = _assert_clean_exit(["aux", "--horizon", "1e18"], EXIT_NUMERICAL, capsys)
-    assert "cell [1.83795e+16, 1.90533e+16] did not resolve within 48 halvings" in captured.err
+@pytest.mark.parametrize("horizon", ["1e16", "1e18"])
+def test_far_horizon_tables_close_to_g_equal_one(horizon, tmp_path, capsys):
+    """For b = 1 at horizons from 1e16 the rounding of t keeps halved pieces
+    of the far cells from standing (the walk stopped at its depth limit
+    there, exit 3).  Each such cell now closes in one step, g^ = 1 and
+    q = 1 - E: exit 0, with g = 1 in every row."""
+    out = tmp_path / "aux.csv"
+    _assert_clean_exit(["aux", "--horizon", horizon, "--out", str(out)], EXIT_OK, capsys)
+    rows = read_csv(out)
+    assert float(rows[-1]["t"]) == float(horizon)
+    assert all(float(row["g"]) == 1.0 for row in rows)
 
 
-def test_far_horizon_fails_in_the_tail(capsys):
-    """At horizon 1e16 (b = 1) the table's cells stand, but the tail's first
-    cell, resolved in the table's walk as its last root, stops at the depth
-    limit, and the message names that cell."""
-    captured = _assert_clean_exit(["aux", "--horizon", "1e16"], EXIT_NUMERICAL, capsys)
-    assert "cell [1e+16, 1.35e+16] did not resolve within 48 halvings" in captured.err
+def test_walk_that_does_not_resolve_is_a_numerical_failure(capsys, monkeypatch):
+    """b = (1 + t)^(-1/2): the closure refuses its cells (rho near -2.5e-5
+    at 1e4), so they walk; with the panel limit cut to 8 a walk stops, and
+    the table exits 3 with a message naming its cell."""
+    monkeypatch.setattr(auxcalc, "_CELL_PANELS", 8)
+    captured = _assert_clean_exit(["aux", "--damping", "powerlaw", "--kappa", "0.5",
+                                   "--horizon", "1e4"], EXIT_NUMERICAL, capsys)
+    assert re.search(r"exponential cell \[[^]]+\] did not resolve within 8 panels", captured.err)
+
+
+@pytest.mark.parametrize("kappa", ["-0.6", "-0.9"])
+def test_scans_of_fast_growing_damping_keep_their_slopes(kappa, tmp_path, capsys):
+    """b = (1 + t)^0.6 and (1 + t)^0.9 need tables to 1.4e11 and 3.6e38, whose
+    far cells halving cannot resolve (both scans exited 3).  The closure
+    resolves them, and every fitted slope lies within 0.05 of its prediction."""
+    out = tmp_path / "scan.csv"
+    code = dispatch(["scan", "--n", "1", "--p", "2", "--damping", "powerlaw", "--mu", "1",
+                     "--kappa", kappa, "--out", str(out), "--quiet"])
+    assert code == EXIT_OK, capsys.readouterr().err
+    rows = read_csv(out)
+    assert {row["alpha_tag"] for row in rows} == {"2e0", "e0", "2e_space"}
+    for row in rows:
+        assert abs(float(row["log_slope_fitted"]) - float(row["log_slope_predicted"])) <= 0.05
+
+
+# the admissible catalog: kappa in (-1, 1], 0 < |kappa| < 1 under a perturbation
+_ADMISSIBLE_DAMPING = st.one_of(
+    st.tuples(st.just("constant"), st.just(0.0), st.just(None)),
+    st.tuples(st.just("powerlaw"), st.floats(-0.9, 0.95), st.just(None)),
+    st.tuples(st.just("perturbed"), st.floats(-0.9, -0.05) | st.floats(0.05, 0.95),
+              st.builds(Perturbation, st.just("log"), st.floats(-2.0, 2.0))
+              | st.builds(Perturbation, st.just("sin"), st.floats(0.1, 1.0))),
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(damping=_ADMISSIBLE_DAMPING, mu=st.floats(-1.0, 1.5).map(lambda e: 10.0**e),
+       n=st.integers(1, 3), alpha=st.floats(-0.5, 0.5), gamma=st.floats(-0.5, 1.0),
+       delta=st.floats(0.0, 1.0), p_ratio=st.floats(0.8, 1.2),
+       horizon=st.floats(2.0, 7.0).map(lambda e: 10.0**e))
+def test_admissible_problems_tabulate_and_scan(damping, mu, n, alpha, gamma, delta, p_ratio,
+                                                horizon):
+    """Any admissible damping law, with kappa down to -0.9 and log or sin
+    perturbations, and any problem with alpha up to 0.5 and p on either side
+    of p_crit: ``aux`` and ``scan`` exit 0, and the table's g agrees to 1e-8
+    with the one whose cells all walk, the closure refused everywhere."""
+    kind, kappa, perturbation = damping
+    args = ["--damping", kind, f"--mu={mu!r}", f"--kappa={kappa!r}"]
+    if perturbation is not None:
+        args += ["--perturbation", perturbation.kind,
+                 f"--perturbation-exponent={perturbation.exponent!r}"]
+    report = p_crit_damped(n, alpha, gamma, delta)
+    p = max(report.p_min + 0.1, p_ratio * report.p_crit)
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in (["aux", f"--horizon={horizon!r}"],
+                     ["scan", "--n", str(n), f"--alpha={alpha!r}", f"--gamma={gamma!r}",
+                      f"--delta={delta!r}", f"--p={p!r}"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = dispatch(argv + args + ["--out", f"{tmp}/out.csv", "--quiet"])
+            assert code == EXIT_OK, argv + args
+    model = DampingModel(kind, mu, kappa, perturbation)
+    table = auxcalc.build_aux_table(model, horizon)
+    refuse = lambda model, t0, t1, E, gap, tol: (np.zeros(t0.size, bool), t0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(auxcalc, "_closure", refuse)
+        walked = auxcalc.build_aux_table(model, horizon)
+    assert np.max(np.abs(table.g_vals / walked.g_vals - 1.0)) <= 1e-8
 
 
 def _assert_clean_exit(argv, expected, capsys):

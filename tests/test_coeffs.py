@@ -61,6 +61,21 @@ def test_derivative_matches_centered_difference():
             assert abs(fd - an) <= 1e-6 * max(abs(an), 1e-12), (model, t)
 
 
+def test_second_derivative_matches_centered_difference_of_db():
+    """Analytic b'' against a centered difference of b' at 100 random times,
+    for every family, constant, power-law, log- and sin-perturbed.  The
+    scale |b''| + |b'|/(1 + t) keeps the bound relative where b'' crosses 0."""
+    rng = np.random.default_rng(20261020)
+    ts = rng.uniform(0.0, 100.0, 100)
+    for model in ALL_FAMILIES:
+        for t in ts:
+            h = 1e-4 * (1.0 + t)
+            lo = max(t - h, 0.0)
+            fd = (model.db(t + h) - model.db(lo)) / ((t + h) - lo)
+            an = model.d2b(t)
+            assert abs(fd - an) <= 1e-6 * (abs(an) + abs(model.db(t)) / (1.0 + t)), (model, t)
+
+
 def test_power_law_limits_approached_monotonically():
     """b'/b^2 -> 0 and t b'/b -> -kappa, closing in over three decades."""
     for kappa in (0.5, -0.5, 0.9):
