@@ -25,8 +25,8 @@ an array read's bridges in one call.  A cell of at least 3 e-folds over
 which b is steady closes in one step, q = g^(t0) - E g^(t1), with a
 relative error of at most max|rho|, rho = (2 eps^2 - b''/b^3)/(1 + eps)^2
 and eps = b'/b^2, the ratio the paper's hypothesis bounds
-(:func:`_closure`); every other open cell is adaptive, and one walk
-resolves the split trees of all of them.  A
+(:func:`_closure`); every other open cell is adaptive, resolved by a
+depth-first recursion on its own stack, all of them in one walk.  A
 panel evaluates b once, at its 15 Kronrod nodes, and takes int b up to
 each node from those values by a spectral integration matrix; it stands
 only if the K15-G7 gaps of both its integral and of int b are small.  It
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import math
-from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -97,12 +96,12 @@ class TableRangeError(ValueError):
 # ---------------------------------------------------------------------------
 # exponential cells
 
-_DEPTH = 48          # split limit of a cell's tree
+_DEPTH = 48          # halvings of a cell, and rows of its stack of pending splits
 _CHUNK = 1024        # panels per batched evaluation of b; bounds a round's transients
-# panels one cell may take: about ten times the heaviest cell seen (107
-# panels, in the tests, the benchmark at seeds 0-2 and 200 random aux
-# tables), far below the 2**48 leaves of a cell that never settles; such a
-# cell fails after about 43 kB of tree nodes, at 42 bytes a node
+# panels one cell may take, two a split: about nine times the heaviest cell
+# seen (119 panels, in the tests and the benchmark at seeds 0-2), far below
+# the 2**48 leaves of a cell that never settles; such a cell fails after
+# 511 splits, its stack holding at most 48 of them, about 200 bytes each
 _CELL_PANELS = 1 << 10
 _OFFSETS = 1.0 + _KRONROD_NODES  # Kronrod nodes on [0, 2]
 _TAIL_CELLS = 800    # outward cells of a tail march before it gives up
@@ -219,15 +218,18 @@ def _phi_cells(model: DampingModel, t0, t1, tol: float):
     through the K15-G7 gap of int b.
 
     The panels, splits and prunes are those of a depth-first recursion over
-    each cell, but all the cells of a call are walked together, in one walk
-    of one batched panel evaluation per round (see :func:`_walk`).  The walk
-    keeps every panel of the call, 42 bytes each.  A cell that takes
-    more than ``_CELL_PANELS`` panels raises ``QuadratureNonconvergence``,
-    in any batch exactly as alone, so a cell that never settles fails after
-    about 43 kB of its own nodes; so does a cell with a piece whose panel
-    still does not stand after ``_DEPTH`` halvings, where the rounding of t
-    floors its error estimate above tol (far horizons against 1/b, in a b
-    the closure refuses).  A non-finite panel raises ``FloatingPointError``.
+    each cell that evaluates both halves of a node when it splits it, but
+    all the cells of a call are walked together, in one walk of one batched
+    panel evaluation per round (see :func:`_walk`).  The walk keeps each
+    cell's stack of at most ``_DEPTH`` pending splits, about 200 bytes a
+    split, and drops every panel once composed or pruned.  A cell that
+    takes more than ``_CELL_PANELS`` panels, two a split, raises
+    ``QuadratureNonconvergence``, in any batch exactly as alone; so does a
+    cell with a needed piece whose panel still does not stand after
+    ``_DEPTH`` halvings, where the rounding of t floors its error estimate
+    above tol (far horizons against 1/b, in a b the closure refuses).  A
+    pruned right half never raises.  A non-finite panel raises
+    ``FloatingPointError``.
     """
     shape = np.shape(t0)
     t0 = np.ravel(np.asarray(t0, dtype=float))
@@ -242,123 +244,69 @@ def _phi_cells(model: DampingModel, t0, t1, tol: float):
         open_[candidates[closes]] = False
     walked = np.flatnonzero(open_)
     if walked.size:
-        q[walked] = _walk(model.b, t0[walked], t1[walked], E[walked], q[walked], tol)
+        q[walked] = _walk(model.b, t0[walked], t1[walked], tol)
     return q.reshape(shape), E.reshape(shape)
 
 
-class _Tree:
-    """Split trees of the cells of one walk, one ``array.array`` column a field.
+def _walk(bfun, a, b, tol: float):
+    """The composed q of the root cells [a, b], whose own panels do not stand.
 
-    A node holds the right end b of its cell, its own E = exp(-int b) over
-    the cell, its q (the panel's, then its subtree's once composed), the
-    links to its parent and halves (-1 for none), its root, its remaining
-    depth and whether its q is final: 42 bytes of doubles, C ints and signed
-    chars, which :meth:`add` appends.  The roots are the first nodes.  Nodes
-    are never dropped: the tree holds every panel of its walk.
+    Each cell runs the depth-first recursion on its own stack of at most
+    ``_DEPTH`` pending splits, and each round is one batched panel call over
+    the next split of every open cell, so every open cell has taken
+    1 + 2 * rounds panels.  A split evaluates both halves of its node.  The
+    left half composes first, split in turn if its panel does not stand;
+    then the prune test either drops the right half's panel or composes it,
+    q = q_left + E_left * q_right, splitting it first if its panel does not
+    stand.  The composition runs in the recursion's order, so q is the
+    recursion's to the bit, in any batch as alone.
     """
+    def unresolved(cell, within):
+        return QuadratureNonconvergence(
+            f"exponential cell [{a[cell]:g}, {b[cell]:g}] did not resolve within {within}")
 
-    def __init__(self):
-        self.b, self.E, self.Q = array("d"), array("d"), array("d")
-        self.up, self.left, self.right, self.root = array("i"), array("i"), array("i"), array("i")
-        self.depth, self.finished = array("b"), array("b")
-
-    def add(self, b, E, Q, up, root, depth, finished):
-        """Append nodes without halves, from arrays; returns the index of the first."""
-        start, no_half = len(self.b), array("i", [-1]) * len(b)
-        for column, values in ((self.b, b), (self.E, E), (self.Q, Q), (self.up, up),
-                               (self.left, no_half), (self.right, no_half), (self.root, root),
-                               (self.depth, depth), (self.finished, finished)):
-            column.frombytes(np.asarray(values, column.typecode).tobytes())
-        return start
-
-
-def _walk(bfun, a, b, E, Q, tol: float):
-    """The composed q of the root cells [a, b], whose own panels (E, Q) do not stand.
-
-    Each round evaluates, in one batched call, the left halves of all the
-    nodes whose panels did not stand in the round before and the right
-    halves that fell due.  A right half falls due as soon as its left
-    sibling's panel shows that the prune test must fail
-    (E_left * width_right > 2 tol width_left, while q_left <= width_left),
-    and otherwise once the left subtree's q is composed and the test fails.
-    A right half that the exact test prunes after all is dropped, so the
-    result never depends on the schedule.
-    """
-    # a round's parents with their roots and depths: first the nl nodes to
-    # split, with their cells [lo, hi], then the nodes whose right half
-    # [lo, hi] is due; an early right half is evaluated in the round of its
-    # left sibling's first half, before that subtree can compose
-    nodes, lo, hi, depth, nl = np.arange(a.size), a, b, np.full(a.size, _DEPTH), a.size
-    root, panels, tree = nodes, np.ones(a.size, np.int64), _Tree()
-    tree.add(b, E, Q, np.full(a.size, -1), root, depth, np.zeros(a.size, bool))
-    while nodes.size:
-        t1 = np.concatenate((0.5 * (lo[:nl] + hi[:nl]), hi[nl:]))
-        panels += np.bincount(root, minlength=a.size)
-        if panels.max() > _CELL_PANELS:
-            i = int(np.argmax(panels))
-            raise QuadratureNonconvergence(
-                f"exponential cell [{a[i]:g}, {b[i]:g}] did not resolve "
-                f"within {_CELL_PANELS} panels")
-        q, err, ib, gap, E = _exp_panels(bfun, lo, t1)
-        settled = _settled(q, err, ib, gap, tol)
-        stuck = ~settled & (depth <= 1)
-        if stuck.any():
-            i = root[np.argmax(stuck)]
-            raise QuadratureNonconvergence(
-                f"exponential cell [{a[i]:g}, {b[i]:g}] did not resolve "
-                f"within {_DEPTH} halvings")
-        start = tree.add(t1, E, q, nodes, root, depth - 1, settled)
-        for kid, parent in enumerate(nodes.tolist(), start):
-            (tree.left if kid < start + nl else tree.right)[parent] = kid
-        # left halves, still splitting, whose sibling cannot be pruned
-        width_l, width_r = t1[:nl] - lo[:nl], hi[:nl] - t1[:nl]
-        early = ~settled[:nl] & (E[:nl] * width_r > tol * np.maximum(2.0 * width_l, 1e-300))
-        due = _compose(tree, start + np.flatnonzero(settled), tol)
-        # the new nodes that split, then the right halves now due: the early
-        # ones from this round's rows, the composed ones from the tree
-        split = ~settled
-        nodes = np.concatenate((start + np.flatnonzero(split), nodes[:nl][early],
-                                np.array(due, int)))
-        lo = np.concatenate((lo[split], t1[:nl][early], [tree.b[tree.left[p]] for p in due]))
-        hi = np.concatenate((t1[split], hi[:nl][early], [tree.b[p] for p in due]))
-        root = np.concatenate((root[split], root[:nl][early],
-                               np.array([tree.root[p] for p in due], int)))
-        depth = np.concatenate((depth[split] - 1, depth[:nl][early],
-                                np.array([tree.depth[p] for p in due], int)))
-        nl = np.count_nonzero(split)
-    return tree.Q[:a.size]
-
-
-def _compose(tree: _Tree, nodes, tol: float):
-    """Carry the q of finished nodes up their trees.
-
-    Returns the nodes whose left half is now composed and whose right half
-    falls due because the prune test fails.
-    """
-    up, left, right, finished = tree.up, tree.left, tree.right, tree.finished
-    b, E, Q = tree.b, tree.E, tree.Q
-    due = []
-    for node in nodes.tolist():
-        while (parent := up[node]) >= 0:
-            l, r = left[parent], right[parent]
-            if node == l:
-                if E[l] * (b[parent] - b[l]) <= tol * max(Q[l], 1e-300):
-                    Q[parent] = Q[l]
-                    right[parent] = -1  # drops a right half started early
-                elif r < 0:
-                    due.append(parent)
-                    break
-                elif finished[r]:
-                    Q[parent] = Q[l] + E[l] * Q[r]
-                else:
-                    break
-            elif node == r and finished[l]:
-                Q[parent] = Q[l] + E[l] * Q[r]
-            else:  # the left half is still open, or a dropped right half
-                break
-            finished[parent] = True
-            node = parent
-    return due
+    q, stacks = np.empty(a.size), [[] for _ in range(a.size)]
+    nodes, rounds = list(zip(range(a.size), a.tolist(), b.tolist())), 0  # (cell, lo, hi) to split
+    while nodes:
+        cells, lo, hi = zip(*nodes)
+        deep = [cell for cell in cells if len(stacks[cell]) == _DEPTH]
+        if deep:
+            raise unresolved(deep[0], f"{_DEPTH} halvings")
+        rounds += 1
+        if 1 + 2 * rounds > _CELL_PANELS:
+            raise unresolved(cells[0], f"{_CELL_PANELS} panels")
+        left, right, n = np.array(lo), np.array(hi), len(cells)
+        centre = 0.5 * (left + right)
+        qs, err, ib, gap, E = _exp_panels(bfun, np.concatenate((left, centre)),
+                                          np.concatenate((centre, right)))
+        ok = _settled(qs, err, ib, gap, tol).tolist()
+        # a stack row per pending split: the right half [mid, end], its
+        # panel's q and whether that stands, the left half's E, the prune
+        # test's bound E_left * width_right, and the left half's composed q
+        # once the split waits on its right half
+        splits = zip(cells, lo, centre.tolist(), hi, qs[:n].tolist(), ok, qs[n:].tolist(), ok[n:],
+                     E[:n].tolist(), (E[:n] * (right - centre)).tolist())
+        nodes = []
+        for cell, start, mid, end, value, stands_l, q_r, stands_r, E_l, bound in splits:
+            stack = stacks[cell]
+            stack.append((mid, end, q_r, stands_r, E_l, bound, None))
+            if not stands_l:
+                nodes.append((cell, start, mid))
+                continue
+            while stack:  # carry the composed q down the stack
+                mid, end, q_r, stands_r, E_l, bound, q_l = stack[-1]
+                if q_l is not None:
+                    value = q_l + E_l * value
+                elif bound > tol * max(value, 1e-300):  # not pruned
+                    if not stands_r:
+                        stack[-1] = (mid, end, q_r, stands_r, E_l, bound, value)
+                        nodes.append((cell, mid, end))
+                        break
+                    value = value + E_l * q_r
+                stack.pop()
+            else:
+                q[cell] = value
+    return q
 
 
 def _tail_ends(model: DampingModel, start: float):

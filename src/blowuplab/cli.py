@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import warnings
 from contextlib import nullcontext
@@ -262,9 +263,17 @@ def _add_sim(p: argparse.ArgumentParser) -> None:
                    dest="allow_boundary_reflections")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, like its subparsers, that reads ``--kappa -1e-3`` as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="blowuplab",
         description="critical exponents, boundedness scans and blow-up runs "
                     "for damped waves with time-dependent coefficients",

@@ -27,6 +27,9 @@ class QuadratureNonconvergence(RuntimeError):
     """Raised when adaptive refinement exhausts its panel budget."""
 
 
+_MAX_PANELS = 2000  # panel budget of each integral of integrate_adaptive
+
+
 # G7/K15 nodes on [-1, 1]; the 7 Gauss nodes are a subset of the 15 Kronrod
 # nodes, so one evaluation sweep yields both estimates.
 _KRONROD_NODES = np.array([
@@ -102,14 +105,13 @@ def integrate_adaptive(
     *,
     abs_tol: float = 1e-12,
     rel_tol: float = 1e-10,
-    max_panels: int = 2000,
     args: tuple = (),
 ):
     """Adaptive bisection with G7/K15 panels.
 
     Stops when the summed panel error drops below
     ``max(abs_tol, rel_tol * |integral|)``; always splits the worst panel.
-    Raises :class:`QuadratureNonconvergence` if the panel budget runs out.
+    Raises :class:`QuadratureNonconvergence` once an integral takes ``_MAX_PANELS`` panels.
     ``a`` and ``b`` are scalars (the result is a float) or arrays of one
     shape, one integral per pair.  The integrals are refined in lockstep:
     each round splits the worst panel of every integral still open and
@@ -143,11 +145,11 @@ def integrate_adaptive(
         open_ = open_[missed]
         if not open_.size:
             break
-        if panels >= max_panels:
+        if panels >= _MAX_PANELS:
             i = open_[0]
             raise QuadratureNonconvergence(
                 f"quadrature on [{lo[i]:g}, {hi[i]:g}] did not reach tolerance "
-                f"{rel_tol:g} after {max_panels} panels (error {total_err[i]:g})"
+                f"{rel_tol:g} after {_MAX_PANELS} panels (error {total_err[i]:g})"
             )
         neg_err, left, right, old_val = np.array([heapq.heappop(heaps[i]) for i in open_.tolist()]).T
         mid = 0.5 * (left + right)

@@ -8,6 +8,7 @@ Closed-form oracles used here:
 """
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -410,13 +411,18 @@ def _reference_closure(model, t0, t1, E, gap, tol):
     return q
 
 
-def _reference_cell(model, t0, t1, tol, points, depth=48, root=True):
+def _reference_cell(model, t0, t1, tol, points, depth=48, panel=None):
     """The depth-first cell recursion, the closure tried at its root: (q, E).
 
-    Counts the points b is evaluated at in ``points``: 15 a panel, 17 a
-    closure test."""
-    points[0] += 15
-    q, err, ib, gap = _reference_panel(model.b, t0, t1)
+    A split evaluates both halves' panels before it recurses into the left
+    one, and passes each half its panel; a right half that the prune test
+    drops is evaluated all the same.  Counts the points b is evaluated at in
+    ``points``: 15 a panel, 17 a closure test."""
+    root = panel is None
+    if root:
+        points[0] += 15
+        panel = _reference_panel(model.b, t0, t1)
+    q, err, ib, gap = panel
     E = math.exp(-ib)
     if (ib <= 3.0 and err <= tol * max(abs(q), 1e-300) and gap <= tol) or depth <= 0:
         return q, E
@@ -426,10 +432,12 @@ def _reference_cell(model, t0, t1, tol, points, depth=48, root=True):
         if closed is not None:
             return closed, E
     mid = 0.5 * (t0 + t1)
-    q_l, e_l = _reference_cell(model, t0, mid, tol, points, depth - 1, root=False)
+    points[0] += 30
+    left, right = _reference_panel(model.b, t0, mid), _reference_panel(model.b, mid, t1)
+    q_l, e_l = _reference_cell(model, t0, mid, tol, points, depth - 1, left)
     if e_l * (t1 - mid) <= tol * max(q_l, 1e-300):
         return q_l, E
-    q_r, _ = _reference_cell(model, mid, t1, tol, points, depth - 1, root=False)
+    q_r, _ = _reference_cell(model, mid, t1, tol, points, depth - 1, right)
     return q_l + e_l * q_r, E
 
 
@@ -546,6 +554,24 @@ def test_unresolvable_cells_stop_at_the_panel_limit():
     with pytest.raises(QuadratureNonconvergence,
                        match=rf"cell \[1, 2\] did not resolve within {limit} panels"):
         auxcalc._phi_cells(steep_then_noise, np.array([0.0, 1.0]), np.array([1.0, 2.0]), 1e-11)
+
+
+def test_walk_memory_does_not_grow_with_its_panels():
+    """600 noise cells walk in lockstep until each has taken the panel
+    limit, over 600 000 panels in all; the walk keeps only each cell's
+    stack of pending splits, so it peaks far below the 26 MB that holding
+    those panels at 42 bytes each would take."""
+    rng = np.random.default_rng(0)
+    noise = _law(lambda t: rng.uniform(1.0, 2.0, np.shape(t)))
+    t0 = np.arange(600.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureNonconvergence, match=r"cell \[0, 1\] did not resolve"):
+            auxcalc._phi_cells(noise, t0, t0 + 1.0, 1e-11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 @pytest.mark.parametrize("model, horizon", [

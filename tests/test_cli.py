@@ -463,6 +463,11 @@ _SIM = {"problem": _PROBLEM, "r_max": 20, "J": 128, "T_max": 2, "cfl": 0.25,
     ("simulate", [], ["--p", "1.5", "--r-max", "10", "--J", "64", "--T-max", "1"],
      {"problem": {"n": 1, "alpha": 0, "gamma": 0, "delta": 0, "p": 1.5},
       "r_max": 10, "J": 64, "T_max": 1}),
+    # a negative value in exponent notation is a value, not an option
+    ("aux", ["--horizon", "50"], ["--damping", "powerlaw", "--kappa", "-1e-3"],
+     {"damping": {"kind": "powerlaw", "mu": 1, "kappa": -1e-3}}),
+    ("scan", ["--R", "8,16,32,64"], ["--alpha", "-2.7e-05"],
+     {"spec": {"n": 1, "alpha": -2.7e-05, "gamma": 0, "delta": 0, "p": 2}}),
 ])
 def test_flags_and_config_read_alike(command, both, flags, config, tmp_path, capsys):
     """A flag run and a config holding the same values write the same bytes."""

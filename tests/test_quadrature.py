@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from blowuplab import quadrature
 from blowuplab.quadrature import (
     QuadratureNonconvergence,
     _sharpened,
@@ -65,11 +66,12 @@ def test_orientation_and_empty_interval():
     assert abs(fwd + rev) < 1e-12
 
 
-def test_nonconvergence_raises():
+def test_nonconvergence_raises(monkeypatch):
     """A genuinely divergent endpoint singularity exhausts the panel budget."""
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 100)
     with pytest.raises(QuadratureNonconvergence):
         integrate_adaptive(lambda x: 1.0 / np.maximum(x, 1e-300), 0.0, 1.0,
-                           abs_tol=1e-14, rel_tol=1e-14, max_panels=100)
+                           abs_tol=1e-14, rel_tol=1e-14)
 
 
 def test_gauss_legendre_panels():
@@ -138,11 +140,12 @@ def test_lockstep_empty_and_reversed_intervals():
     assert _same_bits(got[1], -got[0]) and _same_bits(got[3], 0.0)
 
 
-def test_lockstep_raises_as_the_failing_interval_alone():
-    """One interval that exhausts ``max_panels`` fails the batch with the
+def test_lockstep_raises_as_the_failing_interval_alone(monkeypatch):
+    """One interval that exhausts the panel budget fails the batch with the
     error it raises alone."""
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 100)
     f = lambda x: 1.0 / np.maximum(x, 1e-300)
-    tol = dict(abs_tol=1e-14, rel_tol=1e-14, max_panels=100)
+    tol = dict(abs_tol=1e-14, rel_tol=1e-14)
     with pytest.raises(QuadratureNonconvergence) as alone:
         integrate_adaptive(f, 0.0, 1.0, **tol)
     with pytest.raises(QuadratureNonconvergence) as batch:
