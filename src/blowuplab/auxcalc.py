@@ -498,7 +498,7 @@ class AuxTable:
     def Gamma_at(self, t):
         return self.beta_at(t) * self.g_at(t)
 
-    def invert_B(self, s: float) -> float:
+    def invert_B(self, s):
         """A(s): the time t with B(t) = s, by safeguarded Newton steps in its table cell.
 
         B' = 1/b is exact, so a step is t <- t - (B(t) - s) b(t).  The steps
@@ -507,32 +507,42 @@ class AuxTable:
         overshooting.  Each residual's sign shrinks the cell's bracket, a step
         leaving the bracket bisects it instead, and a step of at most
         1e-14 max(1, t) ends the search; 100 steps without one raise
-        :class:`QuadratureNonconvergence`.
+        :class:`QuadratureNonconvergence`.  Like every read, it takes a scalar
+        (and returns a float) or an array: the searches of an array run in
+        lockstep, each round one array read of b and of B over the searches
+        still open, so each element equals its scalar call bit for bit.
         """
-        if not math.isfinite(s):
+        s = np.asarray(s, dtype=float)
+        if not np.all(np.isfinite(s)):
             raise ValueError("s must be finite")
-        if s < 0:
+        if np.any(s < 0):
             raise ValueError("s must be nonnegative")
-        if s == 0:
-            return 0.0
-        if s > self.B_vals[-1]:
+        if np.any(s > self.B_vals[-1]):
             raise TableRangeError(
-                f"s = {s:g} beyond tabulated range B(horizon) = {self.B_vals[-1]:g}"
+                f"s = {np.max(s):g} beyond tabulated range B(horizon) = {self.B_vals[-1]:g}"
             )
-        i = int(np.searchsorted(self.B_vals, s))
-        lo, hi = float(self.grid[i - 1]), float(self.grid[i])
-        j = i - 1 if self.B_vals[i] != s and self.model.db(hi) > 0 else i
-        t, residual = float(self.grid[j]), float(self.B_vals[j]) - s
+        out = np.zeros(s.shape)         # A(0) = 0
+        open_ = np.flatnonzero(s > 0)   # flat positions of the searches still open
+        if not open_.size:
+            return _like_query(out)
+        goal = s.ravel()[open_]
+        i = np.searchsorted(self.B_vals, goal)
+        lo, hi = self.grid[i - 1], self.grid[i]
+        j = np.where((self.B_vals[i] != goal) & (self.model.db(hi) > 0), i - 1, i)
+        t, residual = self.grid[j], self.B_vals[j] - goal
         for _ in range(100):
-            if residual == 0:
-                return t
-            lo, hi = (lo, t) if residual > 0 else (t, hi)
-            step = t - residual * float(self.model.b(t))
-            step = step if lo <= step <= hi else 0.5 * (lo + hi)
-            if abs(step - t) <= 1e-14 * max(1.0, t):
-                return step
-            t, residual = step, self.B_at(step) - s
-        raise QuadratureNonconvergence(f"A({s:g}): no convergence in 100 Newton steps")
+            above = residual > 0
+            lo, hi = np.where(above, lo, t), np.where(above, t, hi)
+            step = t - residual * self.model.b(t)
+            step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+            # a residual of 0 steps by 0: the search ends at t
+            ended = np.abs(step - t) <= 1e-14 * np.maximum(1.0, t)
+            out.flat[open_[ended]] = step[ended]
+            open_, goal, step, lo, hi = (v[~ended] for v in (open_, goal, step, lo, hi))
+            if not open_.size:
+                return _like_query(out)
+            t, residual = step, self.B_at(step) - goal
+        raise QuadratureNonconvergence(f"A({goal[0]:g}): no convergence in 100 Newton steps")
 
 
 def build_aux_table(model: DampingModel, horizon: float) -> AuxTable:

@@ -135,8 +135,10 @@ def _cmd_check(args, cfg: dict) -> int:
 def _cmd_aux(args, cfg: dict) -> int:
     model = _block({"damping": _damping_from_args(args, cfg)}, "damping", DampingModel.from_dict)
     table = auxcalc.build_aux_table(model, args.horizon)
-    rows = zip(table.grid, table.B_vals, table.beta_vals, table.Gamma_vals, table.g_vals)
-    _write_csv(args.out, ["t", "B", "beta", "Gamma", "g"], _csv_lines(rows), args.quiet)
+    # one format per row from float columns, the same "{:.12g}" as _fmt for each value
+    columns = (table.grid, table.B_vals, table.beta_vals, table.Gamma_vals, table.g_vals)
+    lines = map("{:.12g},{:.12g},{:.12g},{:.12g},{:.12g}\n".format, *(v.tolist() for v in columns))
+    _write_csv(args.out, ["t", "B", "beta", "Gamma", "g"], lines, args.quiet)
     return EXIT_OK
 
 

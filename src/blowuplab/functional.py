@@ -133,7 +133,12 @@ def dstar_coefficients(spec: ProblemSpec, aux: AuxTable, t: float) -> DstarCoeff
 
 def H_alpha(family: ScalingFamily, R: float, alpha: MultiIndex) -> float:
     """Inverse scale product: F0(R)**(-alpha0) * R**(-(space order))."""
-    return family.F0(R) ** (-alpha.alpha0) * float(R) ** (-alpha.space_order)
+    return _inverse_scales(family.F0(R), float(R), alpha)
+
+
+def _inverse_scales(F0: float, R: float, alpha: MultiIndex) -> float:
+    """H from the floats F0(R) and R: libm's powers, not numpy's vectorized ones."""
+    return F0 ** (-alpha.alpha0) * R ** (-alpha.space_order)
 
 
 def _check_integrability(spec: ProblemSpec) -> None:
@@ -217,7 +222,7 @@ def G_alpha(
     ladders = [[0.0] * len(Rs) for _ in alphas]
     if not live:
         return ladders
-    F0 = np.array([family.F0(R) for R in Rs])
+    F0 = family.F0(Rs)
     t_lo = [F0 / 2.0 if alphas[k].alpha0 > 0 else np.zeros_like(F0) for k in live]
     t_int = integrate_adaptive(_time_weights(spec, family.aux, alphas),
                                np.concatenate(t_lo), np.tile(F0, len(live)),
@@ -376,9 +381,11 @@ def scan_condition(
     indices = [MultiIndex.time2(spec.n), MultiIndex.time1(spec.n),
                MultiIndex.space2(spec.n)]
     rows, fitted, predicted, verdicts = {}, {}, {}, {}
-    for idx, Gs in zip(indices, G_alpha(spec, family, Rs, indices)):
-        Hs = [H_alpha(family, R, idx) for R in Rs]
-        data = [(float(R), H, G, H * G ** (1.0 / pc)) for R, H, G in zip(Rs, Hs, Gs)]
+    ladders = G_alpha(spec, family, Rs, indices)
+    scales = list(zip(Rs.tolist(), family.F0(Rs).tolist()))
+    for idx, Gs in zip(indices, ladders):
+        Hs = [_inverse_scales(F0, R, idx) for R, F0 in scales]
+        data = [(R, H, G, H * G ** (1.0 / pc)) for (R, _), H, G in zip(scales, Hs, Gs)]
         for R, _, G, product in data:
             if not (math.isfinite(G) and math.isfinite(product) and product > 0.0):
                 raise FloatingPointError(

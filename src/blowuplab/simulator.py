@@ -60,7 +60,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -461,14 +461,43 @@ def _support_end(*fields: np.ndarray) -> int:
     return int(cols[-1]) + 1 if len(cols) else 0
 
 
+class _Coefficients(NamedTuple):
+    """dt, and the time, a, b, source factor and four step scalars of every step."""
+
+    dt: float
+    ts: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    fscale: np.ndarray
+    scalars: tuple      # k_u, k_prev, k_lap and k_src of ``_step_scalars``
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
+def _coefficients(spec: SimSpec, aux: AuxTable) -> _Coefficients:
+    """The coefficients of ``spec``'s marches, after ``_time_step``'s checks.
+
+    They do not depend on p: a sweep forms them once for all its batches.
+    A coefficient that is not finite raises ``FloatingPointError``.
+    """
+    dt, steps = _time_step(spec, aux)
+    ts, a_arr, b_arr, ftime = _coefficient_arrays(spec.problem, aux, steps, dt)
+    fscale = spec.nonlinearity * ftime
+    # with a non-finite coefficient, 0 * inf would put nan past the support
+    for name, values in (("a(t)", a_arr), ("b(t)", b_arr), ("the forcing factor", fscale)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            raise FloatingPointError(f"{name} is not finite at t = {ts[bad[0]]:g}")
+    return _Coefficients(dt, ts, a_arr, b_arr, fscale, _step_scalars(a_arr, b_arr, dt))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _march(spec: SimSpec, coefficients: _Coefficients, powers: Sequence[float],
            with_energy: bool) -> list[SimOutcome]:
     """Integrate ``spec`` once per power p, all rows in one leapfrog batch.
 
     The rows share the grid, its one ``_Stencil``, dt (the CFL limit does
-    not depend on p), the coefficient arrays and the step scalars, which
-    are formed once, as are the powers' underflow cuts.  The march only
+    not depend on p) and the ``coefficients``, the arrays and step scalars
+    of every step; the powers' underflow cuts are formed once.  The march only
     records: when a block of buffered steps is full, at the last step and
     before a window rescan, one pass over the block takes each row's
     sup-norms, with the guard on and W = J+1 its guard cells' max, and for
@@ -484,15 +513,8 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
     follows the rows left in the batch and all steps of a block share it.
     """
     prob = spec.problem
-    dt, steps = _time_step(spec, aux)
-    ts, a_arr, b_arr, ftime = _coefficient_arrays(prob, aux, steps, dt)
-    fscale = spec.nonlinearity * ftime
-    # with a non-finite coefficient, 0 * inf would put nan past the support
-    for name, values in (("a(t)", a_arr), ("b(t)", b_arr), ("the forcing factor", fscale)):
-        bad = np.flatnonzero(~np.isfinite(values))
-        if len(bad):
-            raise FloatingPointError(f"{name} is not finite at t = {ts[bad[0]]:g}")
-    k_u, k_prev, k_lap, k_src = _step_scalars(a_arr, b_arr, dt)
+    dt, ts, a_arr, b_arr, fscale, (k_u, k_prev, k_lap, k_src) = coefficients
+    steps = len(ts) - 1
     cuts = [_underflow_cut(p) for p in powers]
 
     dr, J, rows = spec.dr, spec.J, len(powers)
@@ -603,7 +625,7 @@ def run(spec: SimSpec, aux: Optional[AuxTable] = None) -> SimOutcome:
     """Integrate one radial problem to blow-up, contamination or the horizon."""
     if aux is None:
         aux = build_aux_table(spec.problem.damping, max(2.0, spec.T_max) * 1.01)
-    return _march(spec, aux, [spec.problem.p], with_energy=True)[0]
+    return _march(spec, _coefficients(spec, aux), [spec.problem.p], with_energy=True)[0]
 
 
 def sweep_p(
@@ -614,11 +636,11 @@ def sweep_p(
     """Run the same problem across powers p; rows (p, verdict, t_star).
 
     The powers march in batches of at most ``_SWEEP_ROWS`` rows and
-    ``_HISTORY_BUDGET`` rows x (steps + 1), and only the rows of a batch
-    are kept, so memory grows with neither; each row equals the single
-    ``run`` of its power.  Warns (but proceeds) when the data functional
-    is not positive: the sign condition is the hypothesis under which
-    nonexistence is asserted.
+    ``_HISTORY_BUDGET`` rows x (steps + 1), on coefficients formed once,
+    and only the rows of a batch are kept, so memory grows with neither;
+    each row equals the single ``run`` of its power.  Warns (but proceeds)
+    when the data functional is not positive: the sign condition is the
+    hypothesis under which nonexistence is asserted.
     """
     if aux is None:
         aux = build_aux_table(spec.problem.damping, max(2.0, spec.T_max) * 1.01)
@@ -637,13 +659,15 @@ def sweep_p(
 
     # each power passes the same validation as a single run's ProblemSpec
     powers = [replace(spec.problem, p=float(p)).p for p in p_list]
-    steps = _time_step(spec, aux)[1] if powers else 0
-    size = max(1, min(_SWEEP_ROWS, _HISTORY_BUDGET // (steps + 1)))
+    if not powers:
+        return []
+    coefficients = _coefficients(spec, aux)
+    size = max(1, min(_SWEEP_ROWS, _HISTORY_BUDGET // len(coefficients.ts)))
     rows = []
     for lo in range(0, len(powers), size):
         batch = powers[lo:lo + size]
         rows += [{"p": p, "verdict": oc.verdict, "t_star": oc.t_star}
-                 for p, oc in zip(batch, _march(spec, aux, batch, with_energy=False))]
+                 for p, oc in zip(batch, _march(spec, coefficients, batch, with_energy=False))]
     return rows
 
 

@@ -124,10 +124,16 @@ class ScalingFamily:
         if self.d <= 0:
             raise ValueError("d must be positive")
 
-    def F0(self, R: float) -> float:
-        if R <= 1:
+    def F0(self, R):
+        """A(R**d) for a scalar R (a float) or an array of R, inverted in lockstep.
+
+        R**d is libm's power of each R as a float: numpy's vectorized power
+        can round differently in the last bit.
+        """
+        R = np.asarray(R, dtype=float)
+        if np.any(R <= 1):
             raise ValueError("R must exceed 1")
-        return self.aux.invert_B(R**self.d)
+        return self.aux.invert_B(np.reshape([r**self.d for r in R.ravel().tolist()], R.shape))
 
     def scales(self, R: float) -> np.ndarray:
         return np.array([self.F0(R)] + [float(R)] * self.n)

@@ -8,7 +8,11 @@ Closed-form oracles used here:
 """
 
 import math
-import tracemalloc
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -101,32 +105,39 @@ def test_invert_B_round_trip(aux_powerlaw_half):
 ])
 def test_invert_B_round_trips_inside_its_cell(model, starts_left, monkeypatch):
     """|B(A(s)) - s| <= 1e-13 max(1, s), with A(s) in the cell that brackets s,
-    by Newton steps alone from the end where they cannot overshoot."""
+    by Newton steps alone from the end where they cannot overshoot.  One
+    lockstep call searches every seventh cell; the cells are disjoint, so
+    each element's evaluations are the points read inside its cell."""
     table = build_aux_table(model, 1e3)
     read_B = auxcalc.AuxTable.B_at
     evaluations = []
 
     def recording_B_at(self, t):
         value = read_B(self, t)
-        evaluations.append((t, value))
+        evaluations.extend(zip(np.ravel(t).tolist(), np.ravel(value).tolist()))
         return value
 
     monkeypatch.setattr(auxcalc.AuxTable, "B_at", recording_B_at)
+    cells = np.arange(1, len(table.grid), 7)
+    lo, hi = table.grid[cells - 1], table.grid[cells]
+    assert np.array_equal(table.invert_B(table.B_vals[cells]), hi)
     bisections = 0
-    for i in range(1, len(table.grid), 7):
-        assert table.invert_B(float(table.B_vals[i])) == table.grid[i]
-        for fraction in (1e-9, 0.3, 0.999999):
-            s = float(table.B_vals[i - 1] + fraction * (table.B_vals[i] - table.B_vals[i - 1]))
-            evaluations.clear()
-            t = table.invert_B(s)
-            assert table.grid[i - 1] <= t <= table.grid[i]
-            assert abs(read_B(table, t) - s) <= 1e-13 * max(1.0, s), (i, fraction)
+    for fraction in (1e-9, 0.3, 0.999999):
+        s = table.B_vals[cells - 1] + fraction * (table.B_vals[cells] - table.B_vals[cells - 1])
+        evaluations.clear()
+        t = table.invert_B(s)
+        assert np.all((lo <= t) & (t <= hi))
+        assert np.all(np.abs(read_B(table, t) - s) <= 1e-13 * np.maximum(1.0, s)), fraction
+        # the first cell whose right end is at or above a point holds it
+        owners = np.searchsorted(hi, [x for x, _ in evaluations])
+        assert all(lo[k] <= x for k, (x, _) in zip(owners, evaluations))
+        for k, (i, target) in enumerate(zip(cells, s.tolist())):
             # a point that is not the Newton step from the point before it is a bisection
             j = i - 1 if starts_left else i
             previous = (float(table.grid[j]), float(table.B_vals[j]))
-            for point in evaluations:
-                newton = previous[0] - (previous[1] - s) * float(model.b(previous[0]))
-                bisections += point[0] != newton
+            for point in (p for owner, p in zip(owners, evaluations) if owner == k):
+                b = model.b(np.array([previous[0]])).item()     # b of a lockstep round
+                bisections += point[0] != previous[0] - (previous[1] - target) * b
                 previous = point
     assert bisections == 0
 
@@ -136,9 +147,69 @@ def test_invert_B_raises_after_its_step_cap(aux_powerlaw_half, monkeypatch):
     s = 10.0
     # every residual moves t up by 2e-14 max(1, t): inside the bracket, above the stop
     monkeypatch.setattr(auxcalc.AuxTable, "B_at",
-                        lambda self, t: s - 2e-14 * max(1.0, t) / float(self.model.b(t)))
+                        lambda self, t: s - 2e-14 * np.maximum(1.0, t) / self.model.b(t))
     with pytest.raises(QuadratureNonconvergence, match="100 Newton steps"):
         aux_powerlaw_half.invert_B(s)
+
+
+INVERTED = [
+    DampingModel.constant(2.0),
+    DampingModel.power_law(1.0, 0.5),
+    DampingModel.power_law(1.0, -0.5),
+    DampingModel.perturbed_power(1.0, 0.5, Perturbation("log", 1.0)),
+    DampingModel.perturbed_power(1.0, -0.3, Perturbation("sin", 0.5)),
+]
+
+
+def _reference_invert_B(table, s: float) -> float:
+    """A(s) by one search's loop of safeguarded Newton steps on floats, b
+    read as a one-row array, as a lockstep round reads it."""
+    if s == 0:
+        return 0.0
+    i = int(np.searchsorted(table.B_vals, s))
+    lo, hi = float(table.grid[i - 1]), float(table.grid[i])
+    j = i - 1 if table.B_vals[i] != s and table.model.db(hi) > 0 else i
+    t, residual = float(table.grid[j]), float(table.B_vals[j]) - s
+    for _ in range(100):
+        if residual == 0:
+            return t
+        lo, hi = (lo, t) if residual > 0 else (t, hi)
+        step = t - residual * table.model.b(np.array([t])).item()
+        step = step if lo <= step <= hi else 0.5 * (lo + hi)
+        if abs(step - t) <= 1e-14 * max(1.0, t):
+            return step
+        t, residual = step, table.B_at(step) - s
+    raise AssertionError(f"A({s:g}) did not converge")
+
+
+@pytest.mark.parametrize("model", INVERTED, ids=lambda m: f"{m.kind}-{m.kappa}")
+def test_invert_B_array_equals_its_scalar_calls(model):
+    """The lockstep searches of an array give each element its scalar call's
+    bits, and the one-search loop's: a random s inside every cell, s = 0
+    and every s = B(grid[i])."""
+    table = build_aux_table(model, 1e3)
+    rng = np.random.default_rng(3)
+    inside = table.B_vals[:-1] + rng.uniform(0.0, 1.0, len(table.grid) - 1) * np.diff(table.B_vals)
+    s = np.concatenate((inside, table.B_vals, [0.0]))     # B_vals[0] = 0 too
+    rng.shuffle(s)
+    got = table.invert_B(s.reshape(-1, 2))
+    assert got.shape == (len(s) // 2, 2)
+    assert np.array_equal(got.ravel(), [table.invert_B(x) for x in s.tolist()])
+    assert np.array_equal(got.ravel(), [_reference_invert_B(table, x) for x in s.tolist()])
+    assert isinstance(table.invert_B(float(s[0])), float)
+
+
+@pytest.mark.parametrize("bad, error", [
+    (math.nan, ValueError), (-1.0, ValueError), (math.inf, ValueError), (2.0, TableRangeError),
+])
+def test_invert_B_array_raises_as_its_scalar_call(aux_const1, bad, error):
+    """One bad element fails the whole array with its scalar call's error."""
+    bad = bad * aux_const1.B_vals[-1] if error is TableRangeError else bad
+    with pytest.raises(error) as scalar:
+        aux_const1.invert_B(bad)
+    with pytest.raises(error) as array:
+        aux_const1.invert_B(np.array([1.0, bad, 0.0]))
+    assert str(array.value) == str(scalar.value)
 
 
 def test_invert_B_out_of_range(aux_powerlaw_half):
@@ -556,22 +627,42 @@ def test_unresolvable_cells_stop_at_the_panel_limit():
         auxcalc._phi_cells(steep_then_noise, np.array([0.0, 1.0]), np.array([1.0, 2.0]), 1e-11)
 
 
+_WALK_MEMORY = """
+import resource
+from types import SimpleNamespace
+import numpy as np
+from blowuplab import auxcalc
+from blowuplab.quadrature import QuadratureNonconvergence
+
+rng = np.random.default_rng(0)
+nan = lambda t: np.full(np.shape(t), np.nan)
+noise = SimpleNamespace(b=lambda t: rng.uniform(1.0, 2.0, np.shape(t)), db=nan, d2b=nan)
+t0 = np.arange(600.0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    auxcalc._phi_cells(noise, t0, t0 + 1.0, 1e-11)
+    message = "resolved"
+except QuadratureNonconvergence as exc:
+    message = str(exc)
+print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before), message)
+"""
+
+
 def test_walk_memory_does_not_grow_with_its_panels():
     """600 noise cells walk in lockstep until each has taken the panel
     limit, over 600 000 panels in all; the walk keeps only each cell's
-    stack of pending splits, so it peaks far below the 26 MB that holding
-    those panels at 42 bytes each would take."""
-    rng = np.random.default_rng(0)
-    noise = _law(lambda t: rng.uniform(1.0, 2.0, np.shape(t)))
-    t0 = np.arange(600.0)
-    tracemalloc.start()
-    try:
-        with pytest.raises(QuadratureNonconvergence, match=r"cell \[0, 1\] did not resolve"):
-            auxcalc._phi_cells(noise, t0, t0 + 1.0, 1e-11)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16e6
+    stack of pending splits, so the peak resident size of a fresh process
+    grows by far less than the 26 MB that holding those panels at 42
+    bytes each would take (about 5 MB; the shared split tree grew it by
+    about 64 MB)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _WALK_MEMORY], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    growth, message = proc.stdout.split(maxsplit=1)
+    assert re.match(r"exponential cell \[0, 1\] did not resolve", message)
+    assert int(growth) < 16e6
 
 
 @pytest.mark.parametrize("model, horizon", [

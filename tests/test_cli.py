@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from blowuplab import auxcalc
-from blowuplab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, dispatch
+from blowuplab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, _csv_lines, dispatch
 from blowuplab.coeffs import DampingModel, Perturbation
 from blowuplab.exponents import p_crit_damped
 
@@ -120,6 +120,38 @@ def test_aux_dump_round_trip(tmp_path, capsys):
     values = [[float(row[k]) for k in row] for row in rows]
     assert values[0][0] == 0.0 and values[0][2] == 1.0
     assert all(a[1] < b[1] for a, b in zip(values, values[1:]))  # B increasing
+
+
+@pytest.mark.parametrize("argv, model, horizon, underflows", [
+    (["--damping", "powerlaw", "--kappa", "0.5"], DampingModel.power_law(1.0, 0.5), 50.0, False),
+    # beta = exp(-2t) is subnormal, then 0, past t = 354
+    (["--mu", "2"], DampingModel.constant(2.0), 1e3, True),
+])
+def test_aux_dump_is_the_csv_lines_of_its_table(argv, model, horizon, underflows, tmp_path, capsys):
+    """The columns, formatted a row at a time, give the bytes that _csv_lines
+    gives for the table's rows, in rows where beta underflows to 0 too."""
+    out = tmp_path / "aux.csv"
+    code = dispatch(["aux", *argv, "--horizon", repr(horizon), "--out", str(out), "--quiet"])
+    assert code == EXIT_OK
+    table = auxcalc.build_aux_table(model, horizon)
+    assert (table.beta_vals == 0.0).any() == underflows
+    rows = zip(table.grid, table.B_vals, table.beta_vals, table.Gamma_vals, table.g_vals)
+    assert out.read_bytes() == ("t,B,beta,Gamma,g\n" + "".join(_csv_lines(rows))).encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--damping", "constant", "--mu", "4.96e7", "--horizon", "776"],
+    ["--damping", "perturbed", "--mu", "1.68e10", "--kappa", "-0.664", "--horizon", "395",
+     "--perturbation", "sin"],
+])
+def test_aux_through_decay_layers_a_few_ulps_wide(argv, tmp_path, capsys):
+    """Decay layers where the rounding of t floors a halved panel's error
+    estimate above tol: these builds once split toward depth 48 and took
+    169 s and over 6 minutes.  Each now ends, with every g finite and positive."""
+    out = tmp_path / "aux.csv"
+    assert dispatch(["aux", *argv, "--out", str(out), "--quiet"]) == EXIT_OK
+    g = [float(row["g"]) for row in read_csv(out)]
+    assert g and all(math.isfinite(x) and x > 0.0 for x in g)
 
 
 def test_simulate_zero_amplitude(tmp_path, capsys):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from blowuplab.auxcalc import build_aux_table, compute_B
+from blowuplab.auxcalc import AuxTable, build_aux_table, compute_B
 from blowuplab.coeffs import DampingModel, ProblemSpec
 from blowuplab.functional import (
     BOUNDED_TOL,
@@ -245,6 +245,29 @@ def test_scan_rows_sorted_and_finite(aux_const1_scan):
         assert Rs == sorted(Rs)
         assert all(np.isfinite(row[3]) for row in rows), label
     assert res.d == 2.0
+
+
+def test_scan_inverts_its_ladder_in_lockstep_and_H_is_H_alpha(monkeypatch):
+    """F0 of a six-scale ladder is two lockstep inversions, one for G and
+    one for H (24 scalar inversions before: 6 for G, 18 for H); each H
+    equals H_alpha's bit for bit."""
+    spec = ProblemSpec(n=2, alpha=0.0, gamma=0.0, delta=0.0, p=2.5,
+                       damping=DampingModel.power_law(1.0, 0.5))
+    Rs = [8.0, 16.0, 32.0, 64.0, 128.0, 256.0]
+    aux = build_aux_table(spec.damping, scan_horizon(spec.damping, 256.0**2 * 1.05))
+    invert = AuxTable.invert_B
+    shapes = []
+
+    def counting(self, s):
+        shapes.append(np.shape(s))
+        return invert(self, s)
+
+    monkeypatch.setattr(AuxTable, "invert_B", counting)
+    res = scan_condition(spec, Rs, aux=aux)
+    assert shapes == [(6,), (6,)]
+    family = ScalingFamily(spec.n, res.d, aux)
+    for idx in (MultiIndex.time2(2), MultiIndex.time1(2), MultiIndex.space2(2)):
+        assert [row[1] for row in res.rows[idx.label]] == [H_alpha(family, R, idx) for R in Rs]
 
 
 def test_scan_validation(aux_const1_scan):

@@ -20,6 +20,8 @@ from blowuplab.simulator import (
     _SWEEP_ROWS,
     _WINDOW_BLOCK,
     _Stencil,
+    _coefficient_arrays,
+    _coefficients,
     _march,
     _step_scalars,
     _underflow_cut,
@@ -300,7 +302,7 @@ def test_sweep_rows_equal_single_runs():
                         for p, oc in zip(p_list, singles)]
         assert [row["verdict"] for row in rows] == verdicts
         assert [oc.hard_overflow for oc in singles] == overflows
-        for batch, single in zip(_march(spec, aux, p_list, with_energy=False), singles):
+        for batch, single in zip(_march(spec, _coefficients(spec, aux), p_list, with_energy=False), singles):
             assert batch.t_star == single.t_star
             assert batch.hard_overflow == single.hard_overflow
             assert np.array_equal(batch.times, single.times)
@@ -328,6 +330,29 @@ def test_underflow_cut_runs_once_per_power(monkeypatch):
     rows = sweep_p(spec, powers)
     assert [row["p"] for row in rows] == powers
     assert sorted(calls) == powers
+
+
+def test_sweep_forms_its_coefficients_once(monkeypatch):
+    """130 powers march in three batches on coefficients formed once (once
+    per batch, and once more for the batch size, before); each row equals
+    its single run."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _coefficient_arrays(*args)
+
+    spec = replace(MANY_POWERS_SPEC, J=64)
+    aux = build_aux_table(spec.problem.damping, max(2.0, spec.T_max) * 1.01)
+    powers = list(np.linspace(1.1, 6.0, 130))
+    assert math.ceil(len(powers) / _SWEEP_ROWS) == 3
+    monkeypatch.setattr("blowuplab.simulator._coefficient_arrays", counted)
+    rows = sweep_p(spec, powers, aux)
+    assert len(calls) == 1
+    singles = [run(replace(spec, problem=replace(spec.problem, p=p)), aux) for p in powers]
+    assert rows == [{"p": p, "verdict": oc.verdict, "t_star": oc.t_star}
+                    for p, oc in zip(powers, singles)]
+    assert {row["verdict"] for row in rows} == {"blowup", "survived"}
 
 
 def test_sweep_memory_does_not_grow_with_the_powers():
@@ -580,7 +605,7 @@ def _block_steps(rows, J):
 def _rows_equal_single_runs(spec, aux, p_list):
     """Check each row of a ``_march`` batch against its single run; return the single runs."""
     singles = [run(replace(spec, problem=replace(spec.problem, p=p)), aux) for p in p_list]
-    for batch, single in zip(_march(spec, aux, p_list, with_energy=False), singles):
+    for batch, single in zip(_march(spec, _coefficients(spec, aux), p_list, with_energy=False), singles):
         assert (batch.verdict, batch.t_star, batch.hard_overflow) == (
             single.verdict, single.t_star, single.hard_overflow)
         assert np.array_equal(batch.times, single.times)
