@@ -202,16 +202,18 @@ def _radial_factor(spec: ProblemSpec, R: float, full_ball: bool) -> float:
 
 def G_alpha(
     spec: ProblemSpec,
-    family: ScalingFamily,
+    aux: AuxTable,
     Rs: Sequence[float],
+    F0: Sequence[float],
     alphas: Sequence[MultiIndex],
     method: str = "radial",
 ) -> list:
     """Weighted p'-integral of the operator coefficient over its shell, one per scale.
 
     Returns, for each index in ``alphas``, the list of G(R) for the ladder
-    ``Rs``.  ``radial`` replaces the box cross-sections by the matching
-    balls (exact for n = 1, same growth rate otherwise); ``box`` does the
+    ``Rs``, whose time scales F0(R) (``ScalingFamily.F0``) are ``F0``.
+    ``radial`` replaces the box cross-sections by the matching balls
+    (exact for n = 1, same growth rate otherwise); ``box`` does the
     tensor-product quadrature over the exact box regions, available for
     n <= 3.  The time integrals of all the indices and scales are one
     lockstep :func:`integrate_adaptive` call, so each value equals that of
@@ -222,9 +224,9 @@ def G_alpha(
     ladders = [[0.0] * len(Rs) for _ in alphas]
     if not live:
         return ladders
-    F0 = family.F0(Rs)
+    F0 = np.asarray(F0, dtype=float)
     t_lo = [F0 / 2.0 if alphas[k].alpha0 > 0 else np.zeros_like(F0) for k in live]
-    t_int = integrate_adaptive(_time_weights(spec, family.aux, alphas),
+    t_int = integrate_adaptive(_time_weights(spec, aux, alphas),
                                np.concatenate(t_lo), np.tile(F0, len(live)),
                                abs_tol=1e-14, rel_tol=1e-9, args=(np.repeat(live, len(Rs)),))
 
@@ -381,8 +383,9 @@ def scan_condition(
     indices = [MultiIndex.time2(spec.n), MultiIndex.time1(spec.n),
                MultiIndex.space2(spec.n)]
     rows, fitted, predicted, verdicts = {}, {}, {}, {}
-    ladders = G_alpha(spec, family, Rs, indices)
-    scales = list(zip(Rs.tolist(), family.F0(Rs).tolist()))
+    F0 = family.F0(Rs)
+    ladders = G_alpha(spec, aux, Rs, F0, indices)
+    scales = list(zip(Rs.tolist(), F0.tolist()))
     for idx, Gs in zip(indices, ladders):
         Hs = [_inverse_scales(F0, R, idx) for R, F0 in scales]
         data = [(R, H, G, H * G ** (1.0 / pc)) for (R, _), H, G in zip(scales, Hs, Gs)]

@@ -326,6 +326,20 @@ def test_numerical_exit_code(config, flags, message, tmp_path, capsys):
     assert message in err
 
 
+def test_linear_run_forms_no_forcing_factor(tmp_path, capsys):
+    """A linear run (nonlinearity 0) takes a zero forcing factor and never forms
+    B**gamma, so the overflow that ends the forcing-overflow case above does not
+    end it."""
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"problem": {"n": 1, "alpha": 0, "gamma": 400, "delta": 0, "p": 1.5},
+                               "r_max": 20, "J": 64, "T_max": 5, "nonlinearity": 0,
+                               "data": {"u1": {"amplitude": 0.1}}}))
+    code = dispatch(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim.csv"),
+                     "--quiet"])
+    assert code == EXIT_OK, capsys.readouterr().err
+    assert "verdict: survived" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("amplitude", ["1e-13", "1"])
 def test_data_radius_is_relative_to_the_amplitude(amplitude, capsys):
     """The boundary-reach check takes the data's radius at 1e-14 of its peak,

@@ -90,7 +90,7 @@ def test_multi_index_validation():
 def test_G_alpha_nonintegrable(family_unit):
     spec = unit_problem(2.0, delta=2.0)  # delta (p'-1) = 2 >= n = 1
     with pytest.raises(NonintegrableSingularity):
-        G_alpha(spec, family_unit, [8.0], [MultiIndex.space2(1)])
+        G_alpha(spec, family_unit.aux, [8.0], family_unit.F0([8.0]), [MultiIndex.space2(1)])
 
 
 def test_G_alpha_time_condition():
@@ -99,20 +99,21 @@ def test_G_alpha_time_condition():
     aux = build_aux_table(spec.damping, 200.0)
     fam = ScalingFamily(n=1, d=2.0 / (1.0 - spec.alpha), aux=aux)
     with pytest.raises(NonintegrableSingularity):
-        G_alpha(spec, fam, [2.0], [MultiIndex.space2(1)])
+        G_alpha(spec, aux, [2.0], fam.F0([2.0]), [MultiIndex.space2(1)])
 
 
 def test_G_alpha_nonnegative_and_unused_index(family_unit):
     spec = unit_problem(3.0)
-    assert G_alpha(spec, family_unit, [8.0], [MultiIndex.space2(1)])[0][0] >= 0.0
-    assert G_alpha(spec, family_unit, [8.0], [MultiIndex(1, (1,))]) == [[0.0]]
+    aux, F0 = family_unit.aux, family_unit.F0([8.0])
+    assert G_alpha(spec, aux, [8.0], F0, [MultiIndex.space2(1)])[0][0] >= 0.0
+    assert G_alpha(spec, aux, [8.0], F0, [MultiIndex(1, (1,))]) == [[0.0]]
 
 
 def test_G_alpha_cubic_growth(family_unit):
     """Unit coefficients in one space dimension: the shell integral grows like R^3."""
     spec = unit_problem(3.0)
     Rs = np.array([8.0, 16.0, 32.0, 64.0])
-    Gs = np.array(G_alpha(spec, family_unit, Rs, [MultiIndex.space2(1)])[0])
+    Gs = np.array(G_alpha(spec, family_unit.aux, Rs, family_unit.F0(Rs), [MultiIndex.space2(1)])[0])
     slope = np.polyfit(np.log(Rs), np.log(Gs), 1)[0]
     assert abs(slope - 3.0) <= 0.05
 
@@ -123,8 +124,9 @@ def test_G_alpha_ladder_matches_one_scale_calls(family_unit, method):
     spec = unit_problem(3.0)
     Rs = [8.0, 16.0, 32.0, 64.0]
     for idx in (MultiIndex.time2(1), MultiIndex.time1(1), MultiIndex.space2(1)):
-        ladder = G_alpha(spec, family_unit, Rs, [idx], method=method)[0]
-        assert ladder == [G_alpha(spec, family_unit, [R], [idx], method=method)[0][0]
+        ladder = G_alpha(spec, family_unit.aux, Rs, family_unit.F0(Rs), [idx], method=method)[0]
+        assert ladder == [G_alpha(spec, family_unit.aux, [R], family_unit.F0([R]), [idx],
+                                  method=method)[0][0]
                           for R in Rs]
 
 
@@ -141,8 +143,9 @@ def test_G_alpha_indices_match_one_index_calls(n, damping, method):
     fam = ScalingFamily(n=n, d=d, aux=aux)
     indices = [MultiIndex.time2(n), MultiIndex(1, (1,) + (0,) * (n - 1)),
                MultiIndex.time1(n), MultiIndex.space2(n)]
-    ladders = G_alpha(spec, fam, Rs, indices, method=method)
-    assert ladders == [G_alpha(spec, fam, Rs, [idx], method=method)[0] for idx in indices]
+    F0 = fam.F0(Rs)
+    ladders = G_alpha(spec, aux, Rs, F0, indices, method=method)
+    assert ladders == [G_alpha(spec, aux, Rs, F0, [idx], method=method)[0] for idx in indices]
     assert ladders[1] == [0.0] * len(Rs)
     assert all(G > 0.0 for k in (0, 2, 3) for G in ladders[k])
 
@@ -155,8 +158,8 @@ def test_G_alpha_box_matches_radial_rate():
     fam = ScalingFamily(n=2, d=2.0, aux=aux)
     Rs = np.array([4.0, 8.0, 16.0, 32.0])
     for idx in (MultiIndex.space2(2), MultiIndex.time2(2)):
-        g_rad = np.array(G_alpha(spec, fam, Rs, [idx], method="radial")[0])
-        g_box = np.array(G_alpha(spec, fam, Rs, [idx], method="box")[0])
+        g_rad = np.array(G_alpha(spec, aux, Rs, fam.F0(Rs), [idx], method="radial")[0])
+        g_box = np.array(G_alpha(spec, aux, Rs, fam.F0(Rs), [idx], method="box")[0])
         s_rad = np.polyfit(np.log(Rs), np.log(g_rad), 1)[0]
         s_box = np.polyfit(np.log(Rs), np.log(g_box), 1)[0]
         assert abs(s_rad - s_box) < 0.02, idx.label
@@ -248,9 +251,8 @@ def test_scan_rows_sorted_and_finite(aux_const1_scan):
 
 
 def test_scan_inverts_its_ladder_in_lockstep_and_H_is_H_alpha(monkeypatch):
-    """F0 of a six-scale ladder is two lockstep inversions, one for G and
-    one for H (24 scalar inversions before: 6 for G, 18 for H); each H
-    equals H_alpha's bit for bit."""
+    """F0 of a six-scale ladder is one lockstep inversion, for G and H alike;
+    each H equals H_alpha's bit for bit."""
     spec = ProblemSpec(n=2, alpha=0.0, gamma=0.0, delta=0.0, p=2.5,
                        damping=DampingModel.power_law(1.0, 0.5))
     Rs = [8.0, 16.0, 32.0, 64.0, 128.0, 256.0]
@@ -264,7 +266,7 @@ def test_scan_inverts_its_ladder_in_lockstep_and_H_is_H_alpha(monkeypatch):
 
     monkeypatch.setattr(AuxTable, "invert_B", counting)
     res = scan_condition(spec, Rs, aux=aux)
-    assert shapes == [(6,), (6,)]
+    assert shapes == [(6,)]
     family = ScalingFamily(spec.n, res.d, aux)
     for idx in (MultiIndex.time2(2), MultiIndex.time1(2), MultiIndex.space2(2)):
         assert [row[1] for row in res.rows[idx.label]] == [H_alpha(family, R, idx) for R in Rs]

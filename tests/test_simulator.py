@@ -20,10 +20,10 @@ from blowuplab.simulator import (
     _SWEEP_ROWS,
     _WINDOW_BLOCK,
     _Stencil,
-    _coefficient_arrays,
     _coefficients,
     _march,
-    _step_scalars,
+    _stable_dt,
+    _time_step,
     _underflow_cut,
     convergence_test,
     detect_blowup,
@@ -33,6 +33,12 @@ from blowuplab.simulator import (
 )
 
 from conftest import unit_problem
+
+
+def _batch(spec: SimSpec, aux, p_list):
+    """The outcomes of one ``_march`` batch of the powers ``p_list``."""
+    coefficients = _coefficients(spec.problem, aux, *_time_step(spec, aux), spec.nonlinearity)
+    return _march(spec, coefficients, p_list, with_energy=False)
 
 
 def blowup_spec(p: float, J: int = 1200, amplitude: float = 5.0) -> SimSpec:
@@ -302,12 +308,12 @@ def test_sweep_rows_equal_single_runs():
                         for p, oc in zip(p_list, singles)]
         assert [row["verdict"] for row in rows] == verdicts
         assert [oc.hard_overflow for oc in singles] == overflows
-        for batch, single in zip(_march(spec, _coefficients(spec, aux), p_list, with_energy=False), singles):
+        for batch, single in zip(_batch(spec, aux, p_list), singles):
             assert batch.t_star == single.t_star
             assert batch.hard_overflow == single.hard_overflow
             assert np.array_equal(batch.times, single.times)
             assert np.array_equal(batch.sup_norms, single.sup_norms, equal_nan=True)
-            # bit patterns: a single run steps on 1-D views, a batch on 2-D ones
+            # bit patterns: a single run is a one-row batch
             assert np.array_equal(batch.final_u.view(np.int64), single.final_u.view(np.int64))
 
 
@@ -333,23 +339,23 @@ def test_underflow_cut_runs_once_per_power(monkeypatch):
 
 
 def test_sweep_forms_its_coefficients_once(monkeypatch):
-    """130 powers march in three batches on coefficients formed once (once
-    per batch, and once more for the batch size, before); each row equals
-    its single run."""
+    """130 powers march in three batches on coefficients formed once, by the
+    one builder of every march; each row equals its single run."""
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return _coefficient_arrays(*args)
+        return _coefficients(*args)
 
     spec = replace(MANY_POWERS_SPEC, J=64)
     aux = build_aux_table(spec.problem.damping, max(2.0, spec.T_max) * 1.01)
     powers = list(np.linspace(1.1, 6.0, 130))
     assert math.ceil(len(powers) / _SWEEP_ROWS) == 3
-    monkeypatch.setattr("blowuplab.simulator._coefficient_arrays", counted)
+    monkeypatch.setattr("blowuplab.simulator._coefficients", counted)
     rows = sweep_p(spec, powers, aux)
     assert len(calls) == 1
     singles = [run(replace(spec, problem=replace(spec.problem, p=p)), aux) for p in powers]
+    assert len(calls) == 1 + len(powers)
     assert rows == [{"p": p, "verdict": oc.verdict, "t_star": oc.t_star}
                     for p, oc in zip(powers, singles)]
     assert {row["verdict"] for row in rows} == {"blowup", "survived"}
@@ -414,17 +420,27 @@ def test_one_stencil_per_march(monkeypatch):
 
 
 def test_step_scalars_per_march_equal_per_step_calls():
-    """The four scalars of every step, formed on arrays, equal the float calls bit for bit."""
+    """The four scalars of every step, formed on arrays by ``_coefficients``, equal the
+    float formulas of each step bit for bit, the Taylor start's at step 0, for b dt/2
+    from about 1e-33 to past 1, where the u_prev coefficient (1 - bh) c is negative."""
     rng = np.random.default_rng(3)
-    for dt in rng.uniform(1e-4, 0.5, 4):
-        a = 10.0 ** rng.uniform(-3, 3, 500)
-        # b dt/2 from about 1e-300 (b very small) to 1e3 (a negative u_prev coefficient)
-        b = 10.0 ** rng.uniform(-300, 3, 500) / dt
-        b[:3] = [0.0, 5e-324, 4.0 / dt]
-        columns = np.array(_step_scalars(a, b, dt))
-        assert np.any(columns[1] < 0.0)
-        expected = np.array([_step_scalars(float(x), float(y), dt) for x, y in zip(a, b)]).T
-        assert np.array_equal(columns.view(np.int64), expected.view(np.int64))
+    negative = []
+    for damping in (DampingModel.constant(1e3), DampingModel.constant(1e-30),
+                    DampingModel.power_law(1.0, 0.5), DampingModel.power_law(2.0, -0.5)):
+        prob = ProblemSpec(n=2, alpha=0.25, gamma=0.5, delta=0.0, p=2.0, damping=damping)
+        aux = build_aux_table(damping, 20.0)
+        for dt in rng.uniform(1e-4, 0.05, 3).tolist():
+            co = _coefficients(prob, aux, dt, 300, 1.0)
+            expected = []
+            for a, b in zip(co.a.tolist(), co.b.tolist()):
+                bh = 0.5 * dt * b
+                c = 1.0 / (1.0 + bh)
+                expected.append((2.0 * c, (1.0 - bh) * c, dt**2 * a * c, dt**2 * c) if expected
+                                else (1.0, -(1.0 - bh) * dt, 0.5 * dt**2 * a, 0.5 * dt**2))
+            assert np.array_equal(np.array(co.scalars).view(np.int64),
+                                  np.array(expected).T.view(np.int64))
+            negative.append(bool(np.any(co.scalars[1][1:] < 0.0)))
+    assert any(negative)
 
 
 # -- one-row array reference (alpha = gamma = 0) ------------------------------------------
@@ -605,7 +621,7 @@ def _block_steps(rows, J):
 def _rows_equal_single_runs(spec, aux, p_list):
     """Check each row of a ``_march`` batch against its single run; return the single runs."""
     singles = [run(replace(spec, problem=replace(spec.problem, p=p)), aux) for p in p_list]
-    for batch, single in zip(_march(spec, _coefficients(spec, aux), p_list, with_energy=False), singles):
+    for batch, single in zip(_batch(spec, aux, p_list), singles):
         assert (batch.verdict, batch.t_star, batch.hard_overflow) == (
             single.verdict, single.t_star, single.hard_overflow)
         assert np.array_equal(batch.times, single.times)
@@ -816,6 +832,38 @@ def test_convergence_with_varying_coefficients():
     prob = ProblemSpec(n=2, alpha=0.25, gamma=0.0, delta=0.0, p=2.0,
                        damping=DampingModel.power_law(1.0, 0.5))
     report = convergence_test(prob)
+    assert abs(report["observed_order"] - 2.0) <= 0.2
+
+
+@pytest.mark.parametrize("prob", [
+    ProblemSpec(n=2, alpha=0.25, gamma=0.5, delta=0.0, p=6.0,
+                damping=DampingModel.power_law(1.0, 0.5)),
+    unit_problem(2.0, alpha=-0.5),
+], ids=["time-dependent", "growing-speed"])
+def test_manufactured_steps_obey_the_cfl_limit(prob, monkeypatch):
+    """The manufactured checks round their step count up, so dt stays within the CFL
+    limit; a count rounded to the nearest would exceed it at J = 128 and 256 of the
+    first problem (by 0.7%) and at every J of the second (by 0.14%)."""
+    dts = []
+
+    def recorded(prob, aux, dt, steps, nonlinearity):
+        dts.append(dt)
+        return _coefficients(prob, aux, dt, steps, nonlinearity)
+
+    monkeypatch.setattr("blowuplab.simulator._coefficients", recorded)
+    convergence_test(prob)
+    aux = build_aux_table(prob.damping, 2.02)
+    limits = [_stable_dt(prob, aux, 0.5, 8.0 / J, 1.0, None) for J in (64, 128, 256)]
+    assert len(dts) == 3
+    assert all(dt <= limit for dt, limit in zip(dts, limits))
+
+
+def test_convergence_forms_no_forcing_factor():
+    """The manufactured checks march the linear scheme, so a forcing factor B**gamma
+    that overflows (gamma = 2000) is never formed: no warning, and order 2."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = convergence_test(unit_problem(1.5, gamma=2000.0))
     assert abs(report["observed_order"] - 2.0) <= 0.2
 
 
