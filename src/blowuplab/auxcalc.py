@@ -22,11 +22,12 @@ contribution is damped by exp(-int_t^T b); T is pushed out until the
 estimate stabilizes.  The finite stretches are exponential cells
 (:func:`_phi_cells`), resolved many at once: a table's cells in one call,
 an array read's bridges in one call.  A cell of at least 3 e-folds over
-which b is steady closes in one step, q = g^(t0) - E g^(t1), with a
-relative error of at most max|rho|, rho = (2 eps^2 - b''/b^3)/(1 + eps)^2
-and eps = b'/b^2, the ratio the paper's hypothesis bounds
-(:func:`_closure`); every other open cell is adaptive, resolved by a
-depth-first recursion on its own stack, all of them in one walk.  A
+which b is steady closes in one step, q = h(t0) - E h(t1), with an
+estimate h of g of the first or second order in eps = b'/b^2, the ratio
+the paper's hypothesis bounds, and a relative error of at most the
+largest residual of h over the cell (:func:`_closure`); every other open
+cell is adaptive, resolved by a depth-first recursion on its own stack,
+all of them in one walk.  A
 panel evaluates b once, at its 15 Kronrod nodes, and takes int b up to
 each node from those values by a spectral integration matrix; it stands
 only if the K15-G7 gaps of both its integral and of int b are small.  It
@@ -99,7 +100,8 @@ class TableRangeError(ValueError):
 _DEPTH = 48          # halvings of a cell, and rows of its stack of pending splits
 _CHUNK = 1024        # panels per batched evaluation of b; bounds a round's transients
 # panels one cell may take, two a split: about nine times the heaviest cell
-# seen (119 panels, in the tests and the benchmark at seeds 0-2), far below
+# seen (119 panels in the tests, in a table whose cells all walk; 67 in the
+# benchmark at seeds 0-2), far below
 # the 2**48 leaves of a cell that never settles; such a cell fails after
 # 511 splits, its stack holding at most 48 of them, about 200 bytes each
 _CELL_PANELS = 1 << 10
@@ -171,30 +173,56 @@ def _settled(q, err, ib, gap, tol: float):
     return (ib <= 3.0) & (err <= tol * np.maximum(np.abs(q), 1e-300)) & (gap <= tol)
 
 
+def _closes(residual, h0, h1, E, gap, steady, tol: float):
+    """The test of a closure h whose residual at each cell's points is
+    ``residual``, h0 = h(t0) and h1 = h(t1): (closes, q), q = h0 - E h1."""
+    q = h0 - E * h1
+    bound = np.max(np.abs(residual), axis=1) * q + E * gap * h1
+    return np.isfinite(residual).all(axis=1) & steady & (q > 0.0) & (bound <= tol * q), q
+
+
 def _closure(model: DampingModel, t0, t1, E, gap, tol: float):
     """The quasi-stationary closure of the cells [t0, t1]: (closes, q).
 
-    With g^ = (1/b)/(1 + eps), eps = b'/b^2, the derivative of
-    -g^ exp(-int_{t0}^{tau} b) is exp(-int_{t0}^{tau} b) (1 - rho), with
-    rho = (2 eps^2 - b''/b^3)/(1 + eps)^2, so q^ = g^(t0) - E g^(t1) misses
-    q = int_{t0}^{t1} exp(-int_{t0}^{tau} b) dtau by at most max|rho| q, and
-    q^ = q for constant b.  A cell closes where rho is finite and
-    1 + eps >= ``_STEADY_MARGIN`` at its two ends and its 15 Kronrod
-    nodes, and where max|rho| q^ + E gap g^(t1) <= tol q^: the second term
-    bounds what the K15-G7 gap of int b leaves uncertain in E.
+    The multiplier solves g = (1 + g')/b.  For an estimate h of it with
+    h' = b h - 1 + r, the derivative of -h exp(-int_{t0}^{tau} b) is
+    exp(-int_{t0}^{tau} b) (1 - r), so q^ = h(t0) - E h(t1) misses
+    q = int_{t0}^{t1} exp(-int_{t0}^{tau} b) dtau by at most max|r| q.
+    With eps = b'/b^2, c = b''/b^3 and d = b'''/b^4 there are two orders:
+
+    1. h1 = (1/b)/(1 + eps), r = rho = (2 eps^2 - c)/(1 + eps)^2, which
+       vanishes for constant b and for kappa = 1;
+    2. h2 = (1 - eps + 3 eps^2 - c)/b, r = r2 = 10 eps c - d - 15 eps^3.
+       For a power law r2 = kappa (2 kappa - 1)(3 kappa - 2) x^3 with
+       x = 1/(b (1 + t)), against rho of order x^2; it vanishes for
+       kappa = 1/2, where g = h2 = sqrt(1 + t)/mu + 1/(2 mu^2).
+
+    A cell closes where r is finite and 1 + eps >= ``_STEADY_MARGIN`` at
+    its two ends and its 15 Kronrod nodes, and where q^ > 0 and
+    max|r| q^ + E gap h(t1) <= tol q^: the second term bounds what the
+    K15-G7 gap of int b leaves uncertain in E.  Order 1 is tried first, and
+    order 2, which reads b''', only on the cells order 1 refuses, so a cell
+    order 1 closes keeps its bits.
     """
     half = 0.5 * (t1 - t0)
     t = np.column_stack((t0, t0[:, None] + half[:, None] * _OFFSETS, t1))
     with np.errstate(all="ignore"):
         b = np.asarray(model.b(t), dtype=float)
         eps = np.asarray(model.db(t), dtype=float) / b / b   # b**2 can leave the range
-        curvature = np.asarray(model.d2b(t), dtype=float) / b / b / b
-        rho = (2.0 * eps * eps - curvature) / (1.0 + eps) ** 2
-        g0, g1 = (1.0 / (b[:, i] * (1.0 + eps[:, i])) for i in (0, -1))
-        q = g0 - E * g1
-        bound = np.max(np.abs(rho), axis=1) * q + E * gap * g1
-        closes = (np.isfinite(rho).all(axis=1) & (1.0 + eps >= _STEADY_MARGIN).all(axis=1)
-                  & (q > 0.0) & (bound <= tol * q))
+        c = np.asarray(model.d2b(t), dtype=float) / b / b / b
+        steady = (1.0 + eps >= _STEADY_MARGIN).all(axis=1)
+        rho = (2.0 * eps * eps - c) / (1.0 + eps) ** 2
+        h0, h1 = (1.0 / (b[:, i] * (1.0 + eps[:, i])) for i in (0, -1))
+        closes, q = _closes(rho, h0, h1, E, gap, steady, tol)
+        refused = np.flatnonzero(~closes)
+        if refused.size:
+            b, eps, c = b[refused], eps[refused], c[refused]
+            d = np.asarray(model.d3b(t[refused]), dtype=float) / b / b / b / b
+            r2 = 10.0 * eps * c - d - 15.0 * eps * eps * eps
+            h0, h1 = ((1.0 - eps[:, i] + 3.0 * eps[:, i] * eps[:, i] - c[:, i]) / b[:, i]
+                      for i in (0, -1))
+            closes[refused], q[refused] = _closes(r2, h0, h1, E[refused], gap[refused],
+                                                  steady[refused], tol)
     return closes, q
 
 
@@ -206,9 +234,11 @@ def _phi_cells(model: DampingModel, t0, t1, tol: float):
     A cell whose K15 panel stands (see :func:`_settled`) keeps it.  A cell
     whose panel does not stand and holds at least 3 e-folds of damping
     closes in one step where b is steady over it (:func:`_closure`): its q
-    is g^(t0) - E g^(t1), off by at most max|rho| q, rho of order
-    (b'/b^2)^2 and b''/b^3, the ratios the paper's hypothesis bounds.  Every
-    other cell is halved, and q composes exactly: q = q_left + E_left * q_right.
+    is h(t0) - E h(t1), off by at most max|r| q, with h = g^ and r = rho of
+    order (b'/b^2)^2 and b''/b^3, the ratios the paper's hypothesis bounds,
+    or, where that bound is too loose, with the second-order h2 and its r2,
+    of order (b'/b^2)^3 and b'''/b^4.  Every other cell is halved, and q
+    composes exactly: q = q_left + E_left * q_right.
     The exponentially dead right half is pruned when
     E_left * width_right <= tol * q_left, through the bound
     q_right <= width_right.  E is the cell's own panel value: the damping
@@ -227,7 +257,7 @@ def _phi_cells(model: DampingModel, t0, t1, tol: float):
     ``QuadratureNonconvergence``, in any batch exactly as alone; so does a
     cell with a needed piece whose panel still does not stand after
     ``_DEPTH`` halvings, where the rounding of t floors its error estimate
-    above tol (far horizons against 1/b, in a b the closure refuses).  A
+    above tol (far horizons against 1/b, in a b both closures refuse).  A
     pruned right half never raises.  A non-finite panel raises
     ``FloatingPointError``.
     """

@@ -1,9 +1,10 @@
 """Coefficient families for the damped wave problem.
 
-Damping laws b(t) carry exact analytic first and second derivatives; the
-propagation speed a(t) and forcing weight f(t, x) are representative
-equality versions of the one-sided growth bounds they must satisfy, built
-on the accumulated reciprocal damping B(t) supplied by an auxiliary table.
+Damping laws b(t) carry exact analytic first, second and third
+derivatives; the propagation speed a(t) and forcing weight f(t, x) are
+representative equality versions of the one-sided growth bounds they must
+satisfy, built on the accumulated reciprocal damping B(t) supplied by an
+auxiliary table.
 """
 
 from __future__ import annotations
@@ -129,10 +130,24 @@ class Perturbation:
         sin_factor = a * (a - 1.0) * s ** (a - 2.0) - 4.0 * a * a * s ** (-3.0 * a - 2.0)
         return sin_factor * np.sin(phase) + 2.0 * a * s ** (-a - 2.0) * np.cos(phase)
 
+    def third_derivative(self, t):
+        if self.kind == "log":
+            g = self.exponent
+            L = np.log(np.e + t)
+            return (g * L ** (g - 3.0) * ((g - 1.0) * (g - 2.0) - 3.0 * (g - 1.0) * L + 2.0 * L * L)
+                    / (np.e + t) ** 3)
+        s = 1.0 + np.asarray(t, dtype=float)
+        a = self.exponent
+        phase = s ** (-2.0 * a)
+        sin_factor = (a * (a - 1.0) * (a - 2.0) * s ** (a - 3.0)
+                      + 12.0 * a * a * (a + 1.0) * s ** (-3.0 * a - 3.0))
+        cos_factor = 8.0 * a**3 * s ** (-5.0 * a - 3.0) - 2.0 * a * (a * a + 2.0) * s ** (-a - 3.0)
+        return sin_factor * np.sin(phase) + cos_factor * np.cos(phase)
+
 
 @dataclass(frozen=True)
 class DampingModel:
-    """Positive C^2 damping coefficient b(t) with exact first and second derivatives.
+    """Positive C^3 damping coefficient b(t) with exact first to third derivatives.
 
     ``constant``: b = mu.  ``powerlaw``: b = mu / (1+t)**kappa with
     kappa in (-1, 1].  ``perturbed``: power law times a catalog
@@ -219,6 +234,21 @@ class DampingModel:
         dbase = -self.mu * k * (1.0 + t) ** (-k - 1.0)
         return (d2base * v.value(t) + 2.0 * dbase * v.derivative(t)
                 + base * v.second_derivative(t))
+
+    def d3b(self, t):
+        t = np.asarray(t, dtype=float)
+        if self.kind == "constant":
+            return np.zeros_like(t)
+        k = self.kappa
+        d3base = -self.mu * k * (k + 1.0) * (k + 2.0) * (1.0 + t) ** (-k - 3.0)
+        if self.kind == "powerlaw":
+            return d3base
+        v = self.perturbation
+        base = self.mu * (1.0 + t) ** (-k)
+        dbase = -self.mu * k * (1.0 + t) ** (-k - 1.0)
+        d2base = self.mu * k * (k + 1.0) * (1.0 + t) ** (-k - 2.0)
+        return (d3base * v.value(t) + 3.0 * d2base * v.derivative(t)
+                + 3.0 * dbase * v.second_derivative(t) + base * v.third_derivative(t))
 
     @staticmethod
     def from_dict(data: dict) -> "DampingModel":

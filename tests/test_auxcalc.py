@@ -427,7 +427,7 @@ def test_failed_table_checks_are_numerical_failures(monkeypatch):
         def db(self, t):
             return np.zeros_like(np.asarray(t, dtype=float))
 
-        d2b = db
+        d2b = d3b = db
 
     with pytest.raises(TabulationError, match="monotonicity"):
         build_aux_table(NegativeNearZero(), 10.0)
@@ -457,29 +457,39 @@ def _reference_panel(bfun, t0, t1):
 
 
 def _reference_closure(model, t0, t1, E, gap, tol):
-    """The closed q of the cell [t0, t1], or None where the closure refuses it.
+    """The closed q of the cell [t0, t1], or None where both orders refuse it.
 
-    b, b' and b'' are evaluated at the cell's ends and 15 Kronrod nodes;
-    with eps = b'/b^2 and rho = (2 eps^2 - b''/b^3)/(1 + eps)^2 at each,
-    the cell closes to q = g(t0) - E g(t1), g = 1/(b (1 + eps)), when every
-    rho is finite, every 1 + eps >= 1/2 and
-    max|rho| q + E gap g(t1) <= tol q."""
+    b, b' and b'' are evaluated at the cell's ends and 15 Kronrod nodes,
+    and b''' there too when order 1 refuses.  With eps = b'/b^2,
+    c = b''/b^3 and d = b'''/b^4 at each point, order 1 takes
+    h = 1/(b (1 + eps)) and r = (2 eps^2 - c)/(1 + eps)^2, order 2
+    h = (1 - eps + 3 eps^2 - c)/b and r = 10 eps c - d - 15 eps^3.  An
+    order closes the cell to q = h(t0) - E h(t1) when every 1 + eps >= 1/2,
+    every r is finite, q > 0 and max|r| q + E gap h(t1) <= tol q."""
     half = 0.5 * (t1 - t0)
     t = np.concatenate(([t0], t0 + half * (1.0 + _KRONROD_NODES), [t1]))
+
+    def closed(r, h):
+        q = h[0] - E * h[-1]
+        if (all(math.isfinite(x) for x in r) and q > 0.0
+                and max(abs(x) for x in r) * q + E * gap * h[-1] <= tol * q):
+            return q
+        return None
+
     with np.errstate(all="ignore"):
         b, db, d2b = (np.asarray(f(t), dtype=float) for f in (model.b, model.db, model.d2b))
-        rho, ghat = [], []
-        for i in range(17):
-            eps = db[i] / b[i] / b[i]
-            if not 1.0 + eps >= 0.5:
-                return None
-            rho.append((2.0 * eps * eps - d2b[i] / b[i] / b[i] / b[i]) / (1.0 + eps) ** 2)
-            ghat.append(1.0 / (b[i] * (1.0 + eps)))
-        q = ghat[0] - E * ghat[-1]
-        if not (all(math.isfinite(r) for r in rho) and q > 0.0
-                and max(abs(r) for r in rho) * q + E * gap * ghat[-1] <= tol * q):
+        eps = [db[i] / b[i] / b[i] for i in range(17)]
+        c = [d2b[i] / b[i] / b[i] / b[i] for i in range(17)]
+        if not all(1.0 + e >= 0.5 for e in eps):
             return None
-    return q
+        q = closed([(2.0 * e * e - ci) / (1.0 + e) ** 2 for e, ci in zip(eps, c)],
+                   [1.0 / (b[i] * (1.0 + eps[i])) for i in (0, -1)])
+        if q is not None:
+            return q
+        d3b = np.asarray(model.d3b(t), dtype=float)
+        d = [d3b[i] / b[i] / b[i] / b[i] / b[i] for i in range(17)]
+        return closed([10.0 * e * ci - di - 15.0 * e * e * e for e, ci, di in zip(eps, c, d)],
+                      [(1.0 - eps[i] + 3.0 * eps[i] * eps[i] - c[i]) / b[i] for i in (0, -1)])
 
 
 def _reference_cell(model, t0, t1, tol, points, depth=48, panel=None):
@@ -513,10 +523,10 @@ def _reference_cell(model, t0, t1, tol, points, depth=48, panel=None):
 
 
 def _law(bfun):
-    """A bare damping function as a model whose b' and b'' are NaN: no
+    """A bare damping function as a model whose derivatives are NaN: no
     cell of it closes, every open one walks."""
     nan = lambda t: np.full(np.shape(t), np.nan)
-    return SimpleNamespace(b=bfun, db=nan, d2b=nan)
+    return SimpleNamespace(b=bfun, db=nan, d2b=nan, d3b=nan)
 
 
 class _CountingDamping:
@@ -534,6 +544,9 @@ class _CountingDamping:
 
     def d2b(self, t):
         return self.model.d2b(t)
+
+    def d3b(self, t):
+        return self.model.d3b(t)
 
 
 @pytest.mark.parametrize("model, horizon", [
@@ -636,7 +649,8 @@ from blowuplab.quadrature import QuadratureNonconvergence
 
 rng = np.random.default_rng(0)
 nan = lambda t: np.full(np.shape(t), np.nan)
-noise = SimpleNamespace(b=lambda t: rng.uniform(1.0, 2.0, np.shape(t)), db=nan, d2b=nan)
+noise = SimpleNamespace(b=lambda t: rng.uniform(1.0, 2.0, np.shape(t)), db=nan, d2b=nan,
+                        d3b=nan)
 t0 = np.arange(600.0)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 try:
@@ -693,7 +707,7 @@ def test_g_tail_stops_at_the_depth_limit():
     refuses its cells; at 1e18 pieces of the first one do not stand after
     48 halvings, and the tail raises instead of drifting."""
     law = SimpleNamespace(b=lambda t: 1.0 + 0.5 * np.sin(t), db=lambda t: 0.5 * np.cos(t),
-                          d2b=lambda t: -0.5 * np.sin(t))
+                          d2b=lambda t: -0.5 * np.sin(t), d3b=lambda t: -0.5 * np.cos(t))
     assert 0.5 < auxcalc._g_tail(law, 1e3, 1e-10) < 2.0
     with pytest.raises(QuadratureNonconvergence,
                        match=r"cell \[1e\+18, 1\.35e\+18\] did not resolve within 48 halvings"):
@@ -704,11 +718,13 @@ def test_cells_resolve_together_exactly_when_alone(monkeypatch):
     """The panel limit holds per cell, not per batch: a table's heaviest
     cells walked together, with many times the largest one's panel count
     between them, resolve under that count, bit for bit as each alone, and
-    fail one panel below it, as that cell alone does.  For b = sqrt(1 + t)
-    at 1e3 the closure refuses the last cells (rho is near 7.5e-10 there,
-    above the tolerance), so they walk."""
+    fail one panel below it, as that cell alone does.  The cells are the
+    last ones of a table of b = sqrt(1 + t) to 1e3, walked through a law
+    that never closes: the second-order closure takes them (|r2| is at
+    most 4e-13 there)."""
     model = DampingModel.power_law(1.0, -0.5)
     aux = build_aux_table(model, 1e3)
+    walked = _law(model.b)
     t0, t1, tol = aux.grid[-9:-1], aux.grid[-8:], auxcalc.DEFAULT_QUAD_TOL * 0.1
     sizes, exp_panels = [], auxcalc._exp_panels
     with monkeypatch.context() as patch:
@@ -717,20 +733,20 @@ def test_cells_resolve_together_exactly_when_alone(monkeypatch):
         panels = []
         for a, b in zip(t0, t1):
             sizes.clear()
-            auxcalc._phi_cells(model, a, b, tol)
+            auxcalc._phi_cells(walked, a, b, tol)
             panels.append(sum(sizes))
     heaviest = int(np.argmax(panels))
     assert panels[heaviest] > 50 and sum(panels) > 4 * panels[heaviest]
     monkeypatch.setattr(auxcalc, "_CELL_PANELS", panels[heaviest])
-    q, E = auxcalc._phi_cells(model, t0, t1, tol)
-    alone = np.array([auxcalc._phi_cells(model, a, b, tol) for a, b in zip(t0, t1)])
+    q, E = auxcalc._phi_cells(walked, t0, t1, tol)
+    alone = np.array([auxcalc._phi_cells(walked, a, b, tol) for a, b in zip(t0, t1)])
     assert np.array_equal(q, alone[:, 0]) and np.array_equal(E, alone[:, 1])
     t = np.geomspace(1e-3, 1e3, 97)
     assert np.array_equal(aux.g_at(t), [aux.g_at(x) for x in t])
     monkeypatch.setattr(auxcalc, "_CELL_PANELS", panels[heaviest] - 1)
     for a, b in ((t0, t1), (t0[heaviest], t1[heaviest])):
         with pytest.raises(QuadratureNonconvergence, match="did not resolve"):
-            auxcalc._phi_cells(model, a, b, tol)
+            auxcalc._phi_cells(walked, a, b, tol)
 
 
 # -- the closure of steady cells --------------------------------------------------
@@ -740,6 +756,15 @@ def _rho(model, t):
     b = model.b(t)
     eps = model.db(t) / b / b
     return (2.0 * eps * eps - model.d2b(t) / b**3) / (1.0 + eps) ** 2
+
+
+def _r2(model, t):
+    """r2 = 10 eps c - d - 15 eps^3, with eps = b'/b^2, c = b''/b^3 and
+    d = b'''/b^4: the second-order closure's relative error."""
+    b = model.b(t)
+    eps = model.db(t) / b / b
+    c = model.d2b(t) / b**3
+    return 10.0 * eps * c - model.d3b(t) / b**4 - 15.0 * eps**3
 
 
 def _cell(t0):
@@ -777,18 +802,55 @@ def test_closed_cell_misses_the_walk_by_rho(model, t0):
 
 
 def test_closure_refuses_cells_where_rho_exceeds_the_tolerance():
-    """For b = (1 + t)^(-1/2) at 1e4 the cell holds 3.6 e-folds and
-    rho = -2.5e-5: the closure refuses it, and it walks, bit for bit as a
-    law that never closes."""
-    model = DampingModel.power_law(1.0, 0.5)
-    t0, t1 = _cell(1e4)
+    """For b = (1 + t)^(-0.3) at 1e3 the cell holds 4.6 e-folds,
+    rho = -1.3e-5 and r2 = 6.6e-8: both orders of the closure refuse it,
+    and it walks, bit for bit as a law that never closes."""
+    model = DampingModel.power_law(1.0, 0.3)
+    t0, t1 = _cell(1e3)
     q_panel, _, ib, gap, E = auxcalc._exp_panels(model.b, t0, t1)
-    assert ib[0] >= 3.0 and abs(_rho(model, t0[0]) + 2.5e-5) < 1e-6
+    assert ib[0] >= 3.0 and abs(_rho(model, t0[0]) + 1.33e-5) < 1e-7
+    assert abs(_r2(model, t0[0]) - 6.6e-8) < 1e-9
     for tol in (1e-11, 1e-10):
         closes, _ = auxcalc._closure(model, t0, t1, E, gap, tol)
         assert not closes[0]
         assert np.array_equal(auxcalc._phi_cells(model, t0, t1, tol),
                               auxcalc._phi_cells(_law(model.b), t0, t1, tol))
+
+
+@pytest.mark.parametrize("model, t0", [
+    (DampingModel.power_law(1.0, -0.9), 100.0),
+    (DampingModel.power_law(1.0, -0.5), 300.0),
+    (DampingModel.power_law(1.0, 0.3), 3e4),
+    (DampingModel.perturbed_power(1.0, 0.5, Perturbation("log", 1.0)), 1e4),
+    (DampingModel.perturbed_power(1.0, -0.5, Perturbation("log", 1.0)), 100.0),
+    (DampingModel.perturbed_power(1.0, -0.3, Perturbation("sin", 0.5)), 500.0),
+    (DampingModel.perturbed_power(1.0, 0.5, Perturbation("sin", 0.25)), 2e5),
+], ids=["kappa=-0.9", "kappa=-0.5", "kappa=0.3", "log", "log-growing", "sin", "sin-decaying"])
+def test_second_order_cell_misses_the_walk_by_r2(model, t0):
+    """A cell whose rho exceeds the tolerance, so that order 1 refuses it,
+    closes at order 2, and misses a 1e-14 walk by at most max|r2| q over
+    its ends and Kronrod nodes, and by at least half that: the bound is
+    tight.  (For constant b and kappa = 1, rho = 0 and order 1 closes every
+    steady cell.)"""
+    tol = 1e-10
+    t0, t1 = _cell(t0)
+    points = np.concatenate((t0, t0 + 0.5 * (t1 - t0) * (1.0 + _KRONROD_NODES), t1))
+    _, _, _, gap, E = auxcalc._exp_panels(model.b, t0, t1)
+    closes, q = auxcalc._closure(model, t0, t1, E, gap, tol)
+    walked, _ = auxcalc._phi_cells(_law(model.b), t0, t1, 1e-14)
+    r2 = np.max(np.abs(_r2(model, points)))
+    assert np.max(np.abs(_rho(model, points))) > tol and closes[0]
+    assert 1e-11 < r2 < tol
+    assert 0.5 * r2 * q[0] <= abs(q[0] - walked[0]) <= r2 * q[0] + 1e-14 * walked[0]
+
+
+@pytest.mark.parametrize("mu", [1.0, 2.0])
+def test_kappa_half_table_is_the_closed_form(mu):
+    """For b = mu/sqrt(1 + t), r2 = 0 and g = h2 = sqrt(1 + t)/mu + 1/(2 mu^2):
+    a table to 1e6 matches it to 1e-13 (order 1 alone left 2.9e-13 at mu = 2)."""
+    table = build_aux_table(DampingModel.power_law(mu, 0.5), 1e6)
+    exact = np.sqrt(1.0 + table.grid) / mu + 0.5 / mu**2
+    assert np.max(np.abs(table.g_vals / exact - 1.0)) <= 1e-13
 
 
 # -- hypothesis checker ---------------------------------------------------------

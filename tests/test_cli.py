@@ -623,11 +623,12 @@ def test_far_horizon_tables_close_to_g_equal_one(horizon, tmp_path, capsys):
 
 
 def test_walk_that_does_not_resolve_is_a_numerical_failure(capsys, monkeypatch):
-    """b = (1 + t)^(-1/2): the closure refuses its cells (rho near -2.5e-5
-    at 1e4), so they walk; with the panel limit cut to 8 a walk stops, and
-    the table exits 3 with a message naming its cell."""
+    """b = (1 + t)^(-0.3): both orders of the closure refuse its cells near
+    1e4 (rho near -5e-7, r2 near 5e-10), so they walk; with the panel limit
+    cut to 8 a walk stops, and the table exits 3 with a message naming its
+    cell."""
     monkeypatch.setattr(auxcalc, "_CELL_PANELS", 8)
-    captured = _assert_clean_exit(["aux", "--damping", "powerlaw", "--kappa", "0.5",
+    captured = _assert_clean_exit(["aux", "--damping", "powerlaw", "--kappa", "0.3",
                                    "--horizon", "1e4"], EXIT_NUMERICAL, capsys)
     assert re.search(r"exponential cell \[[^]]+\] did not resolve within 8 panels", captured.err)
 

@@ -23,6 +23,8 @@ ALL_FAMILIES = [
     DampingModel.perturbed_power(1.0, 0.5, Perturbation("log", 1.5)),
     DampingModel.perturbed_power(1.0, 0.5, Perturbation("sin", 0.25)),
     DampingModel.perturbed_power(2.0, -0.5, Perturbation("log", -2.0)),
+    DampingModel.power_law(1.0, -0.9),
+    DampingModel.perturbed_power(1.0, -0.3, Perturbation("sin", 0.5)),
 ]
 
 
@@ -74,6 +76,22 @@ def test_second_derivative_matches_centered_difference_of_db():
             fd = (model.db(t + h) - model.db(lo)) / ((t + h) - lo)
             an = model.d2b(t)
             assert abs(fd - an) <= 1e-6 * (abs(an) + abs(model.db(t)) / (1.0 + t)), (model, t)
+
+
+def test_third_derivative_matches_centered_difference_of_d2b():
+    """Analytic b''' against a centered difference of b'' at 100 random
+    times, for the constant law, power laws with kappa in {-0.9, -0.5, 0.5,
+    1} and the log and sin perturbations.  The scale |b'''| + |b''|/(1 + t)
+    keeps the bound relative where b''' crosses 0."""
+    rng = np.random.default_rng(20261021)
+    ts = rng.uniform(0.0, 100.0, 100)
+    for model in ALL_FAMILIES:
+        for t in ts:
+            h = 1e-4 * (1.0 + t)
+            lo = max(t - h, 0.0)
+            fd = (model.d2b(t + h) - model.d2b(lo)) / ((t + h) - lo)
+            an = model.d3b(t)
+            assert abs(fd - an) <= 1e-6 * (abs(an) + abs(model.d2b(t)) / (1.0 + t)), (model, t)
 
 
 def test_power_law_limits_approached_monotonically():
