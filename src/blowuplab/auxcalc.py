@@ -87,7 +87,7 @@ class TailNonconvergence(RuntimeError):
 
 class TabulationError(ArithmeticError):
     """A built table fails its checks: B and log beta finite, B increasing,
-    log beta decreasing, g positive."""
+    log beta decreasing, g finite and positive."""
 
 
 class TableRangeError(ValueError):
@@ -619,13 +619,20 @@ def build_aux_table(model: DampingModel, horizon: float) -> AuxTable:
             t = grid[np.argmin(np.isfinite(vals))]
             raise TabulationError(f"{name} leaves the floating-point range at t = {t:g}")
 
-    g_vals = np.empty(len(grid))
-    g_vals[-1] = _g_tail(model, horizon, tol, first=(q_cells[-1], E_cells[-1]))
-    for i in range(len(grid) - 2, -1, -1):
-        g_vals[i] = q_cells[i] + E_cells[i] * g_vals[i + 1]
+    # the recurrence on Python floats: the same IEEE operations as on numpy
+    # scalars, without their per-element overhead
+    g = _g_tail(model, horizon, tol, first=(q_cells[-1], E_cells[-1]))
+    g_rev = [g]
+    for q, E in zip(q_cells[-2::-1].tolist(), E_cells[-2::-1].tolist()):
+        g = q + E * g
+        g_rev.append(g)
+    g_vals = np.array(g_rev[::-1])
 
     if not (np.all(np.diff(B_vals) > 0) and np.all(np.diff(log_beta) < 0)):
         raise TabulationError("tabulation lost monotonicity; damping law invalid")
+    if not np.all(np.isfinite(g_vals)):
+        t = grid[np.argmin(np.isfinite(g_vals))]
+        raise TabulationError(f"g is not finite at t = {t:g}")
     if not np.all(g_vals > 0):
         raise TabulationError("nonpositive multiplier values in table")
 

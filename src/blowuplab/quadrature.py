@@ -85,7 +85,9 @@ def _sharpened(diff):
     """The K15 error estimates from the gaps |K15 - G7|, an array.
 
     The gap over-estimates the K15 error, so it is sharpened to
-    min(diff, (200 diff)**1.5).  The power only wins below
+    min(diff, (200 diff)**1.5), which never exceeds the gap: a gap within
+    tolerance closes its panel unsharpened, and :func:`integrate_adaptive`
+    sharpens only the gaps that can decide a close.  The power only wins below
     diff = 1/200**3 = 1.25e-7, so it is taken below 2e-7 alone (the margin
     keeps rounding near 1.25e-7 from changing the pick), where it cannot
     overflow.  A zero or NaN gap gives 0.  The power is libm's, element by
@@ -119,6 +121,9 @@ def integrate_adaptive(
     of abscissae of shape (panels, 15), for scalar endpoints too.  Each
     integral keeps its own heap of panels, so its splits, sums and error
     estimates, and its result bit for bit, are those it takes alone.
+    An integral whose first panel's raw gap meets the tolerance closes at
+    once: sharpening only lowers a gap, so only the gaps above it are
+    sharpened, and only the integrals left open get a heap.
     ``args`` are arrays of that shape, one entry per integral; ``f`` is
     then called as ``f(x, *args)`` with the entries of each panel's integral.
     """
@@ -134,13 +139,15 @@ def integrate_adaptive(
     total, diff = panels_of(np.arange(lo.size), lo, hi)
     empty = lo == hi
     total[empty], diff[empty] = 0.0, 0.0
-    total_err = _sharpened(diff)
-    open_ = np.arange(lo.size)
-    # per integral, a heap of (-error, left, right, value): the worst panel pops first
-    heaps = [[panel] for panel in zip((-total_err).tolist(), lo.tolist(), hi.tolist(),
-                                      total.tolist())]
+    # fmax, as Python's max, takes abs_tol over a NaN integral
+    open_ = np.flatnonzero(diff > np.fmax(abs_tol, rel_tol * np.abs(total)))
+    total_err = np.zeros(lo.size)
+    total_err[open_] = _sharpened(diff[open_])
+    # per open integral, a heap of (-error, left, right, value): the worst panel pops first
+    roots = zip((-total_err[open_]).tolist(), lo[open_].tolist(), hi[open_].tolist(),
+                total[open_].tolist())
+    heaps = {i: [panel] for i, panel in zip(open_.tolist(), roots)}
     for panels in itertools.count(1):
-        # fmax, as Python's max, takes abs_tol over a NaN integral
         missed = total_err[open_] > np.fmax(abs_tol, rel_tol * np.abs(total[open_]))
         open_ = open_[missed]
         if not open_.size:

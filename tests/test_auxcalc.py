@@ -415,7 +415,9 @@ def test_overflowing_damping_is_a_numerical_failure():
 
 
 def test_failed_table_checks_are_numerical_failures(monkeypatch):
-    """Both table checks raise TabulationError, an ArithmeticError (exit 3)."""
+    """The table checks raise TabulationError, an ArithmeticError (exit 3).
+    A tail value of inf gives g = inf in every row, which g_at(50) would
+    otherwise read."""
     assert issubclass(TabulationError, ArithmeticError)
 
     class NegativeNearZero:
@@ -434,6 +436,31 @@ def test_failed_table_checks_are_numerical_failures(monkeypatch):
     monkeypatch.setattr(auxcalc, "_g_tail", lambda model, start, tol, first: -1.0)
     with pytest.raises(TabulationError, match="nonpositive"):
         build_aux_table(DampingModel.constant(1.0), 10.0)
+    monkeypatch.setattr(auxcalc, "_g_tail", lambda model, start, tol, first: math.inf)
+    with pytest.raises(TabulationError, match="g is not finite at t = 0"):
+        build_aux_table(DampingModel.constant(1.0), 100.0)
+
+
+@pytest.mark.parametrize("model, horizon, walks", [
+    (DampingModel.constant(1.0), 300.0, False),
+    (DampingModel.power_law(1.0, -0.5), 1e4, True),
+    (DampingModel.perturbed_power(1.0, -0.3, Perturbation("sin", 0.5)), 1e3, True),
+])
+def test_g_recurrence_is_the_numpy_scalar_recurrence(model, horizon, walks, monkeypatch):
+    """The table's g is, byte for byte, g_i = q_i + E_i g_{i+1} run on
+    np.float64 scalars over the grid cells' (q, E), from the tail value."""
+    walked = []
+    walk = auxcalc._walk
+    monkeypatch.setattr(auxcalc, "_walk", lambda bfun, a, b, tol: walked.append(a.size)
+                        or walk(bfun, a, b, tol))
+    table = build_aux_table(model, horizon)
+    assert bool(walked) == walks
+    tol = auxcalc.DEFAULT_QUAD_TOL
+    q, E = auxcalc._phi_cells(model, table.grid[:-1], table.grid[1:], tol * 0.1)
+    g = [np.float64(auxcalc._g_tail(model, horizon, tol))]
+    for q_i, E_i in zip(q[::-1], E[::-1]):
+        g.append(q_i + E_i * g[-1])
+    assert table.g_vals.tobytes() == np.array(g[::-1]).tobytes()
 
 
 # -- the batched exponential cell ----------------------------------------------

@@ -7,6 +7,8 @@ import pytest
 from scipy.integrate import quad
 
 from blowuplab import quadrature
+from blowuplab.auxcalc import build_aux_table
+from blowuplab.coeffs import DampingModel
 from blowuplab.quadrature import (
     QuadratureNonconvergence,
     _sharpened,
@@ -160,3 +162,42 @@ def test_sharpened_estimates_are_the_scalar_formula():
     want = [min(d, (200.0 * d) ** 1.5) if d < 2e-7 else d for d in diff.tolist()]
     assert _same_bits(_sharpened(diff), np.array(want))
     assert _same_bits(_sharpened(np.array([0.0, np.nan, 1.0])), np.array([0.0, 0.0, 1.0]))
+
+
+def _sharpening_spy(monkeypatch):
+    """Patch ``_sharpened`` to record the number of gaps of each call."""
+    sizes = []
+    monkeypatch.setattr(quadrature, "_sharpened",
+                        lambda diff: sizes.append(diff.size) or _sharpened(diff))
+    return sizes
+
+
+def test_first_panels_within_tolerance_close_unsharpened(monkeypatch):
+    """Of a batch whose first gaps lie below the tolerance, above it with a
+    sharpened value below it, above it with a sharpened value above it, and
+    far above it, only the last three are sharpened and only the last two
+    split; each result keeps its scalar call's bits, and the batch its
+    integrand calls and panels."""
+    a, b = np.zeros(4), np.array([1.5, 1.8, 2.0, 20.0])
+    tol = dict(abs_tol=1e-8, rel_tol=0.0)
+    gap = gauss_kronrod_panel(_WAVE, a, b)[1]
+    estimate = _sharpened(gap)
+    assert gap[0] <= 1e-8 < gap[1]
+    assert estimate[1] <= 1e-8 < estimate[2] < gap[2] < 3e-8 < estimate[3]
+    splits = [_refinements(_WAVE, lo, hi, **tol) for lo, hi in zip(a, b)]
+    assert splits[:2] == [0, 0] and 0 < splits[2] < splits[3]
+    alone = _alone(_WAVE, a, b, **tol)
+    sizes, calls = _sharpening_spy(monkeypatch), []
+    got = integrate_adaptive(lambda x: calls.append(len(x)) or _WAVE(x), a, b, **tol)
+    assert _same_bits(got, alone)
+    assert len(calls) == 1 + max(splits)
+    assert sum(calls) == sum(1 + 2 * s for s in splits)
+    # the first panels' three gaps above tolerance, then both halves of each split
+    assert sizes == [3] + [2 * sum(s >= r for s in splits) for r in range(1, 1 + max(splits))]
+
+
+def test_table_of_constant_damping_sharpens_no_gap(monkeypatch):
+    """Every first panel of a b = 1 table meets its tolerance unsharpened."""
+    sizes = _sharpening_spy(monkeypatch)
+    build_aux_table(DampingModel.constant(1.0), 1e4)
+    assert sum(sizes) == 0
