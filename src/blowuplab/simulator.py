@@ -10,17 +10,18 @@ nonexistence, not a proof, and says nothing about the mechanism.
 
 One kernel, ``_march``, advances a (rows, J+1) batch of fields that share
 the grid, the time step and the coefficients: a single run is one row, a
-p-sweep is one row per power (at most ``_SWEEP_ROWS`` a batch, fewer on
-long runs), and each row equals its single run bit for bit.
+p-sweep is one row per power (at most ``_SWEEP_ROWS`` a batch), and each
+row equals its single run bit for bit.  A march holds one chunk of
+coefficients and a few numbers a row; only a single run keeps traces.
 
 One step is u+ = ((2c u - (1-bh)c u-) + dt^2 a c L u) + dt^2 c f, with
 bh = b dt/2 and c = 1/(1+bh), and L the three-row radial Laplacian of
 ``_Stencil``, one per march.  The Taylor start is the same step with its
 own four scalars, on a copy of v0 in place of u-.  Every march, the
 manufactured-solution checks included, takes its times, a, b, forcing
-factor and scalars from one builder, ``_coefficients``, which forms the
-scalars of all steps as arrays; numpy's elementwise operations round as
-the float ones do.  For each window, ``_Stencil.bind`` holds its
+factor and scalars from one builder, ``_coefficients``, which forms them
+as arrays, a chunk of steps at a time; numpy's elementwise operations
+round as the float ones do.  For each window, ``_Stencil.bind`` holds its
 coefficient rows, the shifted views of the two field buffers, which take
 turns as u and u-, and the step's work buffers, so that a step is ten
 ufunc calls (two more with a source) with no slicing and no temporary.
@@ -61,7 +62,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -212,10 +213,7 @@ _MAX_STEPS = 10**7
 _MAX_CELLS = 10**6
 # most powers of a sweep marched in one batch, so that its memory does not grow with p_list
 _SWEEP_ROWS = 64
-# most rows x (steps + 1) of a sweep batch: a sup-norm and an edge sample each, 16 MB in all
-_HISTORY_BUDGET = 2**20
-
-# steps whose K15 panels of 1/b are evaluated together (15 nodes per step)
+# entries of a chunk of coefficients, whose steps' K15 panels of 1/b are evaluated together
 _PANEL_CHUNK = 4096
 
 
@@ -340,33 +338,32 @@ class _Stencil:
         return new
 
     def energies(self, u, v, a, rpow: np.ndarray, u_r: np.ndarray) -> np.ndarray:
-        """Discrete kinetic + elastic energy of each full-width row of ``u``.
+        """Discrete kinetic + elastic energy of each full-width row (last axis) of ``u``.
 
-        ``v`` holds the velocity rows and is consumed, ``a`` holds the wave
-        speed of each row, and ``u_r``, of the shape of ``u``, is a work
-        buffer.  The arithmetic of ``np.gradient(u, dr)`` and
+        ``v`` holds the velocity rows and is consumed, ``a`` the wave speed
+        of each row, and ``u_r``, of the shape of ``u``, is a work buffer.  The arithmetic of ``np.gradient(u, dr)`` and
         ``np.trapezoid(dens * rpow, dx=dr)`` for dens = v^2/2 + a u_r^2/2,
         row by row: each row sums its J pairs with numpy's pairwise sum, as
         a one-row ``.sum()`` does.  ``rpow`` is r^(n-1) on the grid.
         """
         dr = self.dr
-        np.subtract(u[:, 1], u[:, 0], out=u_r[:, 0])
-        u_r[:, 0] /= dr
-        np.subtract(u[:, 2:], u[:, :-2], out=u_r[:, 1:-1])
-        u_r[:, 1:-1] /= 2.0 * dr
-        np.subtract(u[:, -1], u[:, -2], out=u_r[:, -1])
-        u_r[:, -1] /= dr
+        np.subtract(u[..., 1], u[..., 0], out=u_r[..., 0])
+        u_r[..., 0] /= dr
+        np.subtract(u[..., 2:], u[..., :-2], out=u_r[..., 1:-1])
+        u_r[..., 1:-1] /= 2.0 * dr
+        np.subtract(u[..., -1], u[..., -2], out=u_r[..., -1])
+        u_r[..., -1] /= dr
         dens = v
         dens *= v
         dens *= 0.5
         u_r *= u_r
-        u_r *= (0.5 * a)[:, None]
+        u_r *= (0.5 * a)[..., None]
         dens += u_r
         dens *= rpow
-        pairs = np.add(dens[:, 1:], dens[:, :-1], out=u_r[:, :-1])
+        pairs = np.add(dens[..., 1:], dens[..., :-1], out=u_r[..., :-1])
         pairs *= dr
         pairs /= 2.0
-        return self.area * pairs.sum(axis=1)
+        return self.area * pairs.sum(axis=-1)
 
 
 def _stable_dt(prob: ProblemSpec, aux: AuxTable, cfl: float, dr: float, T: float,
@@ -425,81 +422,77 @@ def _support_end(*fields: np.ndarray) -> int:
     return int(cols[-1]) + 1 if len(cols) else 0
 
 
-class _Coefficients(NamedTuple):
-    """dt, and the time, a, b, forcing factor and four step scalars of every step."""
-
-    dt: float
-    ts: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    fscale: np.ndarray
-    scalars: tuple      # arrays of k_u, k_prev, k_lap and k_src; entry 0 is the Taylor start's
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _coefficients(prob: ProblemSpec, aux: AuxTable, dt: float, steps: int,
-                  nonlinearity: float) -> _Coefficients:
-    """The coefficients of a march of ``steps`` steps of ``dt``.
+                  nonlinearity: float) -> Iterator[tuple]:
+    """The coefficients of a march of ``steps`` steps of ``dt``, ``_PANEL_CHUNK`` entries at a time.
 
-    Entry m of each array belongs to the step from t_m to t_m+1.  Its
-    scalars are 2c, (1 - bh) c, dt^2 a c and dt^2 c, with bh = b dt/2 and
-    c = 1/(1 + bh), except at m = 0: the step from t = 0 is the Taylor
-    start u0 + dt v0 + dt^2/2 (a L u0 - b v0 + f), whose scalars 1,
-    -(1 - bh) dt, dt^2 a/2 and dt^2/2 take v0 in place of u_prev.  The
-    coefficients do not depend on p: a sweep forms them once for all its
-    batches.  With ``nonlinearity`` 0 the forcing factor is zero and
-    B**gamma is not formed.  A coefficient that is not finite raises
-    ``FloatingPointError``.
+    Yields the time, a, b, forcing factor and the four step scalars (rows
+    of one array) of the entries 0..steps.  Entry m belongs to the step
+    from t_m to t_m+1.  Its scalars are 2c, (1 - bh) c, dt^2 a c and
+    dt^2 c, with bh = b dt/2 and c = 1/(1 + bh), except at m = 0: the step
+    from t = 0 is the Taylor start u0 + dt v0 + dt^2/2 (a L u0 - b v0 + f),
+    whose scalars 1, -(1 - bh) dt, dt^2 a/2 and dt^2/2 take v0 in place of
+    u_prev.  B accumulates one K15 panel of 1/b per step; the running sum
+    is the first term of each chunk's cumsum, so every entry equals the
+    whole run's cumsum.  With ``nonlinearity`` 0 the forcing factor is zero
+    and B**gamma is not formed.  A coefficient that is not finite raises
+    ``FloatingPointError`` when its chunk is formed.
     """
-    ts = np.arange(steps + 1) * dt
-    b = np.asarray(prob.damping.b(ts), float)
-    # accumulate B across the uniform step grid with one K15 panel per step,
-    # a chunk of steps at a time so that the node array stays bounded
-    dB = np.empty(steps)
-    for lo in range(0, steps, _PANEL_CHUNK):
-        hi = min(lo + _PANEL_CHUNK, steps)
-        dB[lo:hi], _ = gauss_kronrod_panel(lambda x: 1.0 / prob.damping.b(x),
-                                           ts[lo:hi], ts[lo + 1:hi + 1])
-    B = np.concatenate(([0.0], np.cumsum(dB))) + aux.B_unit_shift
-    a = prob.c_a * B ** (-prob.alpha)
-    fscale = nonlinearity * (prob.c_f * B**prob.gamma) if nonlinearity else np.zeros(steps + 1)
-    # with a non-finite coefficient, 0 * inf would put nan past the support
-    for name, values in (("a(t)", a), ("b(t)", b), ("the forcing factor", fscale)):
-        bad = np.flatnonzero(~np.isfinite(values))
-        if len(bad):
-            raise FloatingPointError(f"{name} is not finite at t = {ts[bad[0]]:g}")
-    bh = 0.5 * dt * b
-    c = 1.0 / (1.0 + bh)
-    k_u, k_prev, k_lap, k_src = scalars = (2.0 * c, (1.0 - bh) * c, dt**2 * a * c, dt**2 * c)
-    k_u[0], k_prev[0], k_lap[0], k_src[0] = 1.0, -(1.0 - bh[0]) * dt, 0.5 * dt**2 * a[0], 0.5 * dt**2
-    return _Coefficients(dt, ts, a, b, fscale, scalars)
+    B = 0.0
+    for lo in range(0, steps + 1, _PANEL_CHUNK):
+        # the chunk's times and the end of its last step
+        ts = np.arange(lo, min(lo + _PANEL_CHUNK, steps) + 1) * dt
+        dB, _ = gauss_kronrod_panel(lambda x: 1.0 / prob.damping.b(x), ts[:-1], ts[1:])
+        cum = np.cumsum(np.concatenate(([B], dB)))
+        n, B = min(_PANEL_CHUNK, steps + 1 - lo), cum[-1]
+        ts, Bs = ts[:n], cum[:n] + aux.B_unit_shift
+        b = np.asarray(prob.damping.b(ts), float)
+        a = prob.c_a * Bs ** (-prob.alpha)
+        fscale = nonlinearity * (prob.c_f * Bs**prob.gamma) if nonlinearity else np.zeros(n)
+        # with a non-finite coefficient, 0 * inf would put nan past the support
+        for name, values in (("a(t)", a), ("b(t)", b), ("the forcing factor", fscale)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if len(bad):
+                raise FloatingPointError(f"{name} is not finite at t = {ts[bad[0]]:g}")
+        bh = 0.5 * dt * b
+        c = 1.0 / (1.0 + bh)
+        k = np.array((2.0 * c, (1.0 - bh) * c, dt**2 * a * c, dt**2 * c))
+        if not lo:
+            k[:, 0] = 1.0, -(1.0 - bh[0]) * dt, 0.5 * dt**2 * a[0], 0.5 * dt**2
+        yield ts, a, b, fscale, k
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _march(spec: SimSpec, coefficients: _Coefficients, powers: Sequence[float],
-           with_energy: bool) -> list[SimOutcome]:
+def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
+           traces: bool) -> list[SimOutcome]:
     """Integrate ``spec`` once per power p, all rows in one leapfrog batch.
 
     The rows share the grid, its one ``_Stencil``, dt (the CFL limit does
-    not depend on p) and the ``coefficients``, the arrays and step scalars
-    of every step; the powers' underflow cuts are formed once.  The march only
-    records: when a block of buffered steps is full, at the last step and
-    before a window rescan, one pass over the block takes each row's
-    sup-norms, with the guard on and W = J+1 its guard cells' max, and for
-    ``with_energy`` (a single-row batch) its energies; otherwise the
-    outcomes carry an empty energy trace.  A row whose sup is not below the
-    threshold (NaN included) at some step of the block ends at the first
-    such step, with its field from the buffer, and leaves the batch; its
-    later steps are dropped, as rows do not interact.  The outcomes hold
-    views of the traces up to each row's last step; t* is their
-    ``detect_blowup``, and an edge value above 1e-10 of the running peak
-    sup marks a row without t* as boundary-contaminated.  A block ends
-    before each rescan of the window (see the module docstring), so W
-    follows the rows left in the batch and all steps of a block share it.
+    not depend on p) and the coefficients, which ``_coefficients`` forms a
+    chunk at a time; the powers' underflow cuts are formed once.  When a
+    block of buffered steps is full, at the last step of a chunk or of the
+    march and before a window rescan, one pass over the block takes each
+    row's sup-norms and, with the guard on and W = J+1, its guard cells'
+    max.  A row keeps its running peak sup, its last sample and whether a
+    guard cell ever passed 1e-10 of the running peak (at least 1e-300) at
+    its step; with ``traces`` (a ``run``) also its sup-norms and energies,
+    and otherwise its outcome has empty traces.  A row whose sup is not
+    below the threshold (NaN included) at some step of the block ends at
+    the first such step, with its field from the buffer, and leaves the
+    batch; its later steps are dropped, as rows do not interact.  t* is
+    ``detect_blowup`` of the data's sup and the samples at and before a
+    row's last step, so data at or above the threshold give t* = 0; a row
+    that reaches the horizon without t* but with a guard cell past the
+    peak is boundary-contaminated.  A block ends before each rescan of the
+    window (see the module docstring), so W follows the rows left in the
+    batch and all steps of a block share it.
     """
     prob = spec.problem
-    dt, ts, a_arr, _, fscale, (k_u, k_prev, k_lap, k_src) = coefficients
-    steps = len(ts) - 1
+    dt, steps = _time_step(spec, aux)
+    chunks = _coefficients(prob, aux, dt, steps, spec.nonlinearity)
+    _, a_arr, _, fscale, (k_u, k_prev, k_lap, k_src) = next(chunks)
+    lo, hi = 0, len(a_arr)      # the entries of the chunk in hand
     cuts = [_underflow_cut(p) for p in powers]
 
     dr, J, rows = spec.dr, spec.J, len(powers)
@@ -520,27 +513,41 @@ def _march(spec: SimSpec, coefficients: _Coefficients, powers: Sequence[float],
             (k_u[0], k_prev[0], k_lap[0], k_src[0]))
     u[0][:, -1] = 0.0
 
-    sup_hist = np.empty((rows, steps + 1))
-    sup_hist[:, 0] = np.max(np.abs(u0))
-    edge_hist = np.zeros((rows, steps + 1))      # the guard cells' max, once W = J+1
     # full-width fields of the active rows, +0.0 past the window: slots
     # 1..filled hold the steps from done on, slot 0 step done-1 for the energies
     block = np.zeros((max(2, _ENERGY_BUDGET // (rows * (J + 1))), rows, J + 1))
     block[0] = u0
-    energy_hist = np.empty(steps + 1 if with_energy else 0)
-    if with_energy:
-        vel, grad = np.empty((2, len(block) - 1, J + 1))   # the energies' work buffers
-        energy_hist[0] = st.energies(u0, v0, a_arr[:1], rpow, grad[:1])[0]
+    sup0 = np.max(np.abs(u0))
+    sup_hist, energy_hist = np.empty((2, rows, steps + 1 if traces else 0))
+    if traces:
+        vel, grad = np.empty((2,) + block[1:].shape)     # the energies' work buffers
+        sup_hist[:, 0] = sup0
+        energy_hist[:, 0] = st.energies(u0, v0, a_arr[:1], rpow, grad[0, :1])
     done, filled = 1, 0
 
     active = np.arange(rows)
-    last = np.full(rows, steps)
+    # the running peak and last sample of each active row; a guard cell past the peak, of each row
+    peak, sample, hit = np.full(rows, sup0), np.full(rows, sup0), np.zeros(rows, bool)
     final = np.zeros((rows, J + 1))                  # +0.0 past the window
+    outcomes = [None] * rows
+
+    def finish(i: int, m: int, before, at) -> None:
+        """Row i ends at step m, with the samples ``before`` at m-1 and ``at`` at m."""
+        t_star = detect_blowup((0.0, (m - 1) * dt, m * dt), (sup0, before, at), threshold)
+        outcomes[i] = SimOutcome(
+            verdict=("blowup" if t_star is not None
+                     else "boundary_contaminated" if hit[i] else "survived"),
+            t_star=t_star, hard_overflow=not np.isfinite(at),
+            times=np.arange(m + 1 if traces else 0) * dt, sup_norms=sup_hist[i, :m + 1],
+            energies=energy_hist[i, :m + 1], dt=dt, dr=dr, r=r, final_u=final[i])
 
     slots = block[:, :len(active), :width]      # the window of the active rows
     rescan = 1      # step 1 sizes the window as every later rescan does; 0: the window is whole
 
     for m in range(1, steps + 1):
+        if m == hi:
+            _, a_arr, _, fscale, (k_u, k_prev, k_lap, k_src) = next(chunks)
+            lo, hi = m, m + len(a_arr)
         if m == rescan:
             # from this step on the support could reach column width - 2
             end = _support_end(u[0], u_prev[0])
@@ -554,55 +561,54 @@ def _march(spec: SimSpec, coefficients: _Coefficients, powers: Sequence[float],
         filled += 1
         slots[filled] = u[0]
 
-        # a block also ends before a rescan, which must see only the rows left,
-        # so that all its steps share one window
-        if filled + 1 == len(block) or m in (steps, rescan - 1):
+        # a block also ends with its chunk, and before a rescan, which must see
+        # only the rows left, so that all its steps share one chunk and one window
+        if filled + 1 == len(block) or m in (steps, rescan - 1, hi - 1):
             fields = block[1:filled + 1, :len(active)]
             sups = np.abs(fields[:, :, :width]).max(axis=2)
-            sup_hist[active, done:done + filled] = sups.T
+            if traces:
+                sup_hist[active, done:done + filled] = sups.T
+                v = np.subtract(fields, block[:filled, :len(active)], out=vel[:filled, :len(active)])
+                v /= dt
+                energy_hist[active, done:done + filled] = st.energies(
+                    fields, v, a_arr[done - lo:done - lo + filled, None], rpow,
+                    grad[:filled, :len(active)]).T
+                block[0] = block[filled]
             if guard and width == J + 1:
                 edge = np.abs(fields[:, :, -guard - 1:-1]).max(axis=2)
-                edge_hist[active, done:done + filled] = edge.T
-            if with_energy:
-                v = np.subtract(fields[:, 0], block[:filled, 0], out=vel[:filled])
-                v /= dt
-                energy_hist[done:done + filled] = st.energies(
-                    fields[:, 0], v, a_arr[done:done + filled], rpow, grad[:filled])
-                block[0] = block[filled]
+                # the running peak only raises the bar, so the peak before the block screens
+                if (edge > 1e-10 * np.maximum(peak, 1e-300)).any():
+                    running = np.maximum.accumulate(np.vstack((peak, sups)))[1:]
+                    hit[active] |= (edge > 1e-10 * np.maximum(running, 1e-300)).any(axis=0)
+            peak = np.maximum(peak, sups.max(axis=0))
             below = sups < threshold      # False when crossed, or not a number
             if not below.all():
                 kept = below.all(axis=0)
-                crossed = ~kept
+                prior = np.vstack((sample, sups))       # the sample before each step's
                 # a row ends at its first crossing; its later steps are dropped
-                first = below.argmin(axis=0)[crossed]
-                last[active[crossed]] = done + first
-                final[active[crossed]] = fields[first, crossed]
-                active = active[kept]
+                for j in np.flatnonzero(~kept).tolist():
+                    first = int(below[:, j].argmin())
+                    final[active[j]] = fields[first, j]
+                    finish(active[j], done + first, *prior[first:first + 2, j])
+                active, peak, sups = active[kept], peak[kept], sups[:, kept]
                 if not len(active):     # a single run always ends here
                     break
                 u, u_prev = st.bind(u[0][kept], u_prev[0][kept])
+                block[0, :len(active)] = block[0, :len(kept)][kept]
                 slots = block[:, :len(active), :width]
-                powers, cuts = ([x for x, k in zip(xs, kept) if k] for xs in (powers, cuts))
+                powers, cuts = ([x for x, keep in zip(xs, kept) if keep] for xs in (powers, cuts))
+            sample = sups[-1]
             done, filled = done + filled, 0
         if m == steps:
             final[active, :width] = u[0]
+            for i, at in zip(active.tolist(), sample.tolist()):
+                finish(i, m, at, at)
             break
 
-        forcing = st.source(u[0], powers, cuts, fscale[m])
-        st.step(u, u_prev, forcing, (k_u[m], k_prev[m], k_lap[m], k_src[m]))
+        e = m - lo      # the step's entry in the chunk
+        forcing = st.source(u[0], powers, cuts, fscale[e])
+        st.step(u, u_prev, forcing, (k_u[e], k_prev[e], k_lap[e], k_src[e]))
         u_prev, u = u, u_prev
-
-    outcomes = []
-    for i, m in enumerate(last.tolist()):
-        sups = sup_hist[i, : m + 1]
-        t_star = detect_blowup(ts[: m + 1], sups, threshold)
-        peak = np.maximum(np.maximum.accumulate(sups), 1e-300)
-        contaminated = (edge_hist[i, : m + 1] > 1e-10 * peak).any()
-        outcomes.append(SimOutcome(
-            verdict=("blowup" if t_star is not None
-                     else "boundary_contaminated" if contaminated else "survived"),
-            t_star=t_star, hard_overflow=not np.isfinite(sups[-1]), times=ts[: m + 1],
-            sup_norms=sups, energies=energy_hist[: m + 1], dt=dt, dr=dr, r=r, final_u=final[i]))
     return outcomes
 
 
@@ -610,8 +616,7 @@ def run(spec: SimSpec, aux: Optional[AuxTable] = None) -> SimOutcome:
     """Integrate one radial problem to blow-up, contamination or the horizon."""
     if aux is None:
         aux = build_aux_table(spec.problem.damping, max(2.0, spec.T_max) * 1.01)
-    coefficients = _coefficients(spec.problem, aux, *_time_step(spec, aux), spec.nonlinearity)
-    return _march(spec, coefficients, [spec.problem.p], with_energy=True)[0]
+    return _march(spec, aux, [spec.problem.p], traces=True)[0]
 
 
 def sweep_p(
@@ -621,12 +626,12 @@ def sweep_p(
 ) -> list[dict]:
     """Run the same problem across powers p; rows (p, verdict, t_star).
 
-    The powers march in batches of at most ``_SWEEP_ROWS`` rows and
-    ``_HISTORY_BUDGET`` rows x (steps + 1), on coefficients formed once,
-    and only the rows of a batch are kept, so memory grows with neither;
-    each row equals the single ``run`` of its power.  Warns (but proceeds)
-    when the data functional is not positive: the sign condition is the
-    hypothesis under which nonexistence is asserted.
+    The powers march in batches of at most ``_SWEEP_ROWS`` rows, each on
+    its own stream of coefficients, and only the rows of a batch are kept,
+    so memory grows with neither the powers nor the steps; each row equals
+    the single ``run`` of its power.  Warns (but proceeds) when the data
+    functional is not positive: the sign condition is the hypothesis under
+    which nonexistence is asserted.
     """
     if aux is None:
         aux = build_aux_table(spec.problem.damping, max(2.0, spec.T_max) * 1.01)
@@ -645,15 +650,11 @@ def sweep_p(
 
     # each power passes the same validation as a single run's ProblemSpec
     powers = [replace(spec.problem, p=float(p)).p for p in p_list]
-    if not powers:
-        return []
-    coefficients = _coefficients(spec.problem, aux, *_time_step(spec, aux), spec.nonlinearity)
-    size = max(1, min(_SWEEP_ROWS, _HISTORY_BUDGET // len(coefficients.ts)))
     rows = []
-    for lo in range(0, len(powers), size):
-        batch = powers[lo:lo + size]
+    for lo in range(0, len(powers), _SWEEP_ROWS):
+        batch = powers[lo:lo + _SWEEP_ROWS]
         rows += [{"p": p, "verdict": oc.verdict, "t_star": oc.t_star}
-                 for p, oc in zip(batch, _march(spec, coefficients, batch, with_energy=False))]
+                 for p, oc in zip(batch, _march(spec, aux, batch, traces=False))]
     return rows
 
 
@@ -697,25 +698,21 @@ def _run_manufactured(prob: ProblemSpec, aux: AuxTable, J: int, dt: Optional[flo
     dr = _MMS_R_MAX / J
     dt = _stable_dt(prob, aux, 0.5, dr, T_final, dt)
     steps = math.ceil(T_final / dt)
-    _, ts, a_arr, b_arr, _, (k_u, k_prev, k_lap, k_src) = _coefficients(
-        prob, aux, T_final / steps, steps, 0.0)
+    dt = T_final / steps
+    entries = (entry for ts, a_arr, b_arr, _, k in _coefficients(prob, aux, dt, steps, 0.0)
+               for entry in zip(ts, a_arr, b_arr, *k))
 
     u_exact, u_t_exact, lap_exact = _manufactured_fields(n)
     st = _Stencil(J, dr, n)
     r = np.arange(J + 1) * dr
     rpow = r ** (n - 1)
 
-    def source(m: int):
-        t = ts[m]
-        return (u_exact(t, r) - a_arr[m] * lap_exact(t, r)
-                + b_arr[m] * u_t_exact(t, r))
-
     # step 0, the Taylor start, takes u_t in place of u_prev
     u, u_prev = st.bind(u_exact(0.0, r)[None], u_t_exact(0.0, r)[None])
-    for m in range(steps):
-        st.step(u, u_prev, source(m), (k_u[m], k_prev[m], k_lap[m], k_src[m]))
+    for m, (t, a, b, *k) in zip(range(steps), entries):
+        st.step(u, u_prev, u_exact(t, r) - a * lap_exact(t, r) + b * u_t_exact(t, r), k)
         u_prev, u = u, u_prev
-        u[0][:, -1] = u_exact(ts[m + 1], r[-1])
+        u[0][:, -1] = u_exact((m + 1) * dt, r[-1])
 
     field = u[0][0]
     return field, _weighted_l2(field - u_exact(T_final, r), rpow, dr, n)

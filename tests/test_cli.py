@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -338,6 +339,44 @@ def test_linear_run_forms_no_forcing_factor(tmp_path, capsys):
                      "--quiet"])
     assert code == EXIT_OK, capsys.readouterr().err
     assert "verdict: survived" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("amplitude, code, message", [
+    ("5", EXIT_OK, "verdict: blowup t* = 0.3125"),
+    ("0", EXIT_NUMERICAL, "numerical failure: the forcing factor is not finite at t = 1208.44"),
+], ids=["ends-before-it", "reaches-it"])
+def test_forcing_overflow_past_the_first_chunk(amplitude, code, message, capsys):
+    """B**100 overflows at t = 1208.44, in the second chunk of coefficients: a run that
+    blows up at t* = 0.3125 never forms that chunk and exits 0, while with zero data
+    the march reaches it and exits 3."""
+    got = dispatch(["simulate", "--gamma", "100", "--u1-amplitude", amplitude, "--p", "3",
+                    "--r-max", "20", "--J", "64", "--T-max", "1300", "--allow-boundary"])
+    captured = capsys.readouterr()
+    assert got == code
+    assert message in captured.out + captured.err
+
+
+def test_long_simulate_keeps_only_its_traces_per_step(tmp_path):
+    """A 4e4-step run holds its three traces of 8 bytes a step (times, sup-norms and
+    energies), a chunk of coefficients and its step buffers, and writes its CSV a chunk
+    of rows at a time: its traced peak, less the traces, stays under 3.5 MB, where
+    whole-run coefficients (64 bytes a step) and CSV columns as lists (about 104) reach
+    4.5 MB."""
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"problem": {"n": 1, "alpha": 0, "gamma": 0, "delta": 0, "p": 3},
+                               "r_max": 16, "J": 16, "T_max": 2e4, "nonlinearity": 0,
+                               "allow_boundary_reflections": True,
+                               "data": {"u0": {"amplitude": 1, "width": 2}}}))
+    out = tmp_path / "sim.csv"
+    tracemalloc.start()
+    try:
+        code = dispatch(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    steps = len(out.read_text().splitlines()) - 2
+    assert code == EXIT_OK and steps == 40000
+    assert peak - 24 * (steps + 1) < 3.5 * 2**20
 
 
 @pytest.mark.parametrize("amplitude", ["1e-13", "1"])

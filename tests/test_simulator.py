@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 
 from blowuplab.auxcalc import build_aux_table
-from blowuplab.coeffs import DampingModel, ProblemSpec, eval_a
+from blowuplab.coeffs import DampingModel, Perturbation, ProblemSpec, eval_a
 from blowuplab.functional import sphere_area
+from blowuplab.quadrature import gauss_kronrod_panel
 from blowuplab.simulator import (
     CflViolation,
     GaussianData,
     SimSpec,
     _ENERGY_BUDGET,
-    _HISTORY_BUDGET,
+    _PANEL_CHUNK,
     _SWEEP_ROWS,
     _WINDOW_BLOCK,
     _Stencil,
@@ -36,9 +37,8 @@ from conftest import unit_problem
 
 
 def _batch(spec: SimSpec, aux, p_list):
-    """The outcomes of one ``_march`` batch of the powers ``p_list``."""
-    coefficients = _coefficients(spec.problem, aux, *_time_step(spec, aux), spec.nonlinearity)
-    return _march(spec, coefficients, p_list, with_energy=False)
+    """The outcomes of one ``_march`` batch of the powers ``p_list``, with their traces."""
+    return _march(spec, aux, p_list, traces=True)
 
 
 def blowup_spec(p: float, J: int = 1200, amplitude: float = 5.0) -> SimSpec:
@@ -338,8 +338,8 @@ def test_underflow_cut_runs_once_per_power(monkeypatch):
     assert sorted(calls) == powers
 
 
-def test_sweep_forms_its_coefficients_once(monkeypatch):
-    """130 powers march in three batches on coefficients formed once, by the
+def test_sweep_forms_one_coefficient_stream_per_batch(monkeypatch):
+    """130 powers march in three batches, each on one stream of coefficients from the
     one builder of every march; each row equals its single run."""
     calls = []
 
@@ -353,9 +353,9 @@ def test_sweep_forms_its_coefficients_once(monkeypatch):
     assert math.ceil(len(powers) / _SWEEP_ROWS) == 3
     monkeypatch.setattr("blowuplab.simulator._coefficients", counted)
     rows = sweep_p(spec, powers, aux)
-    assert len(calls) == 1
+    assert len(calls) == 3 and all(args == calls[0] for args in calls)
     singles = [run(replace(spec, problem=replace(spec.problem, p=p)), aux) for p in powers]
-    assert len(calls) == 1 + len(powers)
+    assert len(calls) == 3 + len(powers)
     assert rows == [{"p": p, "verdict": oc.verdict, "t_star": oc.t_star}
                     for p, oc in zip(powers, singles)]
     assert {row["verdict"] for row in rows} == {"blowup", "survived"}
@@ -381,24 +381,28 @@ def test_sweep_memory_does_not_grow_with_the_powers():
         assert rows[i] == {"p": rows[i]["p"], "verdict": single.verdict, "t_star": single.t_star}
 
 
-def test_sweep_history_stays_within_budget_at_long_step_counts():
-    """At a long step count a sweep marches few powers a batch, so that the sup-norm and
-    edge traces of a batch, 16 bytes a row and step, stay within _HISTORY_BUDGET."""
-    spec = SimSpec(problem=unit_problem(2.0), r_max=16.0, J=16, T_max=5e4,
-                   u0=GaussianData(10.0, 2.0), allow_boundary_reflections=True)
-    aux = build_aux_table(spec.problem.damping, max(2.0, spec.T_max) * 1.01)
-    steps = round(spec.T_max / (spec.cfl * spec.dr))
-    assert _HISTORY_BUDGET // (steps + 1) < _SWEEP_ROWS // 4
+def test_sweep_memory_does_not_grow_with_the_steps():
+    """A batch of _SWEEP_ROWS rows that reach the horizon holds a chunk of coefficients
+    and a few numbers a row, however many steps it takes: four times the steps (2e4 in
+    place of 5e3) add under 1 MB, the cost of forming a full chunk while the last is in
+    hand, where histories of a sup-norm and an edge value (16 bytes a row and step) and
+    whole-run coefficients (64 bytes a step) would add about 12 MB."""
+    spec = SimSpec(problem=unit_problem(2.0), r_max=16.0, J=16, T_max=2.5e3,
+                   u0=GaussianData(10.0, 2.0), nonlinearity=0.0, allow_boundary_reflections=True)
+    powers = list(np.linspace(1.5, 4.0, _SWEEP_ROWS))
     peaks, sweeps = [], []
-    for count in (1, _SWEEP_ROWS):
+    for T_max in (spec.T_max, 4 * spec.T_max):
+        aux = build_aux_table(spec.problem.damping, max(2.0, T_max) * 1.01)
         tracemalloc.start()
         try:
-            sweeps.append(sweep_p(spec, list(np.linspace(1.5, 4.0, count)), aux))
+            sweeps.append(sweep_p(replace(spec, T_max=T_max), powers, aux))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] - peaks[0] <= 16 * _HISTORY_BUDGET
-    assert {row["verdict"] for row in sweeps[1]} == {"blowup"}
+    steps = round(spec.T_max / (spec.cfl * spec.dr))
+    assert steps > _PANEL_CHUNK
+    assert peaks[1] - peaks[0] <= 2**20
+    assert all({row["verdict"] for row in rows} == {"survived"} for rows in sweeps)
 
 
 def test_one_stencil_per_march(monkeypatch):
@@ -430,17 +434,76 @@ def test_step_scalars_per_march_equal_per_step_calls():
         prob = ProblemSpec(n=2, alpha=0.25, gamma=0.5, delta=0.0, p=2.0, damping=damping)
         aux = build_aux_table(damping, 20.0)
         for dt in rng.uniform(1e-4, 0.05, 3).tolist():
-            co = _coefficients(prob, aux, dt, 300, 1.0)
-            expected = []
-            for a, b in zip(co.a.tolist(), co.b.tolist()):
-                bh = 0.5 * dt * b
-                c = 1.0 / (1.0 + bh)
-                expected.append((2.0 * c, (1.0 - bh) * c, dt**2 * a * c, dt**2 * c) if expected
-                                else (1.0, -(1.0 - bh) * dt, 0.5 * dt**2 * a, 0.5 * dt**2))
-            assert np.array_equal(np.array(co.scalars).view(np.int64),
-                                  np.array(expected).T.view(np.int64))
-            negative.append(bool(np.any(co.scalars[1][1:] < 0.0)))
+            expected, scalars = [], []
+            for _, a_chunk, b_chunk, _, k in _coefficients(prob, aux, dt, 300, 1.0):
+                scalars.append(k)
+                for a, b in zip(a_chunk.tolist(), b_chunk.tolist()):
+                    bh = 0.5 * dt * b
+                    c = 1.0 / (1.0 + bh)
+                    expected.append((2.0 * c, (1.0 - bh) * c, dt**2 * a * c, dt**2 * c) if expected
+                                    else (1.0, -(1.0 - bh) * dt, 0.5 * dt**2 * a, 0.5 * dt**2))
+            scalars = np.concatenate(scalars, axis=1)
+            assert np.array_equal(scalars.view(np.int64), np.array(expected).T.view(np.int64))
+            negative.append(bool(np.any(scalars[1, 1:] < 0.0)))
     assert any(negative)
+
+
+def _whole_run_coefficients(prob, aux, dt, steps, nonlinearity):
+    """ts, a, b, forcing factor and step scalars of every step at once, with one cumsum of B."""
+    ts = np.arange(steps + 1) * dt
+    b = np.asarray(prob.damping.b(ts), float)
+    dB = np.empty(steps)
+    for lo in range(0, steps, _PANEL_CHUNK):
+        hi = min(lo + _PANEL_CHUNK, steps)
+        dB[lo:hi], _ = gauss_kronrod_panel(lambda x: 1.0 / prob.damping.b(x),
+                                           ts[lo:hi], ts[lo + 1:hi + 1])
+    B = np.concatenate(([0.0], np.cumsum(dB))) + aux.B_unit_shift
+    a = prob.c_a * B ** (-prob.alpha)
+    fscale = nonlinearity * (prob.c_f * B**prob.gamma)
+    bh = 0.5 * dt * b
+    c = 1.0 / (1.0 + bh)
+    k = np.array((2.0 * c, (1.0 - bh) * c, dt**2 * a * c, dt**2 * c))
+    k[:, 0] = 1.0, -(1.0 - bh[0]) * dt, 0.5 * dt**2 * a[0], 0.5 * dt**2
+    return ts, a, b, fscale, k
+
+
+@pytest.mark.parametrize("damping", [
+    DampingModel.power_law(1.0, 0.5),
+    DampingModel.perturbed_power(2.0, -0.3, Perturbation("sin", 0.5)),
+], ids=["powerlaw", "perturbed"])
+def test_coefficient_chunks_equal_the_whole_run(damping):
+    """A march of 3 chunks and 5 steps gets, chunk by chunk, the times, a, b, forcing
+    factor and step scalars that one cumsum over the whole run gives, bit for bit."""
+    prob = ProblemSpec(n=2, alpha=0.25, gamma=0.5, delta=0.0, p=2.0, damping=damping)
+    dt, steps = 0.01, 3 * _PANEL_CHUNK + 5
+    aux = build_aux_table(damping, steps * dt * 1.01)
+    chunks = list(_coefficients(prob, aux, dt, steps, 0.75))
+    assert [len(chunk[0]) for chunk in chunks] == [_PANEL_CHUNK] * 3 + [6]
+    for part, whole in zip(zip(*chunks), _whole_run_coefficients(prob, aux, dt, steps, 0.75)):
+        joined = np.concatenate(part, axis=-1)
+        assert np.array_equal(joined.view(np.int64), whole.view(np.int64))
+
+
+def test_march_that_ends_early_forms_only_the_chunks_it_reached(monkeypatch):
+    """A run and a sweep that blow up in the first of three chunks form that chunk alone."""
+    formed = []
+
+    def counted(*args):
+        for chunk in _coefficients(*args):
+            formed.append(len(chunk[0]))
+            yield chunk
+
+    spec = SimSpec(problem=unit_problem(3.0), r_max=20.0, J=64, T_max=1300.0,
+                   u1=GaussianData(5.0, 1.0), allow_boundary_reflections=True)
+    aux = build_aux_table(spec.problem.damping, max(2.0, spec.T_max) * 1.01)
+    assert _time_step(spec, aux)[1] > 2 * _PANEL_CHUNK
+    monkeypatch.setattr("blowuplab.simulator._coefficients", counted)
+    out = run(spec, aux)
+    assert out.verdict == "blowup" and len(out.times) < _PANEL_CHUNK
+    assert formed == [_PANEL_CHUNK]
+    rows = sweep_p(spec, [2.0, 3.0], aux)
+    assert [row["verdict"] for row in rows] == ["blowup"] * 2
+    assert formed == [_PANEL_CHUNK] * 2
 
 
 # -- one-row array reference (alpha = gamma = 0) ------------------------------------------
@@ -676,6 +739,42 @@ def test_crossing_at_each_slot_of_a_block(slot):
     assert np.array_equal(out.sup_norms, sups)
     assert np.array_equal(out.energies, energies)
     assert np.array_equal(out.final_u.view(np.int64), final.view(np.int64))
+
+
+def test_crossing_at_the_first_step_of_a_chunk():
+    """A run that crosses its threshold at the first step of its second chunk of
+    coefficients, where the sample before the crossing is the first chunk's last."""
+    spec = replace(BLOCK_SPEC, T_max=52.0, u0=GaussianData(0.02, 10.0), u1=GaussianData(0.02, 10.0))
+    full = run(replace(spec, blowup_threshold=1e300))
+    assert full.verdict == "survived" and np.all(np.diff(full.sup_norms[:_PANEL_CHUNK + 1]) > 0)
+    out = run(replace(spec, blowup_threshold=full.sup_norms[_PANEL_CHUNK]))
+    assert out.verdict == "blowup" and len(out.times) - 1 == _PANEL_CHUNK
+    assert out.t_star == detect_blowup(full.times, full.sup_norms, full.sup_norms[_PANEL_CHUNK])
+    sups, energies, final = _reference_traces(spec, out.dt, _PANEL_CHUNK)
+    assert np.array_equal(out.sup_norms, sups)
+    assert np.array_equal(out.energies, energies)
+    assert np.array_equal(out.final_u.view(np.int64), final.view(np.int64))
+
+
+@pytest.mark.parametrize("nonlinearity", [0.2, 0.05], ids=["crosses-again", "decays"])
+def test_data_at_or_above_the_threshold_give_t0(nonlinearity):
+    """Data above the threshold give t* = 0 in a run and in every sweep row, and the
+    march goes on as before: the field falls below the threshold, then crosses it again
+    or reaches the horizon; the run's traces are the per-step reference's."""
+    spec = SimSpec(problem=unit_problem(2.0), r_max=60.0, J=300, T_max=30.0,
+                   u0=GaussianData(2.0, 1.0), blowup_threshold=1.99, nonlinearity=nonlinearity)
+    out = run(spec)
+    assert out.verdict == "blowup" and out.t_star == 0.0 and out.sup_norms[1] < 1.99
+    sups, energies, final = _reference_traces(spec, out.dt, len(out.times) - 1)
+    assert np.array_equal(out.sup_norms, sups)
+    assert np.array_equal(out.energies, energies)
+    assert np.array_equal(out.final_u.view(np.int64), final.view(np.int64))
+    assert (len(out.times) - 1 == round(spec.T_max / out.dt)) == (nonlinearity == 0.05)
+    p_list = [1.5, 2.0, 3.0]
+    aux = build_aux_table(spec.problem.damping, max(2.0, spec.T_max) * 1.01)
+    singles = _rows_equal_single_runs(spec, aux, p_list)
+    assert [oc.t_star for oc in singles] == [0.0] * 3
+    assert [row["t_star"] for row in sweep_p(spec, p_list, aux)] == [0.0] * 3
 
 
 def test_rows_crossing_in_one_block_equal_single_runs():
