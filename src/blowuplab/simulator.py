@@ -40,7 +40,10 @@ again before it could reach column W-2, and W grows by a block when it
 runs short, so every column outside the window is exactly what a
 full-width march would hold.  The full-width fields of a block of steps
 are buffered and turned into sup-norms, guard-cell maxima and energies
-in one 2-D pass; every energy row is summed over all J pairs, zeros
+in one pass.  The block holds only the rows still marching, so it stays
+one contiguous buffer, and the energies take their differences and
+trapezoid pairs on it as one flat array, then redo the entries where
+two rows meet.  Every energy row is summed over all J pairs, zeros
 included, because numpy's pairwise sum groups its terms by the length
 of the row.
 
@@ -341,16 +344,25 @@ class _Stencil:
         """Discrete kinetic + elastic energy of each full-width row (last axis) of ``u``.
 
         ``v`` holds the velocity rows and is consumed, ``a`` the wave speed
-        of each row, and ``u_r``, of the shape of ``u``, is a work buffer.  The arithmetic of ``np.gradient(u, dr)`` and
-        ``np.trapezoid(dens * rpow, dx=dr)`` for dens = v^2/2 + a u_r^2/2,
-        row by row: each row sums its J pairs with numpy's pairwise sum, as
-        a one-row ``.sum()`` does.  ``rpow`` is r^(n-1) on the grid.
+        of each row, and ``u_r``, of the shape of ``u``, is a work buffer;
+        ``u``, ``v`` and ``u_r`` are C-contiguous.  The arithmetic of
+        ``np.gradient(u, dr)`` and ``np.trapezoid(dens * rpow, dx=dr)`` for
+        dens = v^2/2 + a u_r^2/2, row by row: each row sums its J pairs with
+        numpy's pairwise sum, as a one-row ``.sum()`` does.  ``rpow`` is
+        r^(n-1) on the grid.
+
+        The central differences and the trapezoid pairs run once on the
+        flat buffers, so the entries that straddle two rows are not their
+        rows' own: the gradient's columns 0 and J are then redone with
+        their one-sided formulas, and the pair at column J is left out of
+        the sums.  Every other entry sees the operations of its own row.
         """
         dr = self.dr
+        flat, flat_r = u.reshape(-1), u_r.reshape(-1)
+        np.subtract(flat[2:], flat[:-2], out=flat_r[1:-1])
+        flat_r[1:-1] /= 2.0 * dr
         np.subtract(u[..., 1], u[..., 0], out=u_r[..., 0])
         u_r[..., 0] /= dr
-        np.subtract(u[..., 2:], u[..., :-2], out=u_r[..., 1:-1])
-        u_r[..., 1:-1] /= 2.0 * dr
         np.subtract(u[..., -1], u[..., -2], out=u_r[..., -1])
         u_r[..., -1] /= dr
         dens = v
@@ -360,10 +372,11 @@ class _Stencil:
         u_r *= (0.5 * a)[..., None]
         dens += u_r
         dens *= rpow
-        pairs = np.add(dens[..., 1:], dens[..., :-1], out=u_r[..., :-1])
+        flat_d = dens.reshape(-1)
+        pairs = np.add(flat_d[1:], flat_d[:-1], out=flat_r[:-1])
         pairs *= dr
         pairs /= 2.0
-        return self.area * pairs.sum(axis=-1)
+        return self.area * u_r[..., :-1].sum(axis=-1)
 
 
 def _stable_dt(prob: ProblemSpec, aux: AuxTable, cfl: float, dr: float, T: float,
@@ -443,7 +456,7 @@ def _coefficients(prob: ProblemSpec, aux: AuxTable, dt: float, steps: int,
     for lo in range(0, steps + 1, _PANEL_CHUNK):
         # the chunk's times and the end of its last step
         ts = np.arange(lo, min(lo + _PANEL_CHUNK, steps) + 1) * dt
-        dB, _ = gauss_kronrod_panel(lambda x: 1.0 / prob.damping.b(x), ts[:-1], ts[1:])
+        dB = gauss_kronrod_panel(lambda x: 1.0 / prob.damping.b(x), ts[:-1], ts[1:])[0]
         cum = np.cumsum(np.concatenate(([B], dB)))
         n, B = min(_PANEL_CHUNK, steps + 1 - lo), cum[-1]
         ts, Bs = ts[:n], cum[:n] + aux.B_unit_shift
@@ -461,6 +474,8 @@ def _coefficients(prob: ProblemSpec, aux: AuxTable, dt: float, steps: int,
         if not lo:
             k[:, 0] = 1.0, -(1.0 - bh[0]) * dt, 0.5 * dt**2 * a[0], 0.5 * dt**2
         yield ts, a, b, fscale, k
+        # so that forming the next chunk does not hold this one too
+        del ts, dB, cum, Bs, b, a, fscale, values, bh, c, k
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -474,13 +489,16 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
     block of buffered steps is full, at the last step of a chunk or of the
     march and before a window rescan, one pass over the block takes each
     row's sup-norms and, with the guard on and W = J+1, its guard cells'
-    max.  A row keeps its running peak sup, its last sample and whether a
-    guard cell ever passed 1e-10 of the running peak (at least 1e-300) at
-    its step; with ``traces`` (a ``run``) also its sup-norms and energies,
-    and otherwise its outcome has empty traces.  A row whose sup is not
+    max; a block's last step is fixed when the block starts, as chunks and
+    rescans start only with a block.  A row keeps its running peak sup,
+    its last sample and whether a guard cell ever passed 1e-10 of the
+    running peak (at least 1e-300) at its step; with ``traces`` (a
+    ``run``) also its sup-norms and energies, and otherwise its outcome
+    has empty traces.  A row whose sup is not
     below the threshold (NaN included) at some step of the block ends at
     the first such step, with its field from the buffer, and leaves the
-    batch; its later steps are dropped, as rows do not interact.  t* is
+    batch, and the block's buffers are viewed anew on the rows left; its
+    later steps are dropped, as rows do not interact.  t* is
     ``detect_blowup`` of the data's sup and the samples at and before a
     row's last step, so data at or above the threshold give t* = 0; a row
     that reaches the horizon without t* but with a guard cell past the
@@ -513,16 +531,26 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
             (k_u[0], k_prev[0], k_lap[0], k_src[0]))
     u[0][:, -1] = 0.0
 
-    # full-width fields of the active rows, +0.0 past the window: slots
-    # 1..filled hold the steps from done on, slot 0 step done-1 for the energies
-    block = np.zeros((max(2, _ENERGY_BUDGET // (rows * (J + 1))), rows, J + 1))
-    block[0] = u0
+    # full-width fields of the active rows: slots 1..filled hold the steps from
+    # done on, slot 0 step done-1 for the energies.  Only slot 0 holds u0, and
+    # only until the first block ends; every other field is +0.0 past the
+    # window.  So when rows leave, the flat buffers are viewed anew on the rows
+    # left, with the same slots, and each column keeps its place in a row.
+    depth = max(2, _ENERGY_BUDGET // (rows * (J + 1)))
+    buffers = [np.zeros(depth * rows * (J + 1))] + [np.empty(depth * rows * (J + 1))
+                                                     for _ in range(2 * traces)]
+
+    def shaped(count: int) -> list[np.ndarray]:
+        """The block and, with ``traces``, the energies' two work buffers, on ``count`` rows."""
+        return [flat[:depth * count * (J + 1)].reshape(depth, count, J + 1) for flat in buffers]
+
+    block, *work = shaped(rows)
     sup0 = np.max(np.abs(u0))
     sup_hist, energy_hist = np.empty((2, rows, steps + 1 if traces else 0))
     if traces:
-        vel, grad = np.empty((2,) + block[1:].shape)     # the energies' work buffers
+        block[0] = u0
         sup_hist[:, 0] = sup0
-        energy_hist[:, 0] = st.energies(u0, v0, a_arr[:1], rpow, grad[0, :1])
+        energy_hist[:, 0] = st.energies(u0, v0, a_arr[:1], rpow, work[1][0, :1])
     done, filled = 1, 0
 
     active = np.arange(rows)
@@ -541,38 +569,42 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
             times=np.arange(m + 1 if traces else 0) * dt, sup_norms=sup_hist[i, :m + 1],
             energies=energy_hist[i, :m + 1], dt=dt, dr=dr, r=r, final_u=final[i])
 
-    slots = block[:, :len(active), :width]      # the window of the active rows
+    slots = block[:, :, :width]     # the window of the active rows
     rescan = 1      # step 1 sizes the window as every later rescan does; 0: the window is whole
 
     for m in range(1, steps + 1):
-        if m == hi:
-            _, a_arr, _, fscale, (k_u, k_prev, k_lap, k_src) = next(chunks)
-            lo, hi = m, m + len(a_arr)
-        if m == rescan:
-            # from this step on the support could reach column width - 2
-            end = _support_end(u[0], u_prev[0])
-            if end + 2 + _WINDOW_BLOCK // 2 > width:
-                grow = min(J + 1, end + 2 + _WINDOW_BLOCK) - width
-                pad = ((0, 0), (0, grow))
-                width += grow
-                u, u_prev = st.bind(np.pad(u[0], pad), np.pad(u_prev[0], pad))    # +0.0
-                slots = block[:, :len(active), :width]
-            rescan = m + width - 1 - end if width < J + 1 else 0
+        if m == done:
+            # a block starts: a chunk and a rescan start only with a block
+            if m == hi:
+                del a_arr, fscale, k_u, k_prev, k_lap, k_src    # hold one chunk at a time
+                _, a_arr, _, fscale, (k_u, k_prev, k_lap, k_src) = next(chunks)
+                lo, hi = m, m + len(a_arr)
+            if m == rescan:
+                # from this step on the support could reach column width - 2
+                end = _support_end(u[0], u_prev[0])
+                if end + 2 + _WINDOW_BLOCK // 2 > width:
+                    grow = min(J + 1, end + 2 + _WINDOW_BLOCK) - width
+                    pad = ((0, 0), (0, grow))
+                    width += grow
+                    u, u_prev = st.bind(np.pad(u[0], pad), np.pad(u_prev[0], pad))    # +0.0
+                    slots = block[:, :, :width]
+                rescan = m + width - 1 - end if width < J + 1 else 0
+            # the block ends when its slots are full, at the last step, with its
+            # chunk, and before a rescan, which must see only the rows left
+            last = min(done + depth - 2, steps, hi - 1, rescan - 1 if rescan else steps)
         filled += 1
         slots[filled] = u[0]
 
-        # a block also ends with its chunk, and before a rescan, which must see
-        # only the rows left, so that all its steps share one chunk and one window
-        if filled + 1 == len(block) or m in (steps, rescan - 1, hi - 1):
-            fields = block[1:filled + 1, :len(active)]
+        if m == last:
+            fields = block[1:filled + 1]
             sups = np.abs(fields[:, :, :width]).max(axis=2)
             if traces:
+                vel, grad = work
                 sup_hist[active, done:done + filled] = sups.T
-                v = np.subtract(fields, block[:filled, :len(active)], out=vel[:filled, :len(active)])
+                v = np.subtract(fields, block[:filled], out=vel[:filled])
                 v /= dt
                 energy_hist[active, done:done + filled] = st.energies(
-                    fields, v, a_arr[done - lo:done - lo + filled, None], rpow,
-                    grad[:filled, :len(active)]).T
+                    fields, v, a_arr[done - lo:done - lo + filled, None], rpow, grad[:filled]).T
                 block[0] = block[filled]
             if guard and width == J + 1:
                 edge = np.abs(fields[:, :, -guard - 1:-1]).max(axis=2)
@@ -594,16 +626,18 @@ def _march(spec: SimSpec, aux: AuxTable, powers: Sequence[float],
                 if not len(active):     # a single run always ends here
                     break
                 u, u_prev = st.bind(u[0][kept], u_prev[0][kept])
-                block[0, :len(active)] = block[0, :len(kept)][kept]
-                slots = block[:, :len(active), :width]
+                head = block[0, kept]
+                block, *work = shaped(len(active))
+                block[0] = head
+                slots = block[:, :, :width]
                 powers, cuts = ([x for x, keep in zip(xs, kept) if keep] for xs in (powers, cuts))
             sample = sups[-1]
-            done, filled = done + filled, 0
-        if m == steps:
-            final[active, :width] = u[0]
-            for i, at in zip(active.tolist(), sample.tolist()):
-                finish(i, m, at, at)
-            break
+            if m == steps:
+                final[active, :width] = u[0]
+                for i, at in zip(active.tolist(), sample.tolist()):
+                    finish(i, m, at, at)
+                break
+            done, filled = m + 1, 0
 
         e = m - lo      # the step's entry in the chunk
         forcing = st.source(u[0], powers, cuts, fscale[e])

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from blowuplab import auxcalc
+from blowuplab import auxcalc, simulator
 from blowuplab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, _csv_lines, dispatch
 from blowuplab.coeffs import DampingModel, Perturbation
 from blowuplab.exponents import p_crit_damped
@@ -218,6 +218,30 @@ def test_simulate_energy_overflow_alone_keeps_the_trace(tmp_path, capsys):
     assert [row["t"] for row in rows] == ["0", "0.3125"]
     assert all(row["energy"] == "" for row in rows) and float(rows[-1]["sup_norm"]) > 1e199
     assert _finite_or_empty(rows)
+
+
+@pytest.mark.parametrize("cfg", [
+    # 5001 rows, more than one batch of formatted rows
+    {"problem": {"n": 2, "alpha": 0, "gamma": 0, "delta": 0, "p": 2}, "r_max": 8, "J": 200,
+     "T_max": 100, "nonlinearity": 0, "allow_boundary_reflections": True,
+     "data": {"u1": {"amplitude": 5}}},
+    # v0**2/2 overflows at t = 0: every energy is an empty field
+    {"problem": {"n": 1, "alpha": 0, "gamma": 0, "delta": 0, "p": 2}, "r_max": 40, "J": 64,
+     "T_max": 1, "blowup_threshold": 1e308, "data": {"u1": {"amplitude": 1e200}}},
+], ids=["decay", "energy-overflow"])
+def test_simulate_csv_is_the_csv_lines_of_its_traces(cfg, tmp_path, capsys):
+    """The trace CSV gives the bytes that _csv_lines gives for the run's (t, sup_norm,
+    energy) rows before the first sup norm that is not finite, with an energy that is not
+    finite as an empty field."""
+    path, out = tmp_path / "sim.json", tmp_path / "sim.csv"
+    path.write_text(json.dumps(cfg))
+    assert dispatch(["simulate", "--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
+    trace = simulator.run(simulator.SimSpec.from_dict(cfg))
+    columns = (trace.times, trace.sup_norms, trace.energies)
+    rows = [(t, s, e if math.isfinite(e) else None)
+            for t, s, e in zip(*(v.tolist() for v in columns)) if math.isfinite(s)]
+    assert len(rows) > 4096 or (len(rows) > 1 and all(e is None for _, _, e in rows))
+    assert out.read_bytes() == ("t,sup_norm,energy\n" + "".join(_csv_lines(rows))).encode()
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
