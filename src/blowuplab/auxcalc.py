@@ -200,16 +200,16 @@ def _closure(model: DampingModel, t0, t1, E, gap, tol: float):
     A cell closes where r is finite and 1 + eps >= ``_STEADY_MARGIN`` at
     its two ends and its 15 Kronrod nodes, and where q^ > 0 and
     max|r| q^ + E gap h(t1) <= tol q^: the second term bounds what the
-    K15-G7 gap of int b leaves uncertain in E.  Order 1 is tried first, and
-    order 2, which reads b''', only on the cells order 1 refuses, so a cell
-    order 1 closes keeps its bits.
+    K15-G7 gap of int b leaves uncertain in E.  b to b''' of all the cells
+    are one read; order 1 is tried first, and order 2 only on the cells
+    order 1 refuses, so a cell order 1 closes keeps its bits.
     """
     half = 0.5 * (t1 - t0)
     t = np.column_stack((t0, t0[:, None] + half[:, None] * _OFFSETS, t1))
     with np.errstate(all="ignore"):
-        b = np.asarray(model.b(t), dtype=float)
-        eps = np.asarray(model.db(t), dtype=float) / b / b   # b**2 can leave the range
-        c = np.asarray(model.d2b(t), dtype=float) / b / b / b
+        b, db, d2b, d3b = (np.asarray(v, dtype=float) for v in model.derivatives(t, 3))
+        eps = db / b / b   # b**2 can leave the range
+        c = d2b / b / b / b
         steady = (1.0 + eps >= _STEADY_MARGIN).all(axis=1)
         rho = (2.0 * eps * eps - c) / (1.0 + eps) ** 2
         h0, h1 = (1.0 / (b[:, i] * (1.0 + eps[:, i])) for i in (0, -1))
@@ -217,7 +217,7 @@ def _closure(model: DampingModel, t0, t1, E, gap, tol: float):
         refused = np.flatnonzero(~closes)
         if refused.size:
             b, eps, c = b[refused], eps[refused], c[refused]
-            d = np.asarray(model.d3b(t[refused]), dtype=float) / b / b / b / b
+            d = d3b[refused] / b / b / b / b
             r2 = 10.0 * eps * c - d - 15.0 * eps * eps * eps
             h0, h1 = ((1.0 - eps[:, i] + 3.0 * eps[:, i] * eps[:, i] - c[:, i]) / b[:, i]
                       for i in (0, -1))
@@ -447,6 +447,23 @@ def _like_query(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
+def _checked_query(name: str, values, top, what: str):
+    """``values`` as a float array, checked finite, nonnegative and at most ``top``.
+
+    A value past ``top`` raises :class:`TableRangeError`, naming the largest
+    value and then ``what`` and ``top``; one that is not finite or is
+    negative raises ``ValueError``.
+    """
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
+    if np.any(values < 0):
+        raise ValueError(f"{name} must be nonnegative")
+    if np.any(values > top):
+        raise TableRangeError(f"{name} = {np.max(values):g} beyond {what} {top:g}")
+    return values
+
+
 @dataclass(frozen=True)
 class AuxTable:
     """Cached samples of B, log beta and g on a fixed time grid.
@@ -493,15 +510,7 @@ class AuxTable:
 
         The bridging node is the first grid node at or above the time.
         """
-        t = np.asarray(t, dtype=float)
-        if not np.all(np.isfinite(t)):
-            raise ValueError("t must be finite")
-        if np.any(t < 0):
-            raise ValueError("t must be nonnegative")
-        if np.any(t > self.horizon):
-            raise TableRangeError(
-                f"t = {np.max(t):g} beyond tabulated horizon {self.horizon:g}"
-            )
+        t = _checked_query("t", t, self.horizon, "tabulated horizon")
         return t, np.searchsorted(self.grid, t, side="left")
 
     def B_at(self, t):
@@ -542,15 +551,7 @@ class AuxTable:
         lockstep, each round one array read of b and of B over the searches
         still open, so each element equals its scalar call bit for bit.
         """
-        s = np.asarray(s, dtype=float)
-        if not np.all(np.isfinite(s)):
-            raise ValueError("s must be finite")
-        if np.any(s < 0):
-            raise ValueError("s must be nonnegative")
-        if np.any(s > self.B_vals[-1]):
-            raise TableRangeError(
-                f"s = {np.max(s):g} beyond tabulated range B(horizon) = {self.B_vals[-1]:g}"
-            )
+        s = _checked_query("s", s, self.B_vals[-1], "tabulated range B(horizon) =")
         out = np.zeros(s.shape)         # A(0) = 0
         open_ = np.flatnonzero(s > 0)   # flat positions of the searches still open
         if not open_.size:
@@ -703,6 +704,13 @@ def check_hypothesis(model: DampingModel, horizon: float,
         raise FloatingPointError(
             f"{value} at t = {ts[i]:g} leaves the floating-point range; lower the horizon")
     db = np.asarray(model.db(ts), dtype=float)
+    # b' subnormal, or 0 where it is not 0 identically (kappa != 0): nan fails too
+    lost = ~(np.abs(db) >= np.finfo(float).tiny) & ((db != 0.0) | (model.kappa != 0.0))
+    bad = np.flatnonzero(lost)
+    if len(bad):
+        i = bad[0]
+        raise FloatingPointError(f"b'(t) = {db[i]:g} at t = {ts[i]:g} leaves the normal "
+                                 f"floating-point range; lower the horizon")
     ratio1 = (db / b) / b                   # liminf target > -1; b**2 can leave the range
     ratio2 = ts * db / b                    # limsup target < 1
 

@@ -1,16 +1,17 @@
 """Coefficient families for the damped wave problem.
 
 Damping laws b(t) carry exact analytic first, second and third
-derivatives; the propagation speed a(t) and forcing weight f(t, x) are
-representative equality versions of the one-sided growth bounds they must
-satisfy, built on the accumulated reciprocal damping B(t) supplied by an
-auxiliary table.
+derivatives, all formed by ``DampingModel.derivatives``; the propagation
+speed a(t) and forcing weight f(t, x) are representative equality versions
+of the one-sided growth bounds they must satisfy, built on the accumulated
+reciprocal damping B(t) supplied by an auxiliary table.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -103,46 +104,36 @@ class Perturbation:
         if self.kind == "sin" and self.exponent <= 0:
             raise ValueError("sin perturbation requires a positive exponent")
 
-    def value(self, t):
-        if self.kind == "log":
-            return np.log(np.e + t) ** self.exponent
-        s = 1.0 + np.asarray(t, dtype=float)
+    def derivatives(self, t, order: int) -> list:
+        """[v, v', ..., v^(order)] at t, for order <= 3, each in closed form."""
+        t = np.asarray(t, dtype=float)
         a = self.exponent
-        return 1.0 + s**a * np.sin(s ** (-2.0 * a))
-
-    def derivative(self, t):
         if self.kind == "log":
-            g = self.exponent
-            return g * np.log(np.e + t) ** (g - 1.0) / (np.e + t)
-        s = 1.0 + np.asarray(t, dtype=float)
-        a = self.exponent
-        phase = s ** (-2.0 * a)
-        return a * s ** (a - 1.0) * np.sin(phase) - 2.0 * a * s ** (-a - 1.0) * np.cos(phase)
-
-    def second_derivative(self, t):
-        if self.kind == "log":
-            g = self.exponent
-            L = np.log(np.e + t)
-            return g * L ** (g - 2.0) * (g - 1.0 - L) / (np.e + t) ** 2
-        s = 1.0 + np.asarray(t, dtype=float)
-        a = self.exponent
-        phase = s ** (-2.0 * a)
-        sin_factor = a * (a - 1.0) * s ** (a - 2.0) - 4.0 * a * a * s ** (-3.0 * a - 2.0)
-        return sin_factor * np.sin(phase) + 2.0 * a * s ** (-a - 2.0) * np.cos(phase)
-
-    def third_derivative(self, t):
-        if self.kind == "log":
-            g = self.exponent
-            L = np.log(np.e + t)
-            return (g * L ** (g - 3.0) * ((g - 1.0) * (g - 2.0) - 3.0 * (g - 1.0) * L + 2.0 * L * L)
-                    / (np.e + t) ** 3)
-        s = 1.0 + np.asarray(t, dtype=float)
-        a = self.exponent
-        phase = s ** (-2.0 * a)
-        sin_factor = (a * (a - 1.0) * (a - 2.0) * s ** (a - 3.0)
-                      + 12.0 * a * a * (a + 1.0) * s ** (-3.0 * a - 3.0))
-        cos_factor = 8.0 * a**3 * s ** (-5.0 * a - 3.0) - 2.0 * a * (a * a + 2.0) * s ** (-a - 3.0)
-        return sin_factor * np.sin(phase) + cos_factor * np.cos(phase)
+            shifted = np.e + t
+            L = np.log(shifted)
+            forms = (
+                lambda: L**a,
+                lambda: a * L ** (a - 1.0) / shifted,
+                lambda: a * L ** (a - 2.0) * (a - 1.0 - L) / shifted**2,
+                lambda: (a * L ** (a - 3.0) * ((a - 1.0) * (a - 2.0) - 3.0 * (a - 1.0) * L
+                                               + 2.0 * L * L) / shifted**3),
+            )
+        else:
+            s = 1.0 + t
+            phase = s ** (-2.0 * a)
+            sin, cos = np.sin(phase), (np.cos(phase) if order else None)
+            forms = (
+                lambda: 1.0 + s**a * sin,
+                lambda: a * s ** (a - 1.0) * sin - 2.0 * a * s ** (-a - 1.0) * cos,
+                lambda: ((a * (a - 1.0) * s ** (a - 2.0)
+                          - 4.0 * a * a * s ** (-3.0 * a - 2.0)) * sin
+                         + 2.0 * a * s ** (-a - 2.0) * cos),
+                lambda: ((a * (a - 1.0) * (a - 2.0) * s ** (a - 3.0)
+                          + 12.0 * a * a * (a + 1.0) * s ** (-3.0 * a - 3.0)) * sin
+                         + (8.0 * a**3 * s ** (-5.0 * a - 3.0)
+                            - 2.0 * a * (a * a + 2.0) * s ** (-a - 3.0)) * cos),
+            )
+        return [form() for form in forms[:order + 1]]
 
 
 @dataclass(frozen=True)
@@ -203,52 +194,33 @@ class DampingModel:
         """Exponent q with B(t) comparable to t**q for large t (q = 1 + kappa)."""
         return 1.0 + self.kappa
 
-    def b(self, t):
+    def derivatives(self, t, order: int) -> list:
+        """[b, b', ..., b^(order)] at t, for order <= 3, each in closed form.
+
+        The power law's k-th derivative is c_k (1 + t)**(-kappa - k), with
+        c_0 = mu and c_{k+1} = c_k (-kappa - k).  A perturbed law's is
+        Leibniz's sum over j = 0..k of C(k, j) base^(k-j) v^(j), added left
+        to right, with base the power law and v the perturbation.
+        """
+        t = np.asarray(t, dtype=float)
         if self.kind == "constant":
-            return self.mu * np.ones_like(np.asarray(t, dtype=float))
-        base = self.mu * (1.0 + np.asarray(t, dtype=float)) ** (-self.kappa)
+            return [self.mu * np.ones_like(t)] + [np.zeros_like(t) for _ in range(order)]
+        s, base, coefficient = 1.0 + t, [], self.mu
+        for k in range(order + 1):
+            base.append(coefficient * s ** (-self.kappa - k))
+            coefficient *= -self.kappa - k
         if self.kind == "powerlaw":
             return base
-        return base * self.perturbation.value(t)
+        v = self.perturbation.derivatives(t, order)
+        return [functools.reduce(operator.add, (math.comb(k, j) * base[k - j] * v[j]
+                                                for j in range(k + 1)))
+                for k in range(order + 1)]
+
+    def b(self, t):
+        return self.derivatives(t, 0)[0]
 
     def db(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "constant":
-            return np.zeros_like(t)
-        base = self.mu * (1.0 + t) ** (-self.kappa)
-        dbase = -self.mu * self.kappa * (1.0 + t) ** (-self.kappa - 1.0)
-        if self.kind == "powerlaw":
-            return dbase
-        return dbase * self.perturbation.value(t) + base * self.perturbation.derivative(t)
-
-    def d2b(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "constant":
-            return np.zeros_like(t)
-        k = self.kappa
-        d2base = self.mu * k * (k + 1.0) * (1.0 + t) ** (-k - 2.0)
-        if self.kind == "powerlaw":
-            return d2base
-        v = self.perturbation
-        base = self.mu * (1.0 + t) ** (-k)
-        dbase = -self.mu * k * (1.0 + t) ** (-k - 1.0)
-        return (d2base * v.value(t) + 2.0 * dbase * v.derivative(t)
-                + base * v.second_derivative(t))
-
-    def d3b(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "constant":
-            return np.zeros_like(t)
-        k = self.kappa
-        d3base = -self.mu * k * (k + 1.0) * (k + 2.0) * (1.0 + t) ** (-k - 3.0)
-        if self.kind == "powerlaw":
-            return d3base
-        v = self.perturbation
-        base = self.mu * (1.0 + t) ** (-k)
-        dbase = -self.mu * k * (1.0 + t) ** (-k - 1.0)
-        d2base = self.mu * k * (k + 1.0) * (1.0 + t) ** (-k - 2.0)
-        return (d3base * v.value(t) + 3.0 * d2base * v.derivative(t)
-                + 3.0 * dbase * v.second_derivative(t) + base * v.third_derivative(t))
+        return self.derivatives(t, 1)[1]
 
     @staticmethod
     def from_dict(data: dict) -> "DampingModel":

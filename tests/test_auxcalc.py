@@ -142,6 +142,24 @@ def test_invert_B_round_trips_inside_its_cell(model, starts_left, monkeypatch):
     assert bisections == 0
 
 
+@pytest.mark.parametrize("read, name", [("g_at", "t"), ("B_at", "t"), ("invert_B", "s")])
+def test_table_queries_are_checked_alike(aux_powerlaw_half, read, name):
+    """A time or a B value that is not finite, is negative or lies past the
+    table raises, naming the query; an array is checked as a whole."""
+    table = aux_powerlaw_half
+    query = getattr(table, read)
+    top, what = ((table.horizon, "tabulated horizon") if name == "t"
+                 else (table.B_vals[-1], "tabulated range B(horizon) ="))
+    for bad in (math.nan, [1.0, math.inf]):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            query(bad)
+    with pytest.raises(ValueError, match=f"^{name} must be nonnegative$"):
+        query(np.array([1.0, -1e-300]))
+    with pytest.raises(TableRangeError) as info:
+        query(np.array([0.5, 2.0 * top, 1.5 * top]))
+    assert str(info.value) == f"{name} = {2.0 * top:g} beyond {what} {top:g}"
+
+
 def test_invert_B_raises_after_its_step_cap(aux_powerlaw_half, monkeypatch):
     """Newton steps that keep crawling end in QuadratureNonconvergence, not a hang."""
     s = 10.0
@@ -429,7 +447,8 @@ def test_failed_table_checks_are_numerical_failures(monkeypatch):
         def db(self, t):
             return np.zeros_like(np.asarray(t, dtype=float))
 
-        d2b = d3b = db
+        def derivatives(self, t, order):
+            return [self.b(t)] + [self.db(t)] * order
 
     with pytest.raises(TabulationError, match="monotonicity"):
         build_aux_table(NegativeNearZero(), 10.0)
@@ -504,7 +523,7 @@ def _reference_closure(model, t0, t1, E, gap, tol):
         return None
 
     with np.errstate(all="ignore"):
-        b, db, d2b = (np.asarray(f(t), dtype=float) for f in (model.b, model.db, model.d2b))
+        b, db, d2b = (np.asarray(v, dtype=float) for v in model.derivatives(t, 2))
         eps = [db[i] / b[i] / b[i] for i in range(17)]
         c = [d2b[i] / b[i] / b[i] / b[i] for i in range(17)]
         if not all(1.0 + e >= 0.5 for e in eps):
@@ -513,7 +532,7 @@ def _reference_closure(model, t0, t1, E, gap, tol):
                    [1.0 / (b[i] * (1.0 + eps[i])) for i in (0, -1)])
         if q is not None:
             return q
-        d3b = np.asarray(model.d3b(t), dtype=float)
+        d3b = np.asarray(model.derivatives(t, 3)[3], dtype=float)
         d = [d3b[i] / b[i] / b[i] / b[i] / b[i] for i in range(17)]
         return closed([10.0 * e * ci - di - 15.0 * e * e * e for e, ci, di in zip(eps, c, d)],
                       [(1.0 - eps[i] + 3.0 * eps[i] * eps[i] - c[i]) / b[i] for i in (0, -1)])
@@ -553,7 +572,8 @@ def _law(bfun):
     """A bare damping function as a model whose derivatives are NaN: no
     cell of it closes, every open one walks."""
     nan = lambda t: np.full(np.shape(t), np.nan)
-    return SimpleNamespace(b=bfun, db=nan, d2b=nan, d3b=nan)
+    return SimpleNamespace(b=bfun, db=nan,
+                           derivatives=lambda t, order: [bfun(t)] + [nan(t)] * order)
 
 
 class _CountingDamping:
@@ -569,11 +589,9 @@ class _CountingDamping:
     def db(self, t):
         return self.model.db(t)
 
-    def d2b(self, t):
-        return self.model.d2b(t)
-
-    def d3b(self, t):
-        return self.model.d3b(t)
+    def derivatives(self, t, order):
+        self.points += np.size(t)
+        return self.model.derivatives(t, order)
 
 
 @pytest.mark.parametrize("model, horizon", [
@@ -676,8 +694,8 @@ from blowuplab.quadrature import QuadratureNonconvergence
 
 rng = np.random.default_rng(0)
 nan = lambda t: np.full(np.shape(t), np.nan)
-noise = SimpleNamespace(b=lambda t: rng.uniform(1.0, 2.0, np.shape(t)), db=nan, d2b=nan,
-                        d3b=nan)
+b = lambda t: rng.uniform(1.0, 2.0, np.shape(t))
+noise = SimpleNamespace(b=b, db=nan, derivatives=lambda t, order: [b(t)] + [nan(t)] * order)
 t0 = np.arange(600.0)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 try:
@@ -733,8 +751,10 @@ def test_g_tail_stops_at_the_depth_limit():
     """b = 1 + sin(t)/2 is not steady (rho of order 1), so the closure
     refuses its cells; at 1e18 pieces of the first one do not stand after
     48 halvings, and the tail raises instead of drifting."""
-    law = SimpleNamespace(b=lambda t: 1.0 + 0.5 * np.sin(t), db=lambda t: 0.5 * np.cos(t),
-                          d2b=lambda t: -0.5 * np.sin(t), d3b=lambda t: -0.5 * np.cos(t))
+    forms = (lambda t: 1.0 + 0.5 * np.sin(t), lambda t: 0.5 * np.cos(t),
+             lambda t: -0.5 * np.sin(t), lambda t: -0.5 * np.cos(t))
+    law = SimpleNamespace(b=forms[0], db=forms[1],
+                          derivatives=lambda t, order: [f(t) for f in forms[:order + 1]])
     assert 0.5 < auxcalc._g_tail(law, 1e3, 1e-10) < 2.0
     with pytest.raises(QuadratureNonconvergence,
                        match=r"cell \[1e\+18, 1\.35e\+18\] did not resolve within 48 halvings"):
@@ -780,18 +800,18 @@ def test_cells_resolve_together_exactly_when_alone(monkeypatch):
 
 def _rho(model, t):
     """rho = (2 eps^2 - b''/b^3)/(1 + eps)^2, eps = b'/b^2: the closure's relative error."""
-    b = model.b(t)
-    eps = model.db(t) / b / b
-    return (2.0 * eps * eps - model.d2b(t) / b**3) / (1.0 + eps) ** 2
+    b, db, d2b = model.derivatives(t, 2)
+    eps = db / b / b
+    return (2.0 * eps * eps - d2b / b**3) / (1.0 + eps) ** 2
 
 
 def _r2(model, t):
     """r2 = 10 eps c - d - 15 eps^3, with eps = b'/b^2, c = b''/b^3 and
     d = b'''/b^4: the second-order closure's relative error."""
-    b = model.b(t)
-    eps = model.db(t) / b / b
-    c = model.d2b(t) / b**3
-    return 10.0 * eps * c - model.d3b(t) / b**4 - 15.0 * eps**3
+    b, db, d2b, d3b = model.derivatives(t, 3)
+    eps = db / b / b
+    c = d2b / b**3
+    return 10.0 * eps * c - d3b / b**4 - 15.0 * eps**3
 
 
 def _cell(t0):

@@ -55,9 +55,13 @@ def test_exponents_grid_config(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["check", "--mu", "1e300", "--horizon", "1e300"],
     ["check", "--damping", "powerlaw", "--kappa", "0.5", "--mu", "1e-300", "--horizon", "1e100"],
+    # b' is subnormal from t = 6.7e153: liminf b'/b^2 read -1.94 at 1e162, and 0 (PASS) at 1e170
+    ["check", "--damping", "powerlaw", "--kappa", "1", "--mu", "1", "--horizon", "1e162"],
+    ["check", "--damping", "powerlaw", "--kappa", "1", "--mu", "1", "--horizon", "1e170"],
 ])
 def test_check_where_b_leaves_the_range_is_a_numerical_failure(argv, capsys):
-    """t*b overflows, or b underflows to 0: exit 3 naming t, with no ratio printed."""
+    """t*b overflows, or b underflows to 0, or b' is subnormal: exit 3 naming
+    t, with no ratio printed."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code = dispatch(argv)
@@ -890,6 +894,9 @@ _CHECK = st.tuples(st.floats(1.0, 308.0).map(lambda e: repr(10.0**e)), _real(-0.
 @example(argv=["check", "--mu", "1e300", "--horizon", "1e300"])
 @example(argv=["check", "--damping", "powerlaw", "--kappa", "0.5", "--mu", "1e-300",
                "--horizon", "1e100"])
+# and b' is subnormal
+@example(argv=["check", "--damping", "powerlaw", "--kappa", "1", "--mu", "1", "--horizon", "1e162"])
+@example(argv=["check", "--damping", "powerlaw", "--kappa", "1", "--mu", "1", "--horizon", "1e170"])
 # p_crit overflows
 @example(argv=["exponents", "--n", "1", "--gamma", "1e308"])
 def test_analysis_arguments_end_cleanly(argv):

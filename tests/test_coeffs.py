@@ -74,7 +74,7 @@ def test_second_derivative_matches_centered_difference_of_db():
             h = 1e-4 * (1.0 + t)
             lo = max(t - h, 0.0)
             fd = (model.db(t + h) - model.db(lo)) / ((t + h) - lo)
-            an = model.d2b(t)
+            an = model.derivatives(t, 2)[2]
             assert abs(fd - an) <= 1e-6 * (abs(an) + abs(model.db(t)) / (1.0 + t)), (model, t)
 
 
@@ -89,9 +89,142 @@ def test_third_derivative_matches_centered_difference_of_d2b():
         for t in ts:
             h = 1e-4 * (1.0 + t)
             lo = max(t - h, 0.0)
-            fd = (model.d2b(t + h) - model.d2b(lo)) / ((t + h) - lo)
-            an = model.d3b(t)
-            assert abs(fd - an) <= 1e-6 * (abs(an) + abs(model.d2b(t)) / (1.0 + t)), (model, t)
+            d2b = lambda x: model.derivatives(x, 2)[2]
+            fd = (d2b(t + h) - d2b(lo)) / ((t + h) - lo)
+            an = model.derivatives(t, 3)[3]
+            assert abs(fd - an) <= 1e-6 * (abs(an) + abs(d2b(t)) / (1.0 + t)), (model, t)
+
+
+# the hand-expanded product rules that ``derivatives`` replaced, kept as its bit oracle
+
+def _reference_perturbation(v, t, k):
+    """v^(k)(t) by the closed forms written out one order at a time."""
+    if v.kind == "log":
+        g = v.exponent
+        if k == 0:
+            return np.log(np.e + t) ** g
+        if k == 1:
+            return g * np.log(np.e + t) ** (g - 1.0) / (np.e + t)
+        L = np.log(np.e + t)
+        if k == 2:
+            return g * L ** (g - 2.0) * (g - 1.0 - L) / (np.e + t) ** 2
+        return (g * L ** (g - 3.0) * ((g - 1.0) * (g - 2.0) - 3.0 * (g - 1.0) * L + 2.0 * L * L)
+                / (np.e + t) ** 3)
+    s = 1.0 + np.asarray(t, dtype=float)
+    a = v.exponent
+    if k == 0:
+        return 1.0 + s**a * np.sin(s ** (-2.0 * a))
+    phase = s ** (-2.0 * a)
+    if k == 1:
+        return a * s ** (a - 1.0) * np.sin(phase) - 2.0 * a * s ** (-a - 1.0) * np.cos(phase)
+    if k == 2:
+        sin_factor = a * (a - 1.0) * s ** (a - 2.0) - 4.0 * a * a * s ** (-3.0 * a - 2.0)
+        return sin_factor * np.sin(phase) + 2.0 * a * s ** (-a - 2.0) * np.cos(phase)
+    sin_factor = (a * (a - 1.0) * (a - 2.0) * s ** (a - 3.0)
+                  + 12.0 * a * a * (a + 1.0) * s ** (-3.0 * a - 3.0))
+    cos_factor = 8.0 * a**3 * s ** (-5.0 * a - 3.0) - 2.0 * a * (a * a + 2.0) * s ** (-a - 3.0)
+    return sin_factor * np.sin(phase) + cos_factor * np.cos(phase)
+
+
+def _reference_derivative(model, t, k):
+    """b^(k)(t) by the product rule written out one order at a time."""
+    if k == 0:
+        if model.kind == "constant":
+            return model.mu * np.ones_like(np.asarray(t, dtype=float))
+        base = model.mu * (1.0 + np.asarray(t, dtype=float)) ** (-model.kappa)
+        if model.kind == "powerlaw":
+            return base
+        return base * _reference_perturbation(model.perturbation, t, 0)
+    t = np.asarray(t, dtype=float)
+    if model.kind == "constant":
+        return np.zeros_like(t)
+    mu, kappa, v = model.mu, model.kappa, model.perturbation
+    base = mu * (1.0 + t) ** (-kappa)
+    dbase = -mu * kappa * (1.0 + t) ** (-kappa - 1.0)
+    d2base = mu * kappa * (kappa + 1.0) * (1.0 + t) ** (-kappa - 2.0)
+    d3base = -mu * kappa * (kappa + 1.0) * (kappa + 2.0) * (1.0 + t) ** (-kappa - 3.0)
+    if model.kind == "powerlaw":
+        return (dbase, d2base, d3base)[k - 1]
+    vs = [_reference_perturbation(v, t, j) for j in range(k + 1)]
+    if k == 1:
+        return dbase * vs[0] + base * vs[1]
+    if k == 2:
+        return d2base * vs[0] + 2.0 * dbase * vs[1] + base * vs[2]
+    return d3base * vs[0] + 3.0 * d2base * vs[1] + 3.0 * dbase * vs[2] + base * vs[3]
+
+
+_ORACLE_LAWS = [
+    DampingModel.constant(2.0),
+    *(DampingModel.power_law(1.7, kappa) for kappa in (-0.9, -0.5, 0.0, 0.3, 0.5, 1.0)),
+    DampingModel.perturbed_power(1.3, 0.5, Perturbation("log", 1.5)),
+    DampingModel.perturbed_power(2.0, -0.5, Perturbation("log", -2.0)),
+    DampingModel.perturbed_power(1.0, 0.5, Perturbation("sin", 0.25)),
+    DampingModel.perturbed_power(0.7, -0.3, Perturbation("sin", 1.7)),
+]
+_ORACLE_TIMES = [0.0, 3.7, np.array([0.0, 1e-3, 0.5, 47.0, 1e5, 1e12]),
+                 np.geomspace(1e-3, 1e12, 12).reshape(3, 4)]
+
+
+def _bits(x):
+    return np.asarray(x).view(np.int64)
+
+
+@pytest.mark.parametrize("model", _ORACLE_LAWS, ids=repr)
+@pytest.mark.parametrize("t", _ORACLE_TIMES, ids=["0", "3.7", "1-D", "2-D"])
+def test_derivatives_match_the_product_rules_bit_for_bit(model, t):
+    """derivatives(t, order)[k] equals the hand-expanded b^(k) in every bit
+    and in type, for every order from k to 3, and so do b and db: the
+    Leibniz terms are added in the order those formulas add them."""
+    for order in range(4):
+        got = model.derivatives(t, order)
+        assert len(got) == order + 1
+        for k in range(order + 1):
+            want = _reference_derivative(model, t, k)
+            assert type(got[k]) is type(want), (order, k)
+            assert np.shape(got[k]) == np.shape(want), (order, k)
+            assert np.array_equal(_bits(got[k]), _bits(want)), (order, k)
+    for k, read in enumerate((model.b, model.db)):
+        want = _reference_derivative(model, t, k)
+        assert type(read(t)) is type(want)
+        assert np.array_equal(_bits(read(t)), _bits(want))
+
+
+@pytest.mark.parametrize("model", [
+    DampingModel.constant(2.0),
+    DampingModel.power_law(1.0, 0.5),
+    DampingModel.power_law(1.0, -0.9),
+    DampingModel.power_law(1.0, 1.0),
+    DampingModel.perturbed_power(1.0, 0.5, Perturbation("log", 1.0)),
+    DampingModel.perturbed_power(1.0, -0.5, Perturbation("log", -1.5)),
+    DampingModel.perturbed_power(1.0, 0.5, Perturbation("sin", 0.05)),
+    DampingModel.perturbed_power(1.0, -0.3, Perturbation("sin", 0.5)),
+    DampingModel.perturbed_power(1.0, 0.5, Perturbation("sin", 1.7)),
+], ids=repr)
+def test_derivatives_match_mpmath(model):
+    """b to b''' against mpmath's derivatives of the closed-form b at 50
+    digits, at times from 0 to 1e8, each error relative to
+    max(|b^(k)|, |b^(k-1)|/(1 + t)), which stays away from 0 where b^(k)
+    crosses it."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def closed_form(t):
+        if model.kind == "constant":
+            return mpmath.mpf(model.mu)
+        b = model.mu * (1 + t) ** (-mpmath.mpf(model.kappa))
+        if model.kind == "powerlaw":
+            return b
+        a = mpmath.mpf(model.perturbation.exponent)
+        if model.perturbation.kind == "log":
+            return b * mpmath.log(mpmath.e + t) ** a
+        return b * (1 + (1 + t) ** a * mpmath.sin((1 + t) ** (-2 * a)))
+
+    with mpmath.workdps(50):
+        for t in (0.0, 1e-3, 0.5, 3.0, 47.0, 1e3, 1e5, 1e8):
+            exact = [float(d) for d in mpmath.diffs(closed_form, mpmath.mpf(t), 3)]
+            got = model.derivatives(t, 3)
+            for k in range(4):
+                scale = max(abs(exact[k]), abs(exact[k - 1]) / (1.0 + t) if k else 0.0)
+                assert abs(got[k] - exact[k]) <= 1e-12 * scale, (t, k, got[k], exact[k])
 
 
 def test_power_law_limits_approached_monotonically():
